@@ -10,7 +10,6 @@ equals the stated module expression.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -709,7 +708,6 @@ class ClassificationReport:
     all_principal: bool
     all_unique_levi: bool
     entry_checks: list
-    elapsed: float | None = None
 
 
 def choose_method(rs: RootSystem, subset_cap=DEFAULT_SUBSET_CAP) -> str:
@@ -755,9 +753,7 @@ def module_verdict(rs, entry: ExpectedEntry):
 def enumerate_cominuscule_orbits(family, params, method="auto", group="auto",
                                  subset_cap=DEFAULT_SUBSET_CAP,
                                  lift_cap=DEFAULT_LIFT_CAP,
-                                 orbit_cap=weyl.DEFAULT_ORBIT_CAP,
-                                 with_timing=False) -> ClassificationReport:
-    t0 = time.monotonic()
+                                 orbit_cap=weyl.DEFAULT_ORBIT_CAP) -> ClassificationReport:
     rs = build_root_system(family, params)
     gens = weyl.generators(rs, group)
     group_used = weyl.classification_group(rs) if group == "auto" else group
@@ -822,7 +818,6 @@ def enumerate_cominuscule_orbits(family, params, method="auto", group="auto",
         all_principal=all_principal,
         all_unique_levi=all_unique,
         entry_checks=entry_checks,
-        elapsed=(time.monotonic() - t0) if with_timing else None,
     )
 
 

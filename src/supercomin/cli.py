@@ -17,7 +17,7 @@ import warnings
 from .classify import enumerate_cominuscule_orbits
 from .parabolic import CapExceeded
 from .rootsys import ParameterError, build_root_system
-from .verify import oracle_counts, run_paper_suite
+from .verify import SUITE_FAMILIES, oracle_counts, run_paper_suite
 
 SCHEMA_VERSION = "1"
 
@@ -27,7 +27,12 @@ FAMILY_CHOICES = ["sl", "psl", "osp", "osp_odd", "osp1", "osp_even", "osp2",
 
 def _env_cap(name, default):
     v = os.environ.get(name)
-    return int(v) if v else default
+    if not v:
+        return default
+    try:
+        return int(v)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {v!r}") from None
 
 
 def _params_from_args(family, args):
@@ -94,8 +99,12 @@ def _emit(payload, args):
     if getattr(args, "format", "json") == "table":
         text = _as_table(payload)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(
+                f"cannot write --out {args.out}: {exc.strerror}") from exc
     sys.stdout.write(text)
 
 
@@ -184,7 +193,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the bundled verification suite")
     p.add_argument("--suite", choices=["paper"], default="paper")
-    p.add_argument("--only", nargs="*", metavar="FAMILY")
+    p.add_argument("--only", nargs="*", metavar="FAMILY",
+                   choices=SUITE_FAMILIES)
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--out")
     p.add_argument("--subset-cap", type=int,
@@ -201,9 +211,8 @@ def build_parser():
 
 def main(argv=None) -> int:
     warnings.filterwarnings("ignore", message="p\\(2\\)")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ParameterError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -1,4 +1,4 @@
-"""Exhaustive closed-subset enumeration: the hot kernel.
+"""Exhaustive closed-subset enumeration.
 
 Subsets P of a root list must satisfy, per +-/- pair, "at least one in"
 (three states: +only, -only, both) and, per unpaired root, in/out; closure
@@ -6,58 +6,42 @@ obligations (r in P and m in P force target roots in P) are propagated
 during the search, which prunes almost all of the 3^pairs * 2^singles
 state space.
 
-Two interchangeable engines: a Cython core (``supercomin._kernel``) compiled
-with ``python setup.py build_ext --inplace``, and this pure-Python fallback.
-Selection happens at import; ``SUPERCOMIN_PURE=1`` forces the fallback.
-``bench/bench_kernel.py`` compares the two.
+Callers pass the negation map and the closure rows; the pair/single units
+and their search order are derived here.
 """
 
 from __future__ import annotations
 
-import os
 
-try:  # pragma: no cover - exercised when the extension is built
-    from . import _kernel as _compiled
-except ImportError:  # pragma: no cover
-    _compiled = None
+def _units(neg, rows):
+    """Search units (kind, i, j): pairs (0, i, -i) and singles (1, i, i).
 
-COMPILED_AVAILABLE = _compiled is not None
-_FORCE_PURE = bool(os.environ.get("SUPERCOMIN_PURE"))
-
-
-def engine_name() -> str:
-    return "compiled" if (COMPILED_AVAILABLE and not _FORCE_PURE) else "pure"
-
-
-def order_units(n, pairs, singles, rows):
-    """Deterministic unit order, densest closure interaction first."""
-    deg = [len(rows[i]) for i in range(n)]
-    units = [(0, i, j) for (i, j) in pairs] + [(1, i, i) for i in singles]
+    Deterministic order, densest closure interaction first.
+    """
+    units, done = [], set()
+    for i, j in enumerate(neg):
+        if i in done:
+            continue
+        if j is None:
+            units.append((1, i, i))
+            done.add(i)
+        else:
+            units.append((0, i, j))
+            done.update((i, j))
+    deg = [len(r) for r in rows]
     units.sort(key=lambda u: (-(deg[u[1]] + deg[u[2]]), u[1]))
     return units
 
 
-def enumerate_closed(n, pairs, singles, rows, force_pure=False):
-    """All subset masks satisfying covering and closure (including Delta)."""
-    units = order_units(n, pairs, singles, rows)
-    use_compiled = (
-        _compiled is not None and not _FORCE_PURE and not force_pure and n <= 62
-    )
-    if use_compiled:
-        kinds = [u[0] for u in units]
-        lefts = [u[1] for u in units]
-        rights = [u[2] for u in units]
-        row_off, row_m, row_t = [0], [], []
-        for r in range(n):
-            for m, tmask in rows[r]:
-                row_m.append(m)
-                row_t.append(tmask)
-            row_off.append(len(row_m))
-        return _compiled.run(n, kinds, lefts, rights, row_off, row_m, row_t)
-    return _enumerate_closed_py(n, units, rows)
+def enumerate_closed(neg, rows):
+    """All subset masks satisfying covering and closure (including Delta).
 
-
-def _enumerate_closed_py(n, units, rows):
+    ``neg[i]`` is the index of the root -i, or None when -i is no root;
+    ``rows[r]`` lists pairs (m, target_mask): the targets are forced when r
+    and m both lie in the subset.  Rows must be symmetric: (m, t) in rows[r]
+    exactly when (r, t) in rows[m].
+    """
+    units = _units(neg, rows)
     out = []
     nu = len(units)
 

@@ -267,6 +267,26 @@ def principal_parabolic(rs: RootSystem, lam):
     return subset, LeviDecomposition(subset, levi, nil, functional=tuple(lam))
 
 
+def _fm_rows(rs: RootSystem):
+    """Integer Fourier-Motzkin data of a root system.
+
+    Returns each root weight with its denominators cleared, in root order,
+    and the functional constraints v as row pairs v.lam >= 0, -v.lam >= 0.
+    """
+    weights = []
+    for r in rs.roots:
+        denom = 1
+        for c in r.weight:
+            denom = denom * Fraction(c).denominator
+        weights.append(tuple(int(Fraction(c) * denom) for c in r.weight))
+    constraints = []
+    for v in rs.functional_constraints():
+        ints = tuple(int(c) for c in v)
+        constraints.append(ints + (0,))
+        constraints.append(tuple(-c for c in ints) + (0,))
+    return weights, constraints
+
+
 def principality_witness(subset: RootSubset):
     """Integer functional with P = {lam >= 0}, lam <= -1 off P, or None.
 
@@ -274,22 +294,14 @@ def principality_witness(subset: RootSubset):
     homogeneous system at hand.
     """
     rs, bits = subset.rs, subset.bits
-    dim = len(rs.basis)
+    weights, constraints = _fm_rows(rs)
     rows = []
-    for i, r in enumerate(rs.roots):
-        denom = 1
-        for c in r.weight:
-            denom = denom * Fraction(c).denominator
-        coeffs = [int(Fraction(c) * denom) for c in r.weight]
+    for i, vec in enumerate(weights):
         if (bits >> i) & 1:
-            rows.append(tuple(coeffs) + (0,))
+            rows.append(vec + (0,))
         else:
-            rows.append(tuple(-c for c in coeffs) + (-1,))
-    for v in rs.functional_constraints():
-        ints = tuple(int(c) for c in v)
-        rows.append(ints + (0,))
-        rows.append(tuple(-c for c in ints) + (0,))
-    x = feasible_witness(rows, dim)
+            rows.append(tuple(-c for c in vec) + (-1,))
+    x = feasible_witness(rows + constraints, len(rs.basis))
     if x is None:
         return None
     return tuple(clear_denominators(x))
@@ -303,19 +315,7 @@ def _exhaustive_masks(rs: RootSystem, subset_cap, lift_cap):
     n = len(rs)
     if n > subset_cap:
         raise CapExceeded(f"|Delta| = {n} exceeds the exhaustive cap {subset_cap}")
-    rows = closure_rows(rs)
-    pairs, singles, done = [], [], set()
-    for i in range(n):
-        if i in done:
-            continue
-        j = rs.neg[i]
-        if j is None:
-            singles.append(i)
-            done.add(i)
-        else:
-            pairs.append((i, j))
-            done.update((i, j))
-    masks = kernel.enumerate_closed(n, pairs, singles, rows)
+    masks = kernel.enumerate_closed(rs.neg, closure_rows(rs))
     full = (1 << n) - 1
     out = []
     for m in masks:
@@ -347,18 +347,11 @@ def _face_masks(rs: RootSystem, prune_pair=None):
 
     n = len(rs)
     dim = len(rs.basis)
-    rowvec = []
-    for r in rs.roots:
-        denom = 1
-        for c in r.weight:
-            denom = denom * Fraction(c).denominator
-        rowvec.append(tuple(int(Fraction(c) * denom) for c in r.weight))
+    rowvec, constraints = _fm_rows(rs)
     immovable = [rs.neg[i] is not None for i in range(n)]
     base_fm = IncrementalFM(dim)
-    for v in rs.functional_constraints():
-        ints = tuple(int(c) for c in v)
-        base_fm.add(ints + (0,))
-        base_fm.add(tuple(-c for c in ints) + (0,))
+    for row in constraints:
+        base_fm.add(row)
     found = set()
 
     def rec(i, fm, ge_mask, plus):

@@ -57,10 +57,6 @@ class Realization:
         return len(ev), len(od)
 
     # -- brackets ------------------------------------------------------
-    @staticmethod
-    def bracket(x, y):
-        return x.bracket(y)
-
     def is_effectively_zero(self, x) -> bool:
         if x.is_zero():
             return True

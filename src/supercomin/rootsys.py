@@ -115,14 +115,13 @@ class SumOutcome:
 class RootSystem:
     """Immutable indexed root set with family metadata and ambient sums."""
 
-    def __init__(self, family, params, basis, roots, ambient="self",
+    def __init__(self, family, params, basis, roots,
                  lifts=None, ambient_extra=None, gl_shift=None):
         self.family = family
         self.params = tuple(params)
         self.basis = tuple(basis)  # tuples (kind, index), kind in "edg"
         order = sorted(range(len(roots)), key=lambda i: roots[i].weight)
         self.roots = tuple(roots[i] for i in order)
-        self.ambient = ambient
         self._index = {r.weight: i for i, r in enumerate(self.roots)}
         if len(self._index) != len(self.roots):
             raise ValueError("duplicate root weights")
@@ -154,17 +153,6 @@ class RootSystem:
 
     def index_of(self, weight):
         return self._index.get(tuple(weight))
-
-    def weight_of(self, i):
-        return self.roots[i].weight
-
-    @property
-    def even_indices(self):
-        return tuple(i for i, r in enumerate(self.roots) if r.even_dim)
-
-    @property
-    def odd_indices(self):
-        return tuple(i for i, r in enumerate(self.roots) if r.odd_dim)
 
     def dim_root_spaces(self):
         return sum(r.even_dim + r.odd_dim for r in self.roots)
@@ -425,7 +413,7 @@ def _build_psl(n):
         roots.append(Root(rep, ev, od))
         lifts.append(mates)
     return RootSystem("psl", (n,), _basis(n, n), roots,
-                      ambient="gl_lift", lifts=lifts, gl_shift=shift)
+                      lifts=lifts, gl_shift=shift)
 
 
 def _build_osp(M, N):
@@ -611,8 +599,7 @@ def _build_S(n, prime=False):
                 dim = n - size - 1
                 roots.append(Root(w, dim * (1 - par), dim * par))
     fam = "Sprime" if prime else "S"
-    return RootSystem(fam, (n,), _basis(n), roots,
-                      ambient="W_lift", ambient_extra=removed)
+    return RootSystem(fam, (n,), _basis(n), roots, ambient_extra=removed)
 
 
 def _build_H(n):

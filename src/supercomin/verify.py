@@ -84,6 +84,9 @@ REALIZED_AUDITS = (("sl", (2, 1)), ("psl", (2,)), ("psl", (3,)), ("psq", (3,)),
                    ("S", (3,)), ("S", (4,)), ("Sprime", (4,)),
                    ("H", (5,)), ("H", (6,)))
 
+# the families ``run_paper_suite(only=...)`` selects checks by
+SUITE_FAMILIES = tuple(sorted({f for f, _, _ in EXPECTED_ORBITS} | {"gl"}))
+
 
 def _tag(family, params):
     return f"{family}({','.join(str(x) for x in params)})"

@@ -11,7 +11,7 @@ representative of an orbit is its minimal bitmask.
 from __future__ import annotations
 
 from .rootsys import RootSystem
-from .parabolic import CapExceeded, RootSubset
+from .parabolic import CapExceeded
 
 
 class RootEscapeError(RuntimeError):
@@ -159,10 +159,6 @@ def act(rs: RootSystem, m, bits: int) -> int:
         if (bits >> i) & 1:
             out |= 1 << perm[i]
     return out
-
-
-def act_subset(subset: RootSubset, m) -> RootSubset:
-    return RootSubset(subset.rs, act(subset.rs, m, subset.bits))
 
 
 def orbit(rs: RootSystem, bits: int, gens, cap=DEFAULT_ORBIT_CAP):

@@ -97,6 +97,32 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(path.read_text()) == json.loads(out)
 
 
+def test_out_file_unwritable(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code = main(["oracle", "--family", "osp1", "--n", "1", "--out", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write --out ")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("family", ["nosuch", "osp_odd"])
+def test_verify_only_unknown_family(family, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "paper", "--only", family])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --only: invalid choice" in err
+
+
+def test_env_cap_not_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("SUPERCOMIN_SUBSET_CAP", "abc")
+    code = main(["oracle", "--family", "osp1", "--n", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: SUPERCOMIN_SUBSET_CAP must be an integer, got 'abc'\n"
+
+
 @pytest.mark.parametrize("family,ns", ORACLE_GOLDEN,
                          ids=[f[0] + str(tuple(n.values())) for f, n in ORACLE_GOLDEN])
 def test_oracle_golden(family, ns, capsys):

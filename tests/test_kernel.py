@@ -1,59 +1,65 @@
-import warnings
-
-import pytest
+from hypothesis import given, strategies as st
 
 from supercomin import kernel
-from supercomin.parabolic import closure_rows
-from supercomin.rootsys import build_root_system
-
-
-def units_of(rs):
-    pairs, singles, done = [], [], set()
-    for i in range(len(rs)):
-        if i in done:
-            continue
-        j = rs.neg[i]
-        if j is None:
-            singles.append(i)
-            done.add(i)
-        else:
-            pairs.append((i, j))
-            done.update((i, j))
-    return pairs, singles
-
-
-@pytest.mark.parametrize("fam,par", [
-    ("sl", (2, 1)), ("osp", (4, 2)), ("W", (3,)), ("H", (5,)),
-    ("H", (6,)), ("p", (3,)), ("psl", (2,)), ("osp", (6, 2)),
-])
-def test_engines_agree(fam, par):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rs = build_root_system(fam, par)
-    rows = closure_rows(rs)
-    pairs, singles = units_of(rs)
-    pure = sorted(kernel.enumerate_closed(len(rs), pairs, singles, rows,
-                                          force_pure=True))
-    default = sorted(kernel.enumerate_closed(len(rs), pairs, singles, rows))
-    assert pure == default
-
-
-def test_engine_name_reports():
-    assert kernel.engine_name() in ("compiled", "pure")
 
 
 def test_covering_enforced():
     # single +-pair with no closure: exactly the three covering states
-    out = kernel.enumerate_closed(2, [(0, 1)], [], [(), ()], force_pure=True)
+    out = kernel.enumerate_closed([1, 0], [(), ()])
     assert sorted(out) == [0b01, 0b10, 0b11]
 
 
 def test_closure_propagation():
     # roots 0,1 force 2 (a single); includes covering states of the pair
     rows = [((1, 0b100),), ((0, 0b100),), ()]
-    out = kernel.enumerate_closed(3, [(0, 1)], [2], rows, force_pure=True)
+    out = kernel.enumerate_closed([1, 0, None], rows)
     assert 0b011 not in out  # both in but target excluded
     assert 0b111 in out
     assert sorted(out) == sorted(
         m for m in range(8)
         if (m & 0b11) and not (m & 0b11 == 0b11 and not m & 0b100))
+
+
+@st.composite
+def search_inputs(draw):
+    """A negation map that pairs some roots and leaves the rest unpaired,
+    and symmetric closure rows, over n <= 8 roots."""
+    n = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(n)))
+    neg = [None] * n
+    for t in range(draw(st.integers(0, n // 2))):
+        i, j = order[2 * t], order[2 * t + 1]
+        neg[i], neg[j] = j, i
+    rows = [[] for _ in range(n)]
+    roots = st.integers(0, n - 1)
+    for a, b, targets in draw(st.lists(
+            st.tuples(roots, roots, st.sets(roots, min_size=1, max_size=3)),
+            max_size=12)):
+        mask = sum(1 << t for t in targets)
+        rows[a].append((b, mask))
+        if a != b:
+            rows[b].append((a, mask))
+    return neg, rows
+
+
+def closed_covering_masks(neg, rows):
+    """Brute force over all 2^n masks: covering and closure by definition."""
+    n = len(neg)
+
+    def covering(m):
+        return all((m >> i) & 1 or (m >> j) & 1
+                   for i, j in enumerate(neg) if j is not None)
+
+    def closed(m):
+        return all(not (t & ~m)
+                   for r in range(n) if (m >> r) & 1
+                   for q, t in rows[r] if (m >> q) & 1)
+
+    return [m for m in range(1 << n) if covering(m) and closed(m)]
+
+
+@given(search_inputs())
+def test_matches_brute_force(inputs):
+    neg, rows = inputs
+    assert sorted(kernel.enumerate_closed(neg, rows)) == \
+        closed_covering_masks(neg, rows)
