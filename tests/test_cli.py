@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from supercomin.cli import main
+from supercomin.verify import EXPECTED_ORBITS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -143,3 +144,42 @@ def test_oracle_golden(family, ns, capsys):
         path.write_text(json.dumps(payload, indent=2) + "\n")
     assert path.exists(), f"golden file {name} missing; set SUPERCOMIN_WRITE_GOLDEN=1"
     assert json.loads(path.read_text()) == payload
+
+
+def _check_golden(name, text):
+    """Compare ``text`` byte for byte with ``tests/golden/<name>``.
+
+    Regenerate with SUPERCOMIN_WRITE_GOLDEN=1 after a reviewed change.
+    """
+    path = GOLDEN / name
+    if os.environ.get("SUPERCOMIN_WRITE_GOLDEN"):
+        GOLDEN.mkdir(exist_ok=True)
+        path.write_bytes(text.encode())
+    assert path.exists(), f"golden file {name} missing; set SUPERCOMIN_WRITE_GOLDEN=1"
+    assert path.read_bytes() == text.encode()
+
+
+def _classify_argv(family, params):
+    argv = ["classify", "--family", family]
+    if family in ("sl", "osp"):
+        argv += ["--m", str(params[0]), "--n", str(params[1])]
+    elif params:
+        argv += ["--n", str(params[0])]
+    return argv
+
+
+@pytest.mark.parametrize("family,params", [(f, p) for f, p, _ in EXPECTED_ORBITS],
+                         ids=[f"{f}{p}" for f, p, _ in EXPECTED_ORBITS])
+def test_classify_golden(family, params, capsys):
+    """``classify`` JSON of every table instance, byte for byte."""
+    code, out = run(_classify_argv(family, params), capsys)
+    assert code in (0, 1)
+    _check_golden("classify_" + "_".join([family] + [str(x) for x in params])
+                  + ".json", out)
+
+
+def test_verify_paper_golden(capsys):
+    """``verify --suite paper`` stdout, byte for byte."""
+    code, out = run(["verify", "--suite", "paper"], capsys)
+    assert code == 1
+    _check_golden("verify_paper.json", out)
