@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import weyl
-from .cominuscule import is_cominuscule, pair_forbidden
+from .cominuscule import is_cominuscule
 from .parabolic import (DEFAULT_LIFT_CAP, DEFAULT_SUBSET_CAP, RootSubset,
                         enumerate_parabolics, levi_decompositions,
                         principality_witness)
@@ -41,9 +41,7 @@ class ExpectedEntry:
 def _bits_of(rs, weights, tag=""):
     bits = 0
     for w in weights:
-        i = rs.index_of(w)
-        if i is None and rs.family == "psl":
-            i = rs._ambient_class.get(tuple(w))
+        i = rs.class_of(w)
         if i is None:
             raise ValueError(f"transcribed weight {w} is not a root ({tag})")
         bits |= 1 << i
@@ -192,9 +190,8 @@ def _expected_psl(rs, n):
     def proj(table):
         out = {}
         for w, d in table.items():
-            rep = w
-            if rs._ambient_class is not None and w in rs._ambient_class:
-                rep = rs.roots[rs._ambient_class[w]].weight
+            i = rs.class_of(w)
+            rep = w if i is None else rs.roots[i].weight
             cell = out.setdefault(rep, [0, 0])
             cell[0] += d[0]
             cell[1] += d[1]
@@ -725,12 +722,10 @@ def cominuscule_subsets(rs: RootSystem, method="auto",
     """All cominuscule parabolic subsets, plus the method actually used."""
     if method == "auto":
         method = choose_method(rs, subset_cap)
-    prune = None
-    if method == "principal":
-        prune = lambda a, b: pair_forbidden(rs, a, b)
+    prune = rs.table.forbidden[False] if method == "principal" else None
     out = []
     for subset in enumerate_parabolics(rs, method, subset_cap=subset_cap,
-                                       lift_cap=lift_cap, prune_pair=prune):
+                                       lift_cap=lift_cap, prune_masks=prune):
         v = is_cominuscule(subset, lift_cap=lift_cap)
         if v.is_cominuscule:
             out.append(subset)

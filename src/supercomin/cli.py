@@ -193,7 +193,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the bundled verification suite")
     p.add_argument("--suite", choices=["paper"], default="paper")
-    p.add_argument("--only", nargs="*", metavar="FAMILY",
+    p.add_argument("--only", nargs="+", metavar="FAMILY",
                    choices=SUITE_FAMILIES)
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--out")

@@ -13,6 +13,9 @@ the family:
   oracle shows [g^{-e_i}, g^{-e_i}] != 0, so the pair clause here includes
   i = j; ``literal=True`` restores the i != j reading for comparison
   against the stated rule.
+
+The rules are tabulated once per root system as per-root bitmasks,
+``RootSystem.table.forbidden[literal]``.
 """
 
 from __future__ import annotations
@@ -23,24 +26,9 @@ from .parabolic import RootSubset, LeviDecomposition, levi_decompositions
 from .rootsys import RootSystem
 
 
-def _is_minus_eps(rs: RootSystem, i: int) -> bool:
-    w = rs.roots[i].weight
-    return sum(w) == -1 and all(c in (0, -1) for c in w)
-
-
 def pair_forbidden(rs: RootSystem, a: int, b: int, literal: bool = False) -> bool:
     """Whether roots a, b may never both lie in an abelian nilradical."""
-    fam = rs.family
-    if fam == "psl":
-        return bool(rs.pair_targets(a, b))
-    out = rs.ambient_sum(a, b)
-    if fam in ("S", "Sprime"):
-        if out.kind in ("in_delta", "ambient_only"):
-            return True
-        if fam == "Sprime" and _is_minus_eps(rs, a) and _is_minus_eps(rs, b):
-            return not literal or a != b
-        return False
-    return out.kind == "in_delta"
+    return bool((rs.table.forbidden[literal][a] >> b) & 1)
 
 
 def rule_tag(rs: RootSystem) -> str:
@@ -50,12 +38,9 @@ def rule_tag(rs: RootSystem) -> str:
 
 
 def nilradical_abelian(rs: RootSystem, nil_bits: int, literal: bool = False) -> bool:
-    idx = [i for i in range(len(rs)) if (nil_bits >> i) & 1]
-    for x, a in enumerate(idx):
-        for b in idx[x:]:
-            if pair_forbidden(rs, a, b, literal=literal):
-                return False
-    return True
+    forb = rs.table.forbidden[literal]
+    return not any(forb[a] & nil_bits
+                   for a in range(len(rs)) if (nil_bits >> a) & 1)
 
 
 @dataclass(frozen=True)

@@ -78,22 +78,11 @@ class LeviDecomposition:
 
 def closure_rows(rs: RootSystem):
     """rows[r] = tuple of (m, target_mask): targets forced when r and m lie in P."""
-    n = len(rs)
-    rows = [[] for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            mask = 0
-            for t in rs.pair_targets(a, b):
-                mask |= 1 << t
-            if mask:
-                rows[a].append((b, mask))
-                if a != b:
-                    rows[b].append((a, mask))
-    return [tuple(r) for r in rows]
+    return rs.table.closure_rows
 
 
-def _closure_violation(rs, bits, rows=None) -> bool:
-    rows = closure_rows(rs) if rows is None else rows
+def _closure_violation(rs, bits) -> bool:
+    rows = rs.table.closure_rows
     for a in range(len(rs)):
         if not (bits >> a) & 1:
             continue
@@ -103,7 +92,7 @@ def _closure_violation(rs, bits, rows=None) -> bool:
     return False
 
 
-def parabolic_status(subset: RootSubset, lift_cap=DEFAULT_LIFT_CAP, _rows=None) -> str:
+def parabolic_status(subset: RootSubset, lift_cap=DEFAULT_LIFT_CAP) -> str:
     """One of "improper", "parabolic", "not_parabolic"."""
     rs, bits = subset.rs, subset.bits
     full = (1 << len(rs)) - 1
@@ -113,8 +102,8 @@ def parabolic_status(subset: RootSubset, lift_cap=DEFAULT_LIFT_CAP, _rows=None) 
         for i in range(len(rs)):
             if not (bits >> i) & 1 and not (bits >> rs.neg[i]) & 1:
                 return "not_parabolic"
-        return "not_parabolic" if _closure_violation(rs, bits, _rows) else "parabolic"
-    if _closure_violation(rs, bits, _rows):
+        return "not_parabolic" if _closure_violation(rs, bits) else "parabolic"
+    if _closure_violation(rs, bits):
         return "not_parabolic"  # Delta-closure is necessary for a lift to exist
     for _ in _iter_lifts(rs, bits, lift_cap=lift_cap):
         return "parabolic"
@@ -154,25 +143,15 @@ def _iter_lifts(rs: RootSystem, bits: int, lift_cap=DEFAULT_LIFT_CAP):
         raise CapExceeded(
             f"lift search needs {len(free)} free bits, cap is {lift_cap}")
 
-    # sum table restricted to candidate members
-    members = [k for k in range(total) if (base >> k) & 1] + free
-    sums = {}
-    for x in members:
-        for y in members:
-            if y < x:
-                continue
-            t = sym.sum_target(x, y)
-            if t is not None:
-                sums.setdefault(x, []).append((y, 1 << t))
-                if x != y:
-                    sums.setdefault(y, []).append((x, 1 << t))
-
+    # a mask only ever holds members (base and free bits), so the full sum
+    # rows need no restriction to them
+    sums = rs.table.sym_rows
     undecidable = ~(base | sum(1 << k for k in free))  # fixed-out part
     fixed_out = undecidable & ((1 << total) - 1)
 
     def closed_under(mask, new, req):
         acc = 0
-        for m, tmask in sums.get(new, ()):
+        for m, tmask in sums[new]:
             if (mask >> m) & 1:
                 acc |= tmask
         if acc & fixed_out:
@@ -183,7 +162,7 @@ def _iter_lifts(rs: RootSystem, bits: int, lift_cap=DEFAULT_LIFT_CAP):
     req = 0
     mask = 0
     ok = True
-    for x in members[: bin(base).count("1")]:
+    for x in (k for k in range(total) if (base >> k) & 1):
         mask |= 1 << x
         req = closed_under(mask, x, req)
         if req is None:
@@ -267,26 +246,6 @@ def principal_parabolic(rs: RootSystem, lam):
     return subset, LeviDecomposition(subset, levi, nil, functional=tuple(lam))
 
 
-def _fm_rows(rs: RootSystem):
-    """Integer Fourier-Motzkin data of a root system.
-
-    Returns each root weight with its denominators cleared, in root order,
-    and the functional constraints v as row pairs v.lam >= 0, -v.lam >= 0.
-    """
-    weights = []
-    for r in rs.roots:
-        denom = 1
-        for c in r.weight:
-            denom = denom * Fraction(c).denominator
-        weights.append(tuple(int(Fraction(c) * denom) for c in r.weight))
-    constraints = []
-    for v in rs.functional_constraints():
-        ints = tuple(int(c) for c in v)
-        constraints.append(ints + (0,))
-        constraints.append(tuple(-c for c in ints) + (0,))
-    return weights, constraints
-
-
 def principality_witness(subset: RootSubset):
     """Integer functional with P = {lam >= 0}, lam <= -1 off P, or None.
 
@@ -294,14 +253,14 @@ def principality_witness(subset: RootSubset):
     homogeneous system at hand.
     """
     rs, bits = subset.rs, subset.bits
-    weights, constraints = _fm_rows(rs)
     rows = []
-    for i, vec in enumerate(weights):
+    for i, vec in enumerate(rs.table.fm_weights):
         if (bits >> i) & 1:
             rows.append(vec + (0,))
         else:
             rows.append(tuple(-c for c in vec) + (-1,))
-    x = feasible_witness(rows + constraints, len(rs.basis))
+    rows.extend(rs.table.fm_constraints)
+    x = feasible_witness(rows, len(rs.basis))
     if x is None:
         return None
     return tuple(clear_denominators(x))
@@ -333,28 +292,31 @@ def _exhaustive_masks(rs: RootSystem, subset_cap, lift_cap):
     return out
 
 
-def _face_masks(rs: RootSystem, prune_pair=None):
+def _face_masks(rs: RootSystem, prune_masks=None):
     """Values P(lam) over all faces of the root hyperplane arrangement.
 
     Sign vectors over the root list are extended one root at a time with
-    Fourier-Motzkin pruning.  ``prune_pair(a, b) -> bool`` (optional) skips
-    branches whose strictly-positive part already contains roots a, b that
-    lie in the nilradical of every Levi decomposition and are forbidden as a
-    nilradical pair; this keeps only faces that can still produce sets with
-    an abelian nilradical, and is used for the largest runs.
+    Fourier-Motzkin pruning.  ``prune_masks`` (optional) has bit b of entry
+    a set when roots a, b are forbidden as a nilradical pair; it skips
+    branches whose strictly-positive part already contains such a pair of
+    roots that lie in the nilradical of every Levi decomposition.  This
+    keeps only faces that can still produce sets with an abelian
+    nilradical, and is used for the largest runs.
     """
     from .feasible import IncrementalFM
 
     n = len(rs)
     dim = len(rs.basis)
-    rowvec, constraints = _fm_rows(rs)
+    table = rs.table
+    rowvec = table.fm_weights
     immovable = [rs.neg[i] is not None for i in range(n)]
     base_fm = IncrementalFM(dim)
-    for row in constraints:
+    for row in table.fm_constraints:
         base_fm.add(row)
     found = set()
 
     def rec(i, fm, ge_mask, plus):
+        # plus: the immovable roots of the strictly positive part
         if i == n:
             found.add(ge_mask)
             return
@@ -364,31 +326,26 @@ def _face_masks(rs: RootSystem, prune_pair=None):
         if fz.add(vec + (0,)) and fz.add(tuple(-c for c in vec) + (0,)):
             rec(i + 1, fz, ge_mask | (1 << i), plus)
         # strictly positive branch
-        allow = True
-        if prune_pair is not None and immovable[i]:
-            for b in plus:
-                if immovable[b] and prune_pair(i, b):
-                    allow = False
-                    break
-            if allow and prune_pair(i, i):
-                allow = False
+        allow = not (prune_masks is not None and immovable[i]
+                     and prune_masks[i] & (plus | (1 << i)))
         if allow:
             fp = fm.clone()
             if fp.add(vec + (-1,)):
-                rec(i + 1, fp, ge_mask | (1 << i), plus + [i])
+                rec(i + 1, fp, ge_mask | (1 << i),
+                    plus | (1 << i) if immovable[i] else plus)
         # strictly negative branch
         fn = fm.clone()
         if fn.add(tuple(-c for c in vec) + (-1,)):
             rec(i + 1, fn, ge_mask, plus)
 
-    rec(0, base_fm, 0, [])
+    rec(0, base_fm, 0, 0)
     full = (1 << n) - 1
     return sorted(m for m in found if m != full)
 
 
 def enumerate_parabolics(rs: RootSystem, method="exhaustive",
                          subset_cap=DEFAULT_SUBSET_CAP, lift_cap=DEFAULT_LIFT_CAP,
-                         prune_pair=None):
+                         prune_masks=None):
     """Stream of parabolic subsets in canonical bitmask order.
 
     ``exhaustive`` filters all proper subsets (3^pairs state search with
@@ -398,13 +355,12 @@ def enumerate_parabolics(rs: RootSystem, method="exhaustive",
     if method == "exhaustive":
         masks = _exhaustive_masks(rs, subset_cap, lift_cap)
     elif method == "principal":
-        masks = _face_masks(rs, prune_pair=prune_pair)
+        masks = _face_masks(rs, prune_masks=prune_masks)
         if rs.family == "psl" and any(len(ls) > 1 for ls in rs.lifts):
             # lift-pair closure is stronger than closure of representative
             # sums, so face values need a parabolicity filter here
-            rows = closure_rows(rs)
             masks = [m for m in masks
-                     if parabolic_status(RootSubset(rs, m), _rows=rows) == "parabolic"]
+                     if parabolic_status(RootSubset(rs, m)) == "parabolic"]
     else:
         raise ValueError(f"unknown method {method!r}")
     for m in masks:

@@ -22,28 +22,32 @@ def sums_laws_hold(dec: LeviDecomposition) -> bool:
     Nm = ((1 << n) - 1) & ~P
     if L | Np != P or L & Np:
         return False
+    targets = rs.table.targets
 
-    def side(i):
-        if (L >> i) & 1:
-            return "L"
-        return "N+" if (Np >> i) & 1 else "N-"
+    def reach(i, side):
+        """Roots forced by i together with some root of ``side``."""
+        acc = 0
+        for j in range(n):
+            if (side >> j) & 1:
+                acc |= targets[i][j]
+        return acc
 
     for i in range(n):
-        si = side(i)
         # (i) negation of a nilradical root lies in the opposite nilradical
         j = rs.neg[i]
-        if j is not None and si != "L" and side(j) != ("N-" if si == "N+" else "N+"):
-            return False
-        for j2 in range(n):
-            sj = side(j2)
-            for t in rs.pair_targets(i, j2):
-                st = side(t)
-                if si == "L" and sj == "L" and st != "L":  # (iii)
-                    return False
-                if si == "L" and sj in ("N+", "N-") and st != sj:  # (ii)
-                    return False
-                if si == sj and si in ("N+", "N-") and st != si:  # (iv)
-                    return False
+        if j is not None and not (L >> i) & 1:
+            opposite = Nm if (Np >> i) & 1 else Np
+            if not (opposite >> j) & 1:
+                return False
+        if (L >> i) & 1:
+            # (iii) L + L in L; (ii) L + N+- in N+-
+            if reach(i, L) & ~L or reach(i, Np) & ~Np or reach(i, Nm) & ~Nm:
+                return False
+        else:
+            # (iv) N+ + N+ in N+, N- + N- in N-
+            side = Np if (Np >> i) & 1 else Nm
+            if reach(i, side) & ~side:
+                return False
     return True
 
 
@@ -102,15 +106,13 @@ def restriction_compatible(dec: LeviDecomposition, indices) -> bool:
         if not (Pa >> i) & 1 and not (Pa >> j) & 1:
             return False
     # closure inside the subsystem
+    targets = rs.table.targets
     for i in indices:
         if not (Pa >> i) & 1:
             continue
         for j in indices:
-            if not (Pa >> j) & 1:
-                continue
-            for t in rs.pair_targets(i, j):
-                if t in iset and not (Pa >> t) & 1:
-                    return False
+            if (Pa >> j) & 1 and targets[i][j] & mask & ~Pa:
+                return False
     # the induced decomposition must be the symmetric one
     La = 0
     for i in indices:

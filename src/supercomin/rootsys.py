@@ -38,6 +38,12 @@ Three families live in a coordinate space borrowed from a bigger algebra:
 * ``S(n)``/``S'(n)`` store roots in W(n) coordinates; the n weights
   eps_{[1,n] minus i} belong to W(n) but not to S(n), and sums landing on
   them are reported as ``ambient_only``.
+
+Every root-sum question is answered from ``RootSystem.table``, a
+``RootTable`` of integer sums, closure rows and forbidden-pair masks that
+is built once, on first use.  ``build_root_system`` returns one shared
+system per normalized (family, params), so the table is built once per
+system and process.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 HALF = Fraction(1, 2)
 
@@ -146,6 +152,7 @@ class RootSystem:
             self.neg = tuple(self._index.get(wneg(r.weight)) for r in self.roots)
         self.symmetric = all(j is not None for j in self.neg)
         self._sym = None
+        self._table = None
 
     # -- basic queries --------------------------------------------------
     def __len__(self):
@@ -153,6 +160,22 @@ class RootSystem:
 
     def index_of(self, weight):
         return self._index.get(tuple(weight))
+
+    def class_of(self, weight):
+        """Index of the root whose class contains ``weight``, or None.
+
+        For psl the classes are the fibers of the quotient map, so every gl
+        lift of a root finds it; elsewhere this is ``index_of``.
+        """
+        if self._ambient_class is not None:
+            return self._ambient_class.get(tuple(weight))
+        return self._index.get(tuple(weight))
+
+    @property
+    def table(self) -> "RootTable":
+        if self._table is None:
+            self._table = RootTable(self)
+        return self._table
 
     def dim_root_spaces(self):
         return sum(r.even_dim + r.odd_dim for r in self.roots)
@@ -167,18 +190,7 @@ class RootSystem:
         gl(n|n), every member of which is identified with a stored root, so
         the outcome is never ``ambient_only`` there.
         """
-        w = wadd(self.roots[a].weight, self.roots[b].weight)
-        if is_zero_weight(w):
-            return SumOutcome.not_root()
-        if self._ambient_class is not None:
-            cls = self._ambient_class.get(w)
-            return SumOutcome.in_delta(cls) if cls is not None else SumOutcome.not_root()
-        idx = self._index.get(w)
-        if idx is not None:
-            return SumOutcome.in_delta(idx)
-        if w in self.ambient_extra:
-            return SumOutcome.ambient_only(w)
-        return SumOutcome.not_root()
+        return self.table.outcomes[a][b]
 
     def pair_targets(self, a: int, b: int):
         """Root indices forced by closure when a and b both lie in a subset.
@@ -186,16 +198,8 @@ class RootSystem:
         For psl this runs over all lift pairs (one gl-root sum per pair can
         land in the gl root set); elsewhere it is the plain ambient sum.
         """
-        if self._ambient_class is not None:
-            out = set()
-            for la in self.lifts[a]:
-                for lb in self.lifts[b]:
-                    cls = self._ambient_class.get(wadd(la, lb))
-                    if cls is not None:
-                        out.add(cls)
-            return tuple(sorted(out))
-        s = self.ambient_sum(a, b)
-        return (s.index,) if s.kind == "in_delta" else ()
+        mask = self.table.targets[a][b]
+        return tuple(t for t in range(len(self.roots)) if (mask >> t) & 1)
 
     def functional_constraints(self):
         """Directions every functional on this system must annihilate.
@@ -281,7 +285,119 @@ class SymmetrizedSystem:
 
     def sum_target(self, i: int, j: int):
         """Index of weights[i] + weights[j] in the symmetrized set, or None."""
-        return self._index.get(wadd(self.weights[i], self.weights[j]))
+        return self.rs.table.sym_targets[i][j]
+
+
+class RootTable:
+    """Integer sum tables of one root system, built once on first use.
+
+    Weights are scaled to integers by one common denominator ``denom`` (2
+    for the half-integral F(4), G(3) and D(2,1;a) weights, 1 elsewhere), so
+    every sum below is formed once, in integers.  Tables over root pairs are
+    indexed [a][b] and symmetric; a mask has bit t set for root index t.
+
+    * ``targets[a][b]``: the roots forced by closure when a and b lie in a
+      subset (``RootSystem.pair_targets``; for psl one per gl lift-pair sum
+      that is a gl root);
+    * ``outcomes[a][b]``: the ``SumOutcome`` of ``RootSystem.ambient_sum``;
+    * ``closure_rows[r]``: the pairs (m, targets[r][m]) with a nonzero mask,
+      m ascending;
+    * ``forbidden[literal][a]``: the roots b such that a and b never both
+      lie in an abelian nilradical.  The pair is forbidden when some lift
+      pair sums to an ambient root: a root of Delta, a gl(n|n) root for
+      psl, a W(n) root for S/S'.  S'(n) also forbids every pair of roots of
+      the shape -e_i, the diagonal pairs included unless ``literal``;
+    * ``sym_targets[i][j]``: ``SymmetrizedSystem.sum_target``, and
+      ``sym_rows[i]`` its pairs (j, 1 << target);
+    * ``fm_weights``, ``fm_constraints``: the Fourier-Motzkin data, each
+      root weight with its own denominators cleared and each functional
+      constraint v as the rows v.lam >= 0 and -v.lam >= 0;
+    * ``perms``: root permutations of group elements, filled by
+      ``weyl.root_permutation``.
+    """
+
+    def __init__(self, rs: RootSystem):
+        n = len(rs.roots)
+        denom = 1
+        for w in [w for ls in rs.lifts for w in ls] + list(rs.ambient_extra):
+            for c in w:
+                denom = lcm(denom, Fraction(c).denominator)
+        self.denom = denom
+
+        def scale(w):
+            return tuple(int(c * denom) for c in w)
+
+        def add(u, v):
+            return tuple(x + y for x, y in zip(u, v))
+
+        self.weights = tuple(scale(r.weight) for r in rs.roots)
+        ambient = {scale(w): i for i, ls in enumerate(rs.lifts) for w in ls}
+        extra = {scale(w): w for w in rs.ambient_extra}
+        lifts = [[scale(w) for w in ls] for ls in rs.lifts]
+        in_delta = [SumOutcome.in_delta(i) for i in range(n)]
+        not_root = SumOutcome.not_root()
+        targets = [[0] * n for _ in range(n)]
+        outcomes = [[not_root] * n for _ in range(n)]
+        forbidden = [0] * n
+        for a in range(n):
+            for b in range(a, n):
+                mask = 0
+                for la in lifts[a]:
+                    for lb in lifts[b]:
+                        t = ambient.get(add(la, lb))
+                        if t is not None:
+                            mask |= 1 << t
+                w = add(self.weights[a], self.weights[b])
+                t = ambient.get(w)
+                if t is not None:
+                    out = in_delta[t]
+                elif w in extra:
+                    out = SumOutcome.ambient_only(extra[w])
+                else:
+                    out = not_root
+                targets[a][b] = targets[b][a] = mask
+                outcomes[a][b] = outcomes[b][a] = out
+                if mask or out.kind == "ambient_only":
+                    forbidden[a] |= 1 << b
+                    forbidden[b] |= 1 << a
+        literal = list(forbidden)
+        if rs.family == "Sprime":
+            minus_eps = 0
+            for i, w in enumerate(self.weights):
+                if sum(w) == -denom and all(c in (0, -denom) for c in w):
+                    minus_eps |= 1 << i
+            for i in range(n):
+                if (minus_eps >> i) & 1:
+                    forbidden[i] |= minus_eps
+                    literal[i] |= minus_eps & ~(1 << i)
+        self.targets = tuple(tuple(row) for row in targets)
+        self.outcomes = tuple(tuple(row) for row in outcomes)
+        self.forbidden = (tuple(forbidden), tuple(literal))
+        self.closure_rows = tuple(
+            tuple((m, t) for m, t in enumerate(row) if t) for row in self.targets)
+
+        sym = rs.symmetrized()
+        sw = [scale(w) for w in sym.weights]
+        sidx = {w: k for k, w in enumerate(sw)}
+        self.sym_targets = tuple(tuple(sidx.get(add(x, y)) for y in sw) for x in sw)
+        self.sym_rows = tuple(
+            tuple((j, 1 << t) for j, t in enumerate(row) if t is not None)
+            for row in self.sym_targets)
+
+        fm_weights = []
+        for r in rs.roots:
+            d = 1
+            for c in r.weight:
+                d *= Fraction(c).denominator
+            fm_weights.append(tuple(int(Fraction(c) * d) for c in r.weight))
+        self.fm_weights = tuple(fm_weights)
+        constraints = []
+        for v in rs.functional_constraints():
+            ints = tuple(int(c) for c in v)
+            constraints.append(ints + (0,))
+            constraints.append(tuple(-c for c in ints) + (0,))
+        self.fm_constraints = tuple(constraints)
+        self.perms = {}
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +643,6 @@ def _build_psq(n):
 
 def _build_p(n):
     _require(n >= 2, "p(n) needs n >= 2")
-    if n == 2:
-        warnings.warn("p(2) is not simple; accepted for oracle runs only",
-                      stacklevel=3)
     roots = []
     for i in range(n):
         for j in range(n):
@@ -661,12 +774,26 @@ _BUILDERS = {
 }
 
 
+_SYSTEMS = {}  # normalized (family, params) -> RootSystem
+
+
 def build_root_system(family, params=()) -> RootSystem:
-    fam, par = normalize_family(family, params)
-    try:
-        return _BUILDERS[fam](par)
-    except TypeError as exc:
-        raise ParameterError(f"bad parameters {par} for family {fam}: {exc}") from exc
+    """The root system of family(params), one shared object per normalized
+    (family, params); aliases resolve to the canonical system."""
+    key = normalize_family(family, params)
+    if key == ("p", (2,)):
+        warnings.warn("p(2) is not simple; accepted for oracle runs only",
+                      stacklevel=2)
+    rs = _SYSTEMS.get(key)
+    if rs is None:
+        fam, par = key
+        try:
+            rs = _BUILDERS[fam](par)
+        except TypeError as exc:
+            raise ParameterError(
+                f"bad parameters {par} for family {fam}: {exc}") from exc
+        _SYSTEMS[key] = rs
+    return rs
 
 
 def osp_subfamily(rs: RootSystem) -> str:

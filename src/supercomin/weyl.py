@@ -138,18 +138,19 @@ def classification_group(rs: RootSystem) -> str:
 
 
 def act_root(rs: RootSystem, m, i: int) -> int:
-    w = apply_matrix(m, rs.roots[i].weight)
-    if rs._ambient_class is not None:
-        j = rs._ambient_class.get(w)
-    else:
-        j = rs.index_of(w)
+    j = rs.class_of(apply_matrix(m, rs.roots[i].weight))
     if j is None:
         raise RootEscapeError(f"image of root {rs.root_str(i)} is not a root")
     return j
 
 
 def root_permutation(rs: RootSystem, m):
-    return tuple(act_root(rs, m, i) for i in range(len(rs)))
+    """perm[i] = index of the image of root i; computed once per (rs, m)."""
+    perms = rs.table.perms
+    perm = perms.get(m)
+    if perm is None:
+        perm = perms[m] = tuple(act_root(rs, m, i) for i in range(len(rs)))
+    return perm
 
 
 def act(rs: RootSystem, m, bits: int) -> int:

@@ -420,12 +420,10 @@ def test_f4_unpruned_principal_sweep():
                                      ("H", (5,)), ("osp", (4, 2))])
 def test_pruned_principal_finds_all_cominuscule(fam, par):
     # the fused cominuscule prune in the face enumeration loses nothing
-    from supercomin.cominuscule import pair_forbidden
-
     rs = build_root_system(fam, par)
     ex = {s.bits for s in enumerate_parabolics(rs, "exhaustive")
           if is_cominuscule(s).is_cominuscule}
     pr = {s.bits for s in enumerate_parabolics(
-        rs, "principal", prune_pair=lambda a, b: pair_forbidden(rs, a, b))
+        rs, "principal", prune_masks=rs.table.forbidden[False])
         if is_cominuscule(s).is_cominuscule}
     assert ex == pr

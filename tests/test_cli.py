@@ -107,13 +107,17 @@ def test_out_file_unwritable(tmp_path, capsys):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("family", ["nosuch", "osp_odd"])
-def test_verify_only_unknown_family(family, capsys):
+@pytest.mark.parametrize("only,message", [
+    (["nosuch"], "invalid choice"),
+    (["osp_odd"], "invalid choice"),
+    ([], "expected at least one argument"),
+], ids=["nosuch", "osp_odd", "empty"])
+def test_verify_only_unknown_family(only, message, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "paper", "--only", family])
+        main(["verify", "--suite", "paper", "--only"] + only)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "error: argument --only: invalid choice" in err
+    assert f"error: argument --only: {message}" in err
 
 
 def test_env_cap_not_an_integer(monkeypatch, capsys):

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from supercomin.rootsys import (ParameterError, build_root_system, parse_weight,
-                                weight_str, wneg)
+from supercomin.rootsys import (ParameterError, SumOutcome, build_root_system,
+                                parse_weight, weight_str, wneg)
+from supercomin.verify import EXPECTED_ORBITS
 
 F = Fraction
 
@@ -183,6 +184,89 @@ def test_parameter_errors():
 def test_p2_warns():
     with pytest.warns(UserWarning):
         build_root_system("p", (2,))
+
+
+def test_build_root_system_memoized():
+    # one shared system per normalized (family, params); the p(2) warning
+    # fires on every call, cached or not
+    with pytest.warns(UserWarning, match=r"p\(2\)"):
+        first = build_root_system("p", (2,))
+    with pytest.warns(UserWarning, match=r"p\(2\)"):
+        second = build_root_system("p", (2,))
+    assert first is second
+    assert build_root_system("osp_odd", (1, 1)) is build_root_system("osp", (3, 2))
+    assert build_root_system("osp1", (2,)) is build_root_system("osp", (1, 4))
+    assert build_root_system("sl", [2, 1]) is build_root_system("sl", (2, 1))
+    rs = build_root_system("W", (3,))
+    assert rs.table is rs.table
+
+
+def _bit(mask, i):
+    return bool((mask >> i) & 1)
+
+
+@pytest.mark.parametrize("fam,par", [(f, p) for f, p, _ in EXPECTED_ORBITS],
+                         ids=[f"{f}{p}" for f, p, _ in EXPECTED_ORBITS])
+def test_table_matches_fraction_weights(fam, par):
+    """Every entry of the integer table, recomputed here from the Fraction
+    weights: integer scaling, pair targets over all lift pairs, ambient
+    sums (S/S' ambient-only included), closure rows, forbidden masks under
+    both readings of the S' rule, and the symmetrized sums."""
+    rs = rsys(fam, par)
+    t = rs.table
+    n = len(rs)
+    assert t.denom == (2 if fam in ("D21a", "F4", "G3") else 1)
+    for r, iw in zip(rs.roots, t.weights):
+        assert all(isinstance(c, int) for c in iw)
+        assert tuple(F(c, t.denom) for c in iw) == r.weight
+
+    def add(u, v):
+        return tuple(x + y for x, y in zip(u, v))
+
+    cls = {w: i for i, ls in enumerate(rs.lifts) for w in ls}
+    minus_eps = [fam == "Sprime" and sum(r.weight) == -1
+                 and all(c in (0, -1) for c in r.weight) for r in rs.roots]
+    targets = [[0] * n for _ in range(n)]
+    lift_only = ambient_only = 0
+    for a in range(n):
+        for b in range(n):
+            for la in rs.lifts[a]:
+                for lb in rs.lifts[b]:
+                    k = cls.get(add(la, lb))
+                    if k is not None:
+                        targets[a][b] |= 1 << k
+            assert t.targets[a][b] == targets[a][b]
+            assert rs.pair_targets(a, b) == tuple(
+                k for k in range(n) if _bit(targets[a][b], k))
+            w = add(rs.roots[a].weight, rs.roots[b].weight)
+            if w in cls:
+                want = SumOutcome.in_delta(cls[w])
+            elif w in rs.ambient_extra:
+                want = SumOutcome.ambient_only(w)
+                ambient_only += 1
+            else:
+                want = SumOutcome.not_root()
+                lift_only += bool(targets[a][b])
+            assert t.outcomes[a][b] == rs.ambient_sum(a, b) == want
+            base = bool(targets[a][b]) or want.kind == "ambient_only"
+            both = minus_eps[a] and minus_eps[b]
+            assert _bit(t.forbidden[False][a], b) == (base or both)
+            assert _bit(t.forbidden[True][a], b) == (base or (both and a != b))
+        assert t.closure_rows[a] == tuple(
+            (b, targets[a][b]) for b in range(n) if targets[a][b])
+    # the psl(2|2) lift pairs and the S/S' removed roots are exercised
+    assert bool(lift_only) == (fam == "psl" and par == (2,))
+    assert bool(ambient_only) == (fam in ("S", "Sprime"))
+    assert any(minus_eps) == (fam == "Sprime")
+
+    sym = rs.symmetrized()
+    index = {w: k for k, w in enumerate(sym.weights)}
+    for i, x in enumerate(sym.weights):
+        row = [index.get(add(x, y)) for y in sym.weights]
+        assert list(t.sym_targets[i]) == row
+        assert [sym.sum_target(i, j) for j in range(len(sym))] == row
+        assert t.sym_rows[i] == tuple(
+            (j, 1 << k) for j, k in enumerate(row) if k is not None)
 
 
 def test_g3_elimination():
