@@ -769,8 +769,8 @@ def enumerate_cominuscule_orbits(family, params, method="auto", group="auto",
         entry = expected_by_canonical.get(can)
         rep = RootSubset(rs, can)
         wit = principality_witness(rep)
-        decs = levi_decompositions(rep, lift_cap=lift_cap)
         verdict = is_cominuscule(rep, lift_cap=lift_cap)
+        decs = verdict.decompositions
         if wit is None:
             all_principal = False
         # uniqueness over every member of the orbit that the run found

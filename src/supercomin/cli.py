@@ -15,9 +15,10 @@ import sys
 import warnings
 
 from .classify import enumerate_cominuscule_orbits
-from .parabolic import CapExceeded
+from .parabolic import DEFAULT_LIFT_CAP, DEFAULT_SUBSET_CAP, CapExceeded
 from .rootsys import ParameterError, build_root_system
 from .verify import SUITE_FAMILIES, oracle_counts, run_paper_suite
+from .weyl import DEFAULT_ORBIT_CAP
 
 SCHEMA_VERSION = "1"
 
@@ -169,22 +170,27 @@ def build_parser():
                     "of parabolic subsets for simple Lie superalgebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--family", required=("verify" not in p.prog),
-                       choices=FAMILY_CHOICES)
-        p.add_argument("--m", type=int)
-        p.add_argument("--n", type=int)
+    def output_and_caps(p):
         p.add_argument("--format", choices=["json", "table"], default="json")
         p.add_argument("--out")
         p.add_argument("--subset-cap", type=int,
-                       default=_env_cap("SUPERCOMIN_SUBSET_CAP", 26))
+                       default=_env_cap("SUPERCOMIN_SUBSET_CAP",
+                                        DEFAULT_SUBSET_CAP))
         p.add_argument("--lift-cap", type=int,
-                       default=_env_cap("SUPERCOMIN_LIFT_CAP", 22))
+                       default=_env_cap("SUPERCOMIN_LIFT_CAP",
+                                        DEFAULT_LIFT_CAP))
+
+    def instance(p):
+        p.add_argument("--family", required=True, choices=FAMILY_CHOICES)
+        p.add_argument("--m", type=int)
+        p.add_argument("--n", type=int)
+        output_and_caps(p)
         p.add_argument("--orbit-cap", type=int,
-                       default=_env_cap("SUPERCOMIN_ORBIT_CAP", 10 ** 6))
+                       default=_env_cap("SUPERCOMIN_ORBIT_CAP",
+                                        DEFAULT_ORBIT_CAP))
 
     p = sub.add_parser("classify", help="classify cominuscule orbits of one instance")
-    common(p)
+    instance(p)
     p.add_argument("--method", choices=["exhaustive", "principal", "auto"],
                    default="auto")
     p.add_argument("--group", choices=["even_weyl", "levi_weyl", "extended", "auto"],
@@ -195,16 +201,11 @@ def build_parser():
     p.add_argument("--suite", choices=["paper"], default="paper")
     p.add_argument("--only", nargs="+", metavar="FAMILY",
                    choices=SUITE_FAMILIES)
-    p.add_argument("--format", choices=["json", "table"], default="json")
-    p.add_argument("--out")
-    p.add_argument("--subset-cap", type=int,
-                   default=_env_cap("SUPERCOMIN_SUBSET_CAP", 26))
-    p.add_argument("--lift-cap", type=int,
-                   default=_env_cap("SUPERCOMIN_LIFT_CAP", 22))
+    output_and_caps(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("oracle", help="exhaustive counts for one instance")
-    common(p)
+    instance(p)
     p.set_defaults(fn=cmd_oracle)
     return parser
 

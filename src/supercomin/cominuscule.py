@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .parabolic import RootSubset, LeviDecomposition, levi_decompositions
+from .parabolic import (DEFAULT_LIFT_CAP, LeviDecomposition, RootSubset,
+                        levi_decompositions)
 from .rootsys import RootSystem
 
 
@@ -52,7 +53,8 @@ class CominusculeVerdict:
     abelian_flags: tuple = ()
 
 
-def is_cominuscule(subset: RootSubset, lift_cap=22) -> CominusculeVerdict:
+def is_cominuscule(subset: RootSubset,
+                   lift_cap=DEFAULT_LIFT_CAP) -> CominusculeVerdict:
     """First Levi decomposition with an abelian nilradical, if any.
 
     Decompositions are scanned in deterministic lift order; all of them and
@@ -71,7 +73,8 @@ def is_cominuscule(subset: RootSubset, lift_cap=22) -> CominusculeVerdict:
                               tuple(decs), flags)
 
 
-def bracket_cominuscule(subset: RootSubset, rz, lift_cap=22) -> bool:
+def bracket_cominuscule(subset: RootSubset, rz,
+                        lift_cap=DEFAULT_LIFT_CAP) -> bool:
     """The same existential verdict, decided by the realized superbracket."""
     decs = levi_decompositions(subset, lift_cap=lift_cap)
     for d in decs:
@@ -89,7 +92,8 @@ def bracket_cominuscule(subset: RootSubset, rz, lift_cap=22) -> bool:
     return False
 
 
-def crosscheck_bracket(subset: RootSubset, rz=None, lift_cap=22) -> bool:
+def crosscheck_bracket(subset: RootSubset, rz=None,
+                       lift_cap=DEFAULT_LIFT_CAP) -> bool:
     """Does the root-level verdict agree with the bracket oracle on P?"""
     if rz is None:
         from .realize import realize_for

@@ -3,8 +3,9 @@
 Constraints are rows ``(c_0, ..., c_{d-1}, k)`` of integers meaning
 ``sum c_i x_i + k >= 0``.  Strict homogeneous inequalities are scaled to
 ``>= 1`` / ``<= -1`` by the caller (valid by homogeneity of the systems this
-package produces).  Elimination is exact; witnesses are recovered by back
-substitution and are rational.
+package produces).  One engine, ``IncrementalFM``, eliminates exactly; face
+enumeration drives it row by row, and ``feasible_witness`` recovers a
+rational point from its per-variable levels by back substitution.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ from math import gcd
 
 
 def _normalize(row):
-    g = 0
-    for c in row:
-        g = gcd(g, abs(c))
+    g = gcd(*row)
     if g > 1:
         row = tuple(c // g for c in row)
     return tuple(row)
@@ -25,57 +24,16 @@ def _normalize(row):
 def _combine(p, q, k):
     """Positive combination of p (c_k > 0) and q (c_k < 0) cancelling var k."""
     a, b = -q[k], p[k]
-    return _normalize(tuple(a * pc + b * qc for pc, qc in zip(p, q)))
-
-
-class Infeasible(Exception):
-    pass
-
-
-def _eliminate(rows, dim):
-    """Run FM; return per-variable levels for back substitution.
-
-    levels[k] = (pos, neg) rows used when eliminating variable k.  Raises
-    Infeasible when a constant row with negative constant appears.
-    """
-    current = set()
-    for r in rows:
-        r = _normalize(r)
-        if any(r[:dim]):
-            current.add(r)
-        elif r[dim] < 0:
-            raise Infeasible
-    levels = []
-    for k in range(dim):
-        pos, neg, rest = [], [], set()
-        for r in current:
-            if r[k] > 0:
-                pos.append(r)
-            elif r[k] < 0:
-                neg.append(r)
-            else:
-                rest.add(r)
-        levels.append((pos, neg))
-        for p in pos:
-            for q in neg:
-                comb = _combine(p, q, k)
-                if any(comb[:dim]):
-                    rest.add(comb)
-                elif comb[dim] < 0:
-                    raise Infeasible
-        current = rest
-    for r in current:
-        if r[dim] < 0:
-            raise Infeasible
-    return levels
+    return _normalize([a * pc + b * qc for pc, qc in zip(p, q)])
 
 
 def feasible_witness(rows, dim):
     """A rational point satisfying every row, or None if the system is empty."""
-    try:
-        levels = _eliminate(rows, dim)
-    except Infeasible:
-        return None
+    fm = IncrementalFM(dim)
+    for r in rows:
+        if not fm.add(r):
+            return None
+    levels = fm.levels
     x = [Fraction(0)] * dim
     for k in reversed(range(dim)):
         lo = hi = None
@@ -88,23 +46,18 @@ def feasible_witness(rows, dim):
                 else:
                     hi = bound if hi is None or bound < hi else hi
         if lo is not None and hi is not None:
-            assert lo <= hi
+            if not lo <= hi:
+                raise AssertionError(
+                    f"back substitution: empty range [{lo}, {hi}] for x{k}")
             x[k] = (lo + hi) / 2
         elif lo is not None:
             x[k] = lo
         elif hi is not None:
             x[k] = hi
     for r in rows:
-        assert sum(c * v for c, v in zip(r, x)) + r[dim] >= 0
+        if sum(c * v for c, v in zip(r, x)) + r[dim] < 0:
+            raise AssertionError(f"witness {x} violates row {r}")
     return x
-
-
-def feasible(rows, dim) -> bool:
-    try:
-        _eliminate(rows, dim)
-        return True
-    except Infeasible:
-        return False
 
 
 def clear_denominators(x):
@@ -124,10 +77,13 @@ def clear_denominators(x):
 class IncrementalFM:
     """Fourier-Motzkin state that accepts constraints one at a time.
 
-    Designed for depth-first sign-vector enumeration: ``clone()`` is cheap
-    (copy-on-write of per-level row lists), ``add`` cascades the new row and
-    all its eliminations, and ``alive`` reports feasibility so far.  Only
-    homogeneous-scaled integer rows are accepted.
+    The package's only elimination engine.  ``add`` cascades the new row
+    and all its eliminations, and ``alive`` reports feasibility so far;
+    ``levels[k] = (pos, neg)`` holds the rows whose first nonzero
+    coefficient is that of variable k, positive or negative, which is what
+    back substitution in ``feasible_witness`` reads.  ``clone()`` is cheap
+    (copy of the per-level row lists) for depth-first sign-vector
+    enumeration.  Only homogeneous-scaled integer rows are accepted.
     """
 
     __slots__ = ("dim", "levels", "seen", "alive")
@@ -150,24 +106,25 @@ class IncrementalFM:
         """Insert a constraint; returns the updated feasibility flag."""
         if not self.alive:
             return False
+        dim, levels, seen = self.dim, self.levels, self.seen
         stack = [(_normalize(row), 0)]
         while stack:
             r, k = stack.pop()
-            if r in self.seen:
+            if r in seen:
                 continue
-            self.seen.add(r)
-            while k < self.dim and r[k] == 0:
+            seen.add(r)
+            while k < dim and r[k] == 0:
                 k += 1
-            if k == self.dim:
-                if r[self.dim] < 0:
+            if k == dim:
+                if r[dim] < 0:
                     self.alive = False
                     return False
                 continue
-            pos, neg = self.levels[k]
+            pos, neg = levels[k]
             if r[k] > 0:
                 pos.append(r)
                 stack.extend((_combine(r, q, k), k + 1) for q in neg)
             else:
                 neg.append(r)
                 stack.extend((_combine(p, r, k), k + 1) for p in pos)
-        return self.alive
+        return True

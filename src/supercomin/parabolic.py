@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernel
-from .feasible import clear_denominators, feasible_witness
+from .feasible import IncrementalFM, clear_denominators, feasible_witness
 from .rootsys import RootSystem
 
 
@@ -303,8 +303,6 @@ def _face_masks(rs: RootSystem, prune_masks=None):
     keeps only faces that can still produce sets with an abelian
     nilradical, and is used for the largest runs.
     """
-    from .feasible import IncrementalFM
-
     n = len(rs)
     dim = len(rs.basis)
     table = rs.table

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from . import weyl
 from .cominuscule import is_cominuscule
-from .parabolic import LeviDecomposition, RootSubset, parabolic_status, principality_witness
+from .parabolic import (DEFAULT_LIFT_CAP, LeviDecomposition, RootSubset,
+                        parabolic_status, principality_witness)
 from .rootsys import RootSystem
 
 
@@ -121,7 +122,8 @@ def restriction_compatible(dec: LeviDecomposition, indices) -> bool:
     return La == dec.levi_bits & mask and (Pa & ~La) == dec.nilradical_bits & mask
 
 
-def weyl_invariance_holds(rs: RootSystem, bits: int, gens, lift_cap=22) -> bool:
+def weyl_invariance_holds(rs: RootSystem, bits: int, gens,
+                          lift_cap=DEFAULT_LIFT_CAP) -> bool:
     """Parabolicity, principality, and the cominuscule verdict are constant
     along the orbit of a subset under the given generators."""
     base = RootSubset(rs, bits)

@@ -30,7 +30,8 @@ from . import weyl
 from .classify import (cominuscule_subsets, enumerate_cominuscule_orbits,
                        restriction_extension_check)
 from .cominuscule import is_cominuscule, pair_forbidden
-from .parabolic import (RootSubset, enumerate_parabolics, levi_decompositions,
+from .parabolic import (DEFAULT_LIFT_CAP, DEFAULT_SUBSET_CAP, RootSubset,
+                        enumerate_parabolics, levi_decompositions,
                         parabolic_status, principality_witness)
 from .properties import (even_factor_index_sets, restriction_compatible,
                          sums_laws_hold, weyl_invariance_holds)
@@ -109,7 +110,8 @@ def bracket_rule_disagreements(rs, rz):
     return bad
 
 
-def run_paper_suite(only=None, subset_cap=26, lift_cap=22):
+def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP,
+                    lift_cap=DEFAULT_LIFT_CAP):
     """Execute the full suite; returns a deterministic report dict."""
     checks = []
 
@@ -326,7 +328,8 @@ def run_paper_suite(only=None, subset_cap=26, lift_cap=22):
     }
 
 
-def oracle_counts(family, params, subset_cap=26, lift_cap=22):
+def oracle_counts(family, params, subset_cap=DEFAULT_SUBSET_CAP,
+                  lift_cap=DEFAULT_LIFT_CAP):
     """Exhaustive parabolic/cominuscule/principal counts for one instance."""
     rs = build_root_system(family, params)
     subsets = list(enumerate_parabolics(rs, "exhaustive", subset_cap=subset_cap,
@@ -335,8 +338,12 @@ def oracle_counts(family, params, subset_cap=26, lift_cap=22):
     n_com = sum(1 for s in subsets
                 if is_cominuscule(s, lift_cap=lift_cap).is_cominuscule)
     n_wit = sum(1 for s in subsets if principality_witness(s) is not None)
-    assert principal <= {s.bits for s in subsets}
-    assert n_wit == len(principal)
+    if not principal <= {s.bits for s in subsets}:
+        raise AssertionError(f"{family}{tuple(params)}: principal subsets "
+                             "missing from the exhaustive stream")
+    if n_wit != len(principal):
+        raise AssertionError(f"{family}{tuple(params)}: {n_wit} witnesses "
+                             f"for {len(principal)} principal subsets")
     return {
         "schema_version": SCHEMA_VERSION,
         "family": family,

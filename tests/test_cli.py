@@ -1,13 +1,18 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from supercomin.cli import main
+from supercomin.cli import build_parser, main
+from supercomin.parabolic import DEFAULT_LIFT_CAP, DEFAULT_SUBSET_CAP
 from supercomin.verify import EXPECTED_ORBITS
+from supercomin.weyl import DEFAULT_ORBIT_CAP
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 ORACLE_GOLDEN = [
     ("osp1", {"n": 1}),
@@ -126,6 +131,59 @@ def test_env_cap_not_an_integer(monkeypatch, capsys):
     assert code == 2
     assert capsys.readouterr().err == \
         "error: SUPERCOMIN_SUBSET_CAP must be an integer, got 'abc'\n"
+
+
+def test_parser_cap_defaults(monkeypatch):
+    for name in ("SUBSET", "LIFT", "ORBIT"):
+        monkeypatch.delenv(f"SUPERCOMIN_{name}_CAP", raising=False)
+    parser = build_parser()
+    for argv in (["classify", "--family", "F4"], ["oracle", "--family", "F4"],
+                 ["verify"]):
+        args = parser.parse_args(argv)
+        assert args.subset_cap == DEFAULT_SUBSET_CAP
+        assert args.lift_cap == DEFAULT_LIFT_CAP
+        if argv[0] != "verify":
+            assert args.orbit_cap == DEFAULT_ORBIT_CAP
+
+
+def test_verify_rejects_orbit_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--orbit-cap", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --orbit-cap 5" in capsys.readouterr().err
+
+
+SELF_CHECKS = """
+import sys
+from supercomin import feasible, verify
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+verify.principality_witness = lambda subset: None
+try:
+    verify.oracle_counts("sl", (2, 1))
+    sys.exit("oracle_counts accepted 0 witnesses")
+except AssertionError:
+    pass
+add = feasible.IncrementalFM.add
+feasible.IncrementalFM.add = (
+    lambda self, row: self.alive if row == (-1, 2) else add(self, row))
+try:
+    feasible.feasible_witness([(1, -5), (-1, 2)], 1)
+    sys.exit("feasible_witness returned a point of an empty system")
+except AssertionError:
+    pass
+"""
+
+
+def test_self_checks_survive_python_O():
+    """The witness and oracle self-checks are not bare asserts."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-O", "-c", SELF_CHECKS],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("family,ns", ORACLE_GOLDEN,

@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
-from supercomin.feasible import IncrementalFM, clear_denominators, feasible, feasible_witness
+from supercomin.feasible import IncrementalFM, clear_denominators, feasible_witness
 
 
 def brute_feasible(rows, dim, box=4):
@@ -42,10 +42,12 @@ def test_fm_matches_grid_oracle():
 
 def test_infeasible_detected():
     # x >= 1 and -x >= 0
-    assert not feasible([(1, -1), (-1, 0)], 1)
     assert feasible_witness([(1, -1), (-1, 0)], 1) is None
+    fm = IncrementalFM(1)
+    assert fm.add((1, -1)) and not fm.add((-1, 0)) and not fm.alive
     # 0 >= 1 degenerate row
-    assert not feasible([(0, -1)], 1)
+    assert feasible_witness([(0, -1)], 1) is None
+    assert not IncrementalFM(1).add((0, -1))
 
 
 def test_witness_extraction_bounds():
@@ -55,16 +57,65 @@ def test_witness_extraction_bounds():
     assert w is not None and 1 <= w[0] <= 2 and w[1] >= w[0]
 
 
-def test_incremental_matches_batch():
+def _solve_equalities(rows, dim):
+    """One solution of {row . (x, 1) = 0 : row in rows}, or None.
+
+    Gaussian elimination in Fractions; free variables are set to 0.
+    """
+    m = [[Fraction(c) for c in r[:dim]] + [Fraction(-r[dim])] for r in rows]
+    pivots = []
+    top = 0
+    for k in range(dim):
+        piv = next((i for i in range(top, len(m)) if m[i][k] != 0), None)
+        if piv is None:
+            continue
+        m[top], m[piv] = m[piv], m[top]
+        m[top] = [v / m[top][k] for v in m[top]]
+        for i in range(len(m)):
+            if i != top and m[i][k] != 0:
+                f = m[i][k]
+                m[i] = [a - f * b for a, b in zip(m[i], m[top])]
+        pivots.append(k)
+        top += 1
+    if any(row[dim] != 0 for row in m[top:]):
+        return None
+    x = [Fraction(0)] * dim
+    for i, k in enumerate(pivots):
+        x[k] = m[i][dim]
+    return x
+
+
+def vertex_oracle_feasible(rows, dim):
+    """Exact feasibility of {x : A x + b >= 0} without Fourier-Motzkin.
+
+    A nonempty polyhedron contains its minimal face, the solution set of at
+    most ``dim`` linearly independent tight rows; every point of that face
+    satisfies all rows.  So some subset of at most ``dim`` rows, solved as
+    equalities, gives a feasible point exactly when the system is feasible.
+    """
+    for size in range(dim + 1):
+        for subset in combinations(rows, size):
+            x = _solve_equalities(subset, dim)
+            if x is not None and all(
+                    sum(c * v for c, v in zip(r, x)) + r[dim] >= 0
+                    for r in rows):
+                return True
+    return False
+
+
+def test_incremental_matches_vertex_oracle():
     rng = random.Random(7)
-    for _ in range(80):
+    infeasible = 0
+    for _ in range(400):
         dim = rng.randint(1, 4)
         rows = random_rows(rng, dim, rng.randint(1, 8))
         inc = IncrementalFM(dim)
-        alive = True
-        for r in rows:
-            alive = inc.add(r)
-        assert alive == feasible(rows, dim)
+        alive = all(inc.add(r) for r in rows)
+        oracle = vertex_oracle_feasible(rows, dim)
+        assert alive == oracle, rows
+        assert (feasible_witness(rows, dim) is not None) == oracle, rows
+        infeasible += not oracle
+    assert infeasible > 50
 
 
 def test_incremental_clone_isolation():
