@@ -18,7 +18,9 @@ from .cominuscule import is_cominuscule
 from .parabolic import (DEFAULT_LIFT_CAP, DEFAULT_SUBSET_CAP, RootSubset,
                         enumerate_parabolics, levi_decompositions,
                         principality_witness)
-from .rootsys import RootSystem, build_root_system, osp_subfamily, wadd, wneg
+from .realize import _decode_w_weight
+from .rootsys import (RootSystem, _unit, build_root_system, osp_subfamily, wadd,
+                      wneg)
 
 HALF = Fraction(1, 2)
 
@@ -46,12 +48,6 @@ def _bits_of(rs, weights, tag=""):
             raise ValueError(f"transcribed weight {w} is not a root ({tag})")
         bits |= 1 << i
     return bits
-
-
-def _unit(d, k, s=1):
-    w = [Fraction(0)] * d
-    w[k] = Fraction(s)
-    return tuple(w)
 
 
 # ---------------------------------------------------------------------------
@@ -448,16 +444,6 @@ def _expected_p(rs, n):
 # -- Cartan families ---------------------------------------------------------
 
 
-def _w_split(w):
-    imask, j = 0, None
-    for k, c in enumerate(w):
-        if c == 1:
-            imask |= 1 << k
-        elif c == -1:
-            j = k
-    return imask, j
-
-
 def _subset_leq(mask, n0):
     return not (mask >> n0)
 
@@ -466,7 +452,7 @@ def _w_entry_sets(rs, n, n0):
     """(levi, nil_plus, nil_minus) index lists of the W/S displays."""
     levi, nplus, nminus = [], [], []
     for i, r in enumerate(rs.roots):
-        imask, j = _w_split(r.weight)
+        imask, j = _decode_w_weight(r.weight)
         if j is not None:
             inside = _subset_leq(imask, n0)
             if inside and j < n0:

@@ -57,7 +57,7 @@ def is_cominuscule(subset: RootSubset,
                    lift_cap=DEFAULT_LIFT_CAP) -> CominusculeVerdict:
     """First Levi decomposition with an abelian nilradical, if any.
 
-    Decompositions are scanned in deterministic lift order; all of them and
+    Decompositions are scanned in order of their Levi bits; all of them and
     their individual verdicts are retained, since the defining property is
     existential over decompositions.
     """

@@ -7,45 +7,61 @@ during the search, which prunes almost all of the 3^pairs * 2^singles
 state space.
 
 Callers pass the negation map and the closure rows; the pair/single units
-and their search order are derived here.
+and their search order are derived here.  Roots may be fixed in advance:
+``inside`` lists roots every result contains, ``outside`` roots none
+contains, and only the other roots are searched.  The exhaustive search
+over Delta fixes nothing.  The lift search of the parabolic module runs
+here too: over the symmetrized list Delta u (-Delta) it fixes the Delta-part
+to P (``inside`` = P, ``outside`` = Delta \\ P), so the results are the
+parabolic lifts of P.
 """
 
 from __future__ import annotations
 
 
-def _units(neg, rows):
+def _units(neg, rows, inside, outside):
     """Search units (kind, i, j): pairs (0, i, -i) and singles (1, i, i).
 
-    Deterministic order, densest closure interaction first.
+    Only roots not fixed by ``inside | outside`` get a unit; a pair keeps
+    its unit while one of its roots is free.  None when a pair has both
+    roots outside, so that no subset covers it.  Deterministic order,
+    densest closure interaction first.
     """
-    units, done = [], set()
+    fixed = inside | outside
+    units = []
     for i, j in enumerate(neg):
-        if i in done:
-            continue
         if j is None:
-            units.append((1, i, i))
-            done.add(i)
-        else:
-            units.append((0, i, j))
-            done.update((i, j))
-    deg = [len(r) for r in rows]
-    units.sort(key=lambda u: (-(deg[u[1]] + deg[u[2]]), u[1]))
+            if not (fixed >> i) & 1:
+                units.append((1, i, i))
+        elif i < j:
+            if (outside >> i) & (outside >> j) & 1:
+                return None
+            if not (fixed >> i) & (fixed >> j) & 1:
+                units.append((0, i, j))
+    units.sort(key=lambda u: (-(len(rows[u[1]]) + len(rows[u[2]])), u[1]))
     return units
 
 
-def enumerate_closed(neg, rows):
-    """All subset masks satisfying covering and closure (including Delta).
+def enumerate_closed(neg, rows, inside=0, outside=0):
+    """All subset masks satisfying covering and closure (including Delta)
+    that contain every root of ``inside`` and no root of ``outside``.
 
     ``neg[i]`` is the index of the root -i, or None when -i is no root;
     ``rows[r]`` lists pairs (m, target_mask): the targets are forced when r
     and m both lie in the subset.  Rows must be symmetric: (m, t) in rows[r]
     exactly when (r, t) in rows[m].
     """
-    units = _units(neg, rows)
+    units = _units(neg, rows, inside, outside)
+    if units is None:
+        return []
     out = []
     nu = len(units)
 
     def add_root(r, in_mask, out_mask, req):
+        if (out_mask >> r) & 1:
+            return None, None
+        if (in_mask >> r) & 1:  # a fixed root: its obligations are in req
+            return in_mask, req
         m_in = in_mask | (1 << r)
         acc = 0
         for m, tmask in rows[r]:
@@ -83,5 +99,14 @@ def enumerate_closed(neg, rows):
             if m_in is not None:
                 rec(u + 1, m_in, out_mask, nreq)
 
-    rec(0, 0, 0, 0)
+    # the closure obligations among the fixed roots themselves
+    req = inside
+    for r in range(len(neg)):
+        if (inside >> r) & 1:
+            for m, tmask in rows[r]:
+                if m >= r and (inside >> m) & 1:
+                    req |= tmask
+            if req & outside:
+                return []
+    rec(0, inside, outside, req)
     return out

@@ -9,6 +9,11 @@ decomposition laws.)  Levi components and nilradicals come from lifts:
 L = Ptilde n (-Ptilde) n Delta and N+ = (Ptilde \\ -Ptilde) n Delta, so a
 nonsymmetric P can decompose in several ways.
 
+Both definitions are one: a symmetric Delta has no extra weights, so its
+only possible lift is P.  Lifts are the closed covering subsets of
+Delta u (-Delta) with the Delta-part fixed to P, and ``kernel`` enumerates
+them; this module has no closure search of its own.
+
 Subsets are bitmasks over root indices in canonical root order.
 """
 
@@ -60,7 +65,6 @@ class LeviDecomposition:
     subset: RootSubset
     levi_bits: int
     nilradical_bits: int
-    lift_mask: int | None = None  # mask over the symmetrized weight list
     functional: tuple | None = None
 
     @property
@@ -81,33 +85,20 @@ def closure_rows(rs: RootSystem):
     return rs.table.closure_rows
 
 
-def _closure_violation(rs, bits) -> bool:
-    rows = rs.table.closure_rows
-    for a in range(len(rs)):
-        if not (bits >> a) & 1:
-            continue
-        for m, tmask in rows[a]:
-            if m >= a and (bits >> m) & 1 and (tmask & ~bits):
-                return True
-    return False
+# ---------------------------------------------------------------------------
+# parabolicity
 
 
 def parabolic_status(subset: RootSubset, lift_cap=DEFAULT_LIFT_CAP) -> str:
-    """One of "improper", "parabolic", "not_parabolic"."""
+    """One of "improper", "parabolic", "not_parabolic".
+
+    A proper P is parabolic exactly when it has a lift; for a symmetric
+    system that is P itself, covering and closed.
+    """
     rs, bits = subset.rs, subset.bits
-    full = (1 << len(rs)) - 1
-    if bits == full:
+    if bits == (1 << len(rs)) - 1:
         return "improper"
-    if rs.symmetric:
-        for i in range(len(rs)):
-            if not (bits >> i) & 1 and not (bits >> rs.neg[i]) & 1:
-                return "not_parabolic"
-        return "not_parabolic" if _closure_violation(rs, bits) else "parabolic"
-    if _closure_violation(rs, bits):
-        return "not_parabolic"  # Delta-closure is necessary for a lift to exist
-    for _ in _iter_lifts(rs, bits, lift_cap=lift_cap):
-        return "parabolic"
-    return "not_parabolic"
+    return "parabolic" if _lifts(rs, bits, lift_cap) else "not_parabolic"
 
 
 def is_parabolic(subset: RootSubset, lift_cap=DEFAULT_LIFT_CAP) -> bool:
@@ -121,103 +112,45 @@ def is_parabolic(subset: RootSubset, lift_cap=DEFAULT_LIFT_CAP) -> bool:
 # lifts
 
 
-def _iter_lifts(rs: RootSystem, bits: int, lift_cap=DEFAULT_LIFT_CAP):
-    """Yield masks over the symmetrized weight list of parabolic lifts of P.
+def _lifts(rs: RootSystem, bits: int, lift_cap=DEFAULT_LIFT_CAP):
+    """Masks over the symmetrized weight list of the parabolic lifts of P.
 
-    The Delta-part of every emitted mask equals ``bits``; only membership of
-    the extra weights (-Delta) \\ Delta is searched, with covering forcing
-    -g into the lift for every g in Delta \\ (-Delta) outside P.
+    A lift is a covering, closed subset of Delta u (-Delta) whose Delta-part
+    is P, so the kernel finds them all with the Delta-part fixed; only the
+    extra weights (-Delta) \\ Delta whose negation lies in P are free.  A
+    symmetric system has no extra weights: its only possible lift is P, and
+    its closure rows keep the psl lift-pair closure.
     """
     sym = rs.symmetrized()
     nd = sym.n_delta
-    total = len(sym)
-    base = bits
-    free = []
-    for k in range(nd, total):
-        g = sym.neg[k]  # the Delta root whose negation this extra weight is
-        if not (bits >> g) & 1:
-            base |= 1 << k
-        else:
-            free.append(k)
-    if len(free) > lift_cap:
+    free = sum(1 for k in range(nd, len(sym)) if (bits >> sym.neg[k]) & 1)
+    if free > lift_cap:
         raise CapExceeded(
-            f"lift search needs {len(free)} free bits, cap is {lift_cap}")
-
-    # a mask only ever holds members (base and free bits), so the full sum
-    # rows need no restriction to them
-    sums = rs.table.sym_rows
-    undecidable = ~(base | sum(1 << k for k in free))  # fixed-out part
-    fixed_out = undecidable & ((1 << total) - 1)
-
-    def closed_under(mask, new, req):
-        acc = 0
-        for m, tmask in sums[new]:
-            if (mask >> m) & 1:
-                acc |= tmask
-        if acc & fixed_out:
-            return None
-        return req | acc
-
-    # verify base closure, propagating forced free bits
-    req = 0
-    mask = 0
-    ok = True
-    for x in (k for k in range(total) if (base >> k) & 1):
-        mask |= 1 << x
-        req = closed_under(mask, x, req)
-        if req is None:
-            ok = False
-            break
-        req &= ~mask
-    if ok:
-        order = free
-
-        def rec(pos, mask, req):
-            if req & fixed_out:
-                return
-            if pos == len(order):
-                if not (req & ~mask):
-                    yield mask
-                return
-            k = order[pos]
-            # exclude k
-            if not (req >> k) & 1:
-                yield from rec(pos + 1, mask, req)
-            # include k
-            nreq = closed_under(mask | (1 << k), k, req)
-            if nreq is not None:
-                yield from rec(pos + 1, mask | (1 << k), nreq)
-
-        yield from rec(0, mask, req)
+            f"lift search needs {free} free bits, cap is {lift_cap}")
+    rows = rs.table.closure_rows if rs.symmetric else rs.table.sym_rows
+    delta = (1 << nd) - 1
+    return kernel.enumerate_closed(sym.neg, rows, inside=bits,
+                                   outside=delta & ~bits)
 
 
 def levi_decompositions(subset: RootSubset, lift_cap=DEFAULT_LIFT_CAP):
     """All Levi decompositions of a parabolic subset, deduplicated.
 
-    Symmetric systems have exactly one; otherwise one per distinct
-    (L, N+) pair over all parabolic lifts, in deterministic lift order.
+    One per distinct (L, N+) pair over all parabolic lifts, ordered by the
+    Levi bits: L = Ptilde n (-Ptilde) n Delta and N+ = P \\ L.  A symmetric
+    system has exactly one, and a subset that is not parabolic none.
     """
     rs, bits = subset.rs, subset.bits
-    if rs.symmetric:
-        levi = 0
-        for i in subset.indices():
-            if (bits >> rs.neg[i]) & 1:
-                levi |= 1 << i
-        return [LeviDecomposition(subset, levi, bits & ~levi, lift_mask=bits)]
     sym = rs.symmetrized()
-    out = []
-    seen = set()
-    for mask in _iter_lifts(rs, bits, lift_cap=lift_cap):
+    levis = set()
+    for mask in _lifts(rs, bits, lift_cap):
         levi = 0
         for i in subset.indices():
             if (mask >> sym.neg[i]) & 1:
                 levi |= 1 << i
-        key = levi
-        if key not in seen:
-            seen.add(key)
-            out.append(LeviDecomposition(subset, levi, bits & ~levi, lift_mask=mask))
-    out.sort(key=lambda d: d.levi_bits)
-    return out
+        levis.add(levi)
+    return [LeviDecomposition(subset, levi, bits & ~levi)
+            for levi in sorted(levis)]
 
 
 # ---------------------------------------------------------------------------
@@ -271,25 +204,13 @@ def principality_witness(subset: RootSubset):
 
 
 def _exhaustive_masks(rs: RootSystem, subset_cap, lift_cap):
+    """Proper closed covering subsets of Delta that have a lift, ascending."""
     n = len(rs)
     if n > subset_cap:
         raise CapExceeded(f"|Delta| = {n} exceeds the exhaustive cap {subset_cap}")
     masks = kernel.enumerate_closed(rs.neg, closure_rows(rs))
     full = (1 << n) - 1
-    out = []
-    for m in masks:
-        if m == full:
-            continue
-        if rs.symmetric:
-            out.append(m)
-        else:
-            try:
-                next(_iter_lifts(rs, m, lift_cap=lift_cap))
-            except StopIteration:
-                continue
-            out.append(m)
-    out.sort()
-    return out
+    return sorted(m for m in masks if m != full and _lifts(rs, m, lift_cap))
 
 
 def _face_masks(rs: RootSystem, prune_masks=None):

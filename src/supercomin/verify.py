@@ -28,8 +28,8 @@ import warnings
 
 from . import weyl
 from .classify import (cominuscule_subsets, enumerate_cominuscule_orbits,
-                       restriction_extension_check)
-from .cominuscule import is_cominuscule, pair_forbidden
+                       expected_entries, restriction_extension_check)
+from .cominuscule import bracket_cominuscule, is_cominuscule, pair_forbidden
 from .parabolic import (DEFAULT_LIFT_CAP, DEFAULT_SUBSET_CAP, RootSubset,
                         enumerate_parabolics, levi_decompositions,
                         parabolic_status, principality_witness)
@@ -204,7 +204,6 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP,
         chk("bracket-rule-equivalence psl(3,3)", not bad, f"{len(bad)} pairs")
 
     # crosscheck: root-rule verdict vs bracket verdict over whole oracles
-    from .cominuscule import bracket_cominuscule
     for family, params in CROSSCHECK_INSTANCES:
         if not want(family):
             continue
@@ -221,7 +220,6 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP,
         chk(f"verdict-crosscheck {_tag(family, params)}", bad == 0,
             f"{bad} of {total} parabolic subsets disagree")
 
-    from .classify import expected_entries
     for family, params in CROSSCHECK_REPRESENTATIVES:
         if not want(family):
             continue

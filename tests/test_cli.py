@@ -189,23 +189,14 @@ def test_self_checks_survive_python_O():
 @pytest.mark.parametrize("family,ns", ORACLE_GOLDEN,
                          ids=[f[0] + str(tuple(n.values())) for f, n in ORACLE_GOLDEN])
 def test_oracle_golden(family, ns, capsys):
-    """Golden regression for oracle counts.
-
-    Regenerate with SUPERCOMIN_WRITE_GOLDEN=1 after a reviewed change.
-    """
+    """``oracle`` stdout, byte for byte."""
     argv = ["oracle", "--family", family]
     for k, v in ns.items():
         argv += [f"--{k}", str(v)]
     code, out = run(argv, capsys)
     assert code == 0
-    payload = json.loads(out)
-    name = family + "_" + "_".join(str(v) for v in ns.values()) + ".json"
-    path = GOLDEN / name
-    if os.environ.get("SUPERCOMIN_WRITE_GOLDEN"):
-        GOLDEN.mkdir(exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-    assert path.exists(), f"golden file {name} missing; set SUPERCOMIN_WRITE_GOLDEN=1"
-    assert json.loads(path.read_text()) == payload
+    _check_golden(family + "_" + "_".join(str(v) for v in ns.values())
+                  + ".json", out)
 
 
 def _check_golden(name, text):

@@ -7,6 +7,8 @@ def test_covering_enforced():
     # single +-pair with no closure: exactly the three covering states
     out = kernel.enumerate_closed([1, 0], [(), ()])
     assert sorted(out) == [0b01, 0b10, 0b11]
+    # with both roots fixed outside nothing covers the pair
+    assert kernel.enumerate_closed([1, 0], [(), ()], outside=0b11) == []
 
 
 def test_closure_propagation():
@@ -63,3 +65,20 @@ def test_matches_brute_force(inputs):
     neg, rows = inputs
     assert sorted(kernel.enumerate_closed(neg, rows)) == \
         closed_covering_masks(neg, rows)
+
+
+@given(search_inputs(), st.data())
+def test_fixed_roots_match_brute_force(inputs, data):
+    """Roots fixed inside or outside: drawn per root, so pairs with both
+    roots outside and fixed roots that force others come up often."""
+    neg, rows = inputs
+    inside = outside = 0
+    for i in range(len(neg)):
+        state = data.draw(st.sampled_from("fio"))
+        if state == "i":
+            inside |= 1 << i
+        elif state == "o":
+            outside |= 1 << i
+    expected = [m for m in closed_covering_masks(neg, rows)
+                if m & inside == inside and not m & outside]
+    assert sorted(kernel.enumerate_closed(neg, rows, inside, outside)) == expected

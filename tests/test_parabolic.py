@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from supercomin.cominuscule import is_cominuscule
 from supercomin.parabolic import (CapExceeded, ImproperSubsetError, RootSubset,
                                   enumerate_parabolics, is_parabolic,
                                   levi_decompositions, parabolic_status,
@@ -100,6 +101,23 @@ def test_exhaustive_matches_naive_lifted(fam, par):
                        if naive_parabolic_lifted(rs, b))
     lib = [p.bits for p in enumerate_parabolics(rs, "exhaustive")]
     assert naive == lib
+
+
+@pytest.mark.parametrize("fam,par", [
+    ("sl", (2, 1)), ("p", (2,)), ("W", (2,)), ("psq", (3,)),
+])
+def test_status_and_decompositions_on_every_proper_subset(fam, par):
+    """A subset that is not parabolic has no Levi decomposition and is never
+    cominuscule, whether it fails covering, closure or the lift search."""
+    rs = rsys(fam, par)
+    naive = naive_parabolic_symmetric if rs.symmetric else naive_parabolic_lifted
+    for bits in range((1 << len(rs)) - 1):
+        P = RootSubset(rs, bits)
+        parabolic = parabolic_status(P) == "parabolic"
+        assert parabolic == naive(rs, bits), P
+        if not parabolic:
+            assert levi_decompositions(P) == [], P
+            assert not is_cominuscule(P).is_cominuscule, P
 
 
 # -- spec-level examples ------------------------------------------------------
