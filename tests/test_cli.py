@@ -11,7 +11,6 @@ from supercomin.parabolic import DEFAULT_LIFT_CAP, DEFAULT_SUBSET_CAP
 from supercomin.verify import EXPECTED_ORBITS
 from supercomin.weyl import DEFAULT_ORBIT_CAP
 
-GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 ORACLE_GOLDEN = [
@@ -188,28 +187,15 @@ def test_self_checks_survive_python_O():
 
 @pytest.mark.parametrize("family,ns", ORACLE_GOLDEN,
                          ids=[f[0] + str(tuple(n.values())) for f, n in ORACLE_GOLDEN])
-def test_oracle_golden(family, ns, capsys):
+def test_oracle_golden(family, ns, capsys, check_golden):
     """``oracle`` stdout, byte for byte."""
     argv = ["oracle", "--family", family]
     for k, v in ns.items():
         argv += [f"--{k}", str(v)]
     code, out = run(argv, capsys)
     assert code == 0
-    _check_golden(family + "_" + "_".join(str(v) for v in ns.values())
+    check_golden(family + "_" + "_".join(str(v) for v in ns.values())
                   + ".json", out)
-
-
-def _check_golden(name, text):
-    """Compare ``text`` byte for byte with ``tests/golden/<name>``.
-
-    Regenerate with SUPERCOMIN_WRITE_GOLDEN=1 after a reviewed change.
-    """
-    path = GOLDEN / name
-    if os.environ.get("SUPERCOMIN_WRITE_GOLDEN"):
-        GOLDEN.mkdir(exist_ok=True)
-        path.write_bytes(text.encode())
-    assert path.exists(), f"golden file {name} missing; set SUPERCOMIN_WRITE_GOLDEN=1"
-    assert path.read_bytes() == text.encode()
 
 
 def _classify_argv(family, params):
@@ -223,16 +209,16 @@ def _classify_argv(family, params):
 
 @pytest.mark.parametrize("family,params", [(f, p) for f, p, _ in EXPECTED_ORBITS],
                          ids=[f"{f}{p}" for f, p, _ in EXPECTED_ORBITS])
-def test_classify_golden(family, params, capsys):
+def test_classify_golden(family, params, capsys, check_golden):
     """``classify`` JSON of every table instance, byte for byte."""
     code, out = run(_classify_argv(family, params), capsys)
     assert code in (0, 1)
-    _check_golden("classify_" + "_".join([family] + [str(x) for x in params])
+    check_golden("classify_" + "_".join([family] + [str(x) for x in params])
                   + ".json", out)
 
 
-def test_verify_paper_golden(capsys):
+def test_verify_paper_golden(capsys, check_golden):
     """``verify --suite paper`` stdout, byte for byte."""
     code, out = run(["verify", "--suite", "paper"], capsys)
     assert code == 1
-    _check_golden("verify_paper.json", out)
+    check_golden("verify_paper.json", out)

@@ -1,3 +1,4 @@
+import json
 import random
 import warnings
 from fractions import Fraction
@@ -9,6 +10,7 @@ from supercomin.realize import (DimCapExceeded, Realization, UnsupportedFamilyEr
                                 divergence, jacobi_defect, realize, realize_for)
 from supercomin.rootsys import build_root_system
 from supercomin.superder import SuperDerivation
+from supercomin.verify import REALIZED_AUDITS
 
 F = Fraction
 
@@ -203,3 +205,19 @@ def test_sprime_graded_dims_match_s():
     a = realize_for(rsys("S", (4,)))
     b = realize_for(rsys("Sprime", (4,)))
     assert all(a.space_dims(i) == b.space_dims(i) for i in range(len(a.weights)))
+
+
+BRACKET_TABLES = tuple(REALIZED_AUDITS) + (("W", (2,)), ("gl", (2, 2)), ("gl", (3, 3)))
+
+
+def test_bracket_tables_golden(check_golden):
+    """``bracket_nonzero`` over all ordered root pairs, byte for byte: one
+    bitmask row per root a, with bit b set when [g^a, g^b] is nonzero."""
+    tables = {}
+    for fam, par in BRACKET_TABLES:
+        rz = realize(fam, par) if fam == "gl" else realize_for(rsys(fam, par))
+        n = len(rz.weights)
+        tables[f"{fam}({','.join(map(str, par))})"] = [
+            sum(1 << b for b in range(n) if rz.bracket_nonzero(a, b))
+            for a in range(n)]
+    check_golden("bracket_tables.json", json.dumps(tables, indent=1) + "\n")
