@@ -2,8 +2,10 @@
 
 Monomials are bitmasks over generator slots 0..n-1 (bit i <-> x_{i+1}), kept
 in ascending slot order; the sign of a product is the parity of the merge
-permutation.  Coefficients may be ``Fraction`` or any field object with
-``+``, ``*``, unary ``-`` and truthiness (see :class:`supercomin.scalars.QI2`).
+permutation.  Coefficients may be ``int``, ``Fraction`` or any field object
+with ``+``, ``*``, unary ``-`` and truthiness (see
+:class:`supercomin.scalars.QI`); equal coefficients must hash alike, so that
+equal elements do.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .grassmann import GrassmannElement
 from .matrixrep import MatrixSuperElement
 from .rootsys import RootSystem, build_root_system
-from .scalars import QI2
+from .scalars import QI
 from .superder import SuperDerivation
 
 DEFAULT_DIM_CAP = 4096
@@ -151,14 +151,13 @@ def _matrix_torus(m, n, traceless):
     out = []
     rng = range(d - 1) if traceless else range(d)
     for k in rng:
-        rows = [[0] * d for _ in range(d)]
+        entries = {(k, k): 1}
         lin = [Fraction(0)] * d
-        rows[k][k] = 1
         lin[k] = Fraction(1)
         if traceless:
-            rows[k + 1][k + 1] = -1
+            entries[k + 1, k + 1] = -1
             lin[k + 1] = Fraction(-1)
-        out.append((MatrixSuperElement(m, n, rows, 0), tuple(lin)))
+        out.append((MatrixSuperElement(m, n, entries, 0), tuple(lin)))
     return out
 
 
@@ -199,70 +198,59 @@ def _realize_psl(n, rs):
 
 
 def _realize_q(n, rs):
-    d = 2 * n
     spaces = []
     for r in rs.roots:
         i = next(k for k, c in enumerate(r.weight) if c == 1)
         j = next(k for k, c in enumerate(r.weight) if c == -1)
-        a_rows = [[0] * d for _ in range(d)]
-        a_rows[i][j] = 1
-        a_rows[n + i][n + j] = 1
-        b_rows = [[0] * d for _ in range(d)]
-        b_rows[i][n + j] = 1
-        b_rows[n + i][j] = 1
-        spaces.append(([MatrixSuperElement(n, n, a_rows, 0)],
-                       [MatrixSuperElement(n, n, b_rows, 1)]))
+        a = {(i, j): 1, (n + i, n + j): 1}
+        b = {(i, n + j): 1, (n + i, j): 1}
+        spaces.append(([MatrixSuperElement(n, n, a, 0)],
+                       [MatrixSuperElement(n, n, b, 1)]))
     torus = []
     for k in range(n):
-        rows = [[0] * d for _ in range(d)]
-        rows[k][k] = 1
-        rows[n + k][n + k] = 1
         lin = [Fraction(0)] * n
         lin[k] = Fraction(1)
-        torus.append((MatrixSuperElement(n, n, rows, 0), tuple(lin)))
+        torus.append((MatrixSuperElement(n, n, {(k, k): 1, (n + k, n + k): 1}, 0),
+                      tuple(lin)))
     weights = tuple(r.weight for r in rs.roots)
     return Realization("q", (n,), weights, spaces, torus, dim=2 * n * n,
                        zero_dim=2 * n, center_projection=True, rs=rs)
 
 
 def _realize_p(n, rs):
-    d = 2 * n
     spaces = []
     for r in rs.roots:
         w = r.weight
-        rows = [[0] * d for _ in range(d)]
+        entries = {}
         pos = [k for k, c in enumerate(w) if c > 0]
         neg = [k for k, c in enumerate(w) if c < 0]
         if len(pos) == 1 and len(neg) == 1 and w[pos[0]] == 1:
             i, j = pos[0], neg[0]  # eps_i - eps_j: A = E_ij, D = -E_ji
-            rows[i][j] = 1
-            rows[n + j][n + i] = -1
-            spaces.append(([MatrixSuperElement(n, n, rows, 0)], []))
+            entries[i, j] = 1
+            entries[n + j, n + i] = -1
+            spaces.append(([MatrixSuperElement(n, n, entries, 0)], []))
         elif len(neg) == 0:
             if len(pos) == 1:  # 2 eps_i: B = E_ii
                 i = pos[0]
-                rows[i][n + i] = 1
+                entries[i, n + i] = 1
             else:  # eps_i + eps_j: B = E_ij + E_ji, symmetric
                 i, j = pos
-                rows[i][n + j] = 1
-                rows[j][n + i] = 1
-            spaces.append(([], [MatrixSuperElement(n, n, rows, 1)]))
+                entries[i, n + j] = 1
+                entries[j, n + i] = 1
+            spaces.append(([], [MatrixSuperElement(n, n, entries, 1)]))
         else:  # -(eps_i + eps_j): C = E_ij - E_ji, antisymmetric
             i, j = neg
-            rows[n + i][j] = 1
-            rows[n + j][i] = -1
-            spaces.append(([], [MatrixSuperElement(n, n, rows, 1)]))
+            entries[n + i, j] = 1
+            entries[n + j, i] = -1
+            spaces.append(([], [MatrixSuperElement(n, n, entries, 1)]))
     torus = []
     for k in range(n - 1):
-        rows = [[0] * d for _ in range(d)]
-        rows[k][k] = 1
-        rows[k + 1][k + 1] = -1
-        rows[n + k][n + k] = -1
-        rows[n + k + 1][n + k + 1] = 1
+        entries = {(k, k): 1, (k + 1, k + 1): -1,
+                   (n + k, n + k): -1, (n + k + 1, n + k + 1): 1}
         lin = [Fraction(0)] * n
         lin[k] = Fraction(1)
         lin[k + 1] = Fraction(-1)
-        torus.append((MatrixSuperElement(n, n, rows, 0), tuple(lin)))
+        torus.append((MatrixSuperElement(n, n, entries, 0), tuple(lin)))
     weights = tuple(r.weight for r in rs.roots)
     return Realization("p", (n,), weights, spaces, torus, dim=2 * n * n - 1,
                        zero_dim=n - 1, rs=rs)
@@ -358,15 +346,19 @@ def _d_of(f: GrassmannElement) -> SuperDerivation:
 
 
 def _realize_H(n, rs):
+    """H(n) on eta_k = x_k + i x_{k+l} and eta_{k+l} = x_k - i x_{k+l}.
+
+    These are sqrt(2) times the orthonormal pairing: a root vector rescaled
+    by a nonzero scalar keeps its weight and every bracket's vanishing, and
+    every coefficient stays a Gaussian integer.
+    """
     l = n // 2
     odd = n % 2
-    one = QI2(1)
-    isq = QI2.inv_sqrt2()
 
     def eta(a):  # a in [0, 2l): paired combinations of x_a, x_{a+l}
         k = a % l
-        sign = QI2.i() if a < l else -QI2.i()
-        return GrassmannElement(n, {1 << k: isq, 1 << (k + l): sign * isq})
+        sign = QI.i() if a < l else -QI.i()
+        return GrassmannElement(n, {1 << k: 1, 1 << (k + l): sign})
 
     spaces = []
     for r in rs.roots:
@@ -377,7 +369,7 @@ def _realize_H(n, rs):
         for km in range(1 << len(rest)):
             kset = [rest[t] for t in range(len(rest)) if km >> t & 1]
             for b in range(2 if odd else 1):
-                f = GrassmannElement.one(n, one)
+                f = GrassmannElement.one(n, 1)
                 for k in range(l):
                     if imask >> k & 1:
                         f = f * eta(k)
@@ -386,15 +378,15 @@ def _realize_H(n, rs):
                     elif k in kset:
                         f = f * (eta(k) * eta(k + l))
                 if b:
-                    f = f * GrassmannElement.monomial(n, 1 << (n - 1), one)
+                    f = f * GrassmannElement.monomial(n, 1 << (n - 1), 1)
                 el = _d_of(f)
                 (ev if el.parity == 0 else od).append(el)
         spaces.append((ev, od))
     torus = []
     for k in range(l):
-        h = _d_of(GrassmannElement.monomial(n, (1 << k) | (1 << (k + l)), one))
-        lin = [QI2(0)] * l
-        lin[k] = -QI2.i()
+        h = _d_of(GrassmannElement.monomial(n, (1 << k) | (1 << (k + l)), 1))
+        lin = [0] * l
+        lin[k] = -QI.i()
         torus.append((h, tuple(lin)))
     weights = tuple(r.weight for r in rs.roots)
     zero_dim = (1 << l) * (2 if odd else 1) - 2

@@ -1,108 +1,108 @@
 """Exact scalar arithmetic.
 
 Everything in this package is computed over exact fields: plain rationals
-(``fractions.Fraction``) for root coordinates, functionals and matrix
-realizations, and the quartic extension Q(i, sqrt2) for the Hamiltonian
-superderivation bases, whose natural eigenvectors carry coefficients
-1/sqrt(2) and sqrt(-1).
+(``int`` and ``fractions.Fraction``) for root coordinates, functionals and
+matrix realizations, and the Gaussian rationals Q(i) for the Hamiltonian
+superderivation bases, whose natural eigenvectors pair x_k with i*x_{k+l}.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+_RATIONAL = (int, Fraction)
 
-class QI2:
-    """An element a + b*sqrt2 + (c + d*sqrt2)*i of Q(i, sqrt2), exactly.
 
-    Immutable.  Arithmetic never leaves the field, and equality with 0 is
-    decidable, which is all the bracket computations need.
+class QI:
+    """An element re + im*i of Q(i), exactly.
+
+    Immutable.  ``re`` and ``im`` are kept as given (``int`` or
+    ``Fraction``), so Gaussian-integer arithmetic stays on Python ints.
+    Arithmetic never leaves the field, equality with 0 is decidable, and an
+    element equal to a rational hashes like that rational.
     """
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("re", "im")
 
-    def __init__(self, a=0, b=0, c=0, d=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.c = Fraction(c)
-        self.d = Fraction(d)
+    def __init__(self, re=0, im=0):
+        self.re = re
+        self.im = im
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def of(x) -> "QI2":
-        if isinstance(x, QI2):
+    def of(x) -> "QI":
+        if isinstance(x, QI):
             return x
-        return QI2(Fraction(x))
+        if isinstance(x, _RATIONAL):
+            return QI(x)
+        raise TypeError(f"not an exact scalar: {x!r}")
 
     @staticmethod
-    def i() -> "QI2":
-        return QI2(0, 0, 1, 0)
-
-    @staticmethod
-    def sqrt2() -> "QI2":
-        return QI2(0, 1, 0, 0)
-
-    @staticmethod
-    def inv_sqrt2() -> "QI2":
-        return QI2(0, Fraction(1, 2), 0, 0)
+    def i() -> "QI":
+        return QI(0, 1)
 
     # -- ring ops ------------------------------------------------------
     def __add__(self, other):
-        o = QI2.of(other)
-        return QI2(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        if isinstance(other, QI):
+            return QI(self.re + other.re, self.im + other.im)
+        if isinstance(other, _RATIONAL):
+            return QI(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QI2(-self.a, -self.b, -self.c, -self.d)
+        return QI(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-QI2.of(other))
+        if isinstance(other, QI):
+            return QI(self.re - other.re, self.im - other.im)
+        if isinstance(other, _RATIONAL):
+            return QI(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        return QI2.of(other) + (-self)
+        if isinstance(other, _RATIONAL):
+            return QI(other - self.re, -self.im)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = QI2.of(other)
-        # (a1 + b1 r + (c1 + d1 r) i)(a2 + b2 r + (c2 + d2 r) i), r^2 = 2, i^2 = -1
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
-        re_a = a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2
-        re_b = a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2
-        im_a = a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2)
-        im_b = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
-        return QI2(re_a, re_b, im_a, im_b)
+        if isinstance(other, QI):
+            a, b, c, d = self.re, self.im, other.re, other.im
+            return QI(a * c - b * d, a * d + b * c)
+        if isinstance(other, _RATIONAL):
+            return QI(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "QI2":
+    def inverse(self) -> "QI":
         if not self:
-            raise ZeroDivisionError("inverse of 0 in Q(i, sqrt2)")
-        # first clear i: z * conj(z) = |z|^2 lives in Q(sqrt2)
-        conj = QI2(self.a, self.b, -self.c, -self.d)
-        n = self * conj  # c = d = 0 now
-        # then clear sqrt2: (x + y r)(x - y r) = x^2 - 2 y^2 in Q
-        x, y = n.a, n.b
-        denom = x * x - 2 * y * y
-        inv_n = QI2(x / denom, -y / denom)
-        return conj * inv_n
+            raise ZeroDivisionError("inverse of 0 in Q(i)")
+        # 1/(a + bi) = (a - bi)/(a^2 + b^2)
+        norm = Fraction(self.re * self.re + self.im * self.im)
+        return QI(self.re / norm, -self.im / norm)
 
     def __truediv__(self, other):
-        return self * QI2.of(other).inverse()
+        return self * QI.of(other).inverse()
 
     # -- predicates ----------------------------------------------------
     def __bool__(self):
-        return bool(self.a or self.b or self.c or self.d)
+        return bool(self.re or self.im)
 
     def __eq__(self, other):
-        o = QI2.of(other)
-        return (self.a, self.b, self.c, self.d) == (o.a, o.b, o.c, o.d)
+        if isinstance(other, QI):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, _RATIONAL):
+            return self.re == other and not self.im
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        # a real element hashes like the equal int or Fraction
+        return hash(self.re) if not self.im else hash((self.re, self.im))
 
     def __repr__(self):
-        return f"QI2({self.a}, {self.b}, {self.c}, {self.d})"
+        return f"QI({self.re}, {self.im})"
 
 
 def format_rational(q: Fraction) -> str:
