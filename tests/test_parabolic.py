@@ -245,3 +245,22 @@ def test_principal_always_parabolic():
                 continue
             assert is_parabolic(P)
             assert dec.levi_bits | dec.nilradical_bits == P.bits
+
+
+WITNESS_GOLDEN_SYSTEMS = [("H", (6,)), ("osp", (6, 2)), ("sl", (3, 2)),
+                          ("p", (3,)), ("W", (3,)), ("S", (3,)), ("D21a", ())]
+
+
+def test_principality_witness_golden(check_golden):
+    """``principality_witness`` of every exhaustive parabolic, byte for byte:
+    one line per subset, the system, the subset's bitmask and the witness."""
+    lines = []
+    for fam, par in WITNESS_GOLDEN_SYSTEMS:
+        rs = rsys(fam, par)
+        name = f"{fam}({','.join(map(str, par))})"
+        for P in enumerate_parabolics(rs, "exhaustive"):
+            w = principality_witness(P)
+            lines.append(f"{name} {P.bits:#x} "
+                         f"{list(w) if w is not None else None}")
+    assert len(lines) == 2372
+    check_golden("principality_witnesses.txt", "\n".join(lines) + "\n")
