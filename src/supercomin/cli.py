@@ -45,7 +45,13 @@ def _params_from_args(family, args):
         if args.m is None or args.n is None:
             raise ParameterError("family osp needs --m (=M) and --n (=N, even)")
         return (args.m, args.n)
-    if family in ("D21a", "F4", "G3"):
+    takes = () if family in ("D21a", "F4", "G3") else ("n",)
+    extra = [f"--{p}" for p in ("m", "n")
+             if p not in takes and getattr(args, p) is not None]
+    if extra:
+        raise ParameterError(
+            f"family {family} does not take {' or '.join(extra)}")
+    if not takes:
         return ()
     if args.n is None:
         raise ParameterError(f"family {family} needs --n")

@@ -6,6 +6,16 @@ Constraints are rows ``(c_0, ..., c_{d-1}, k)`` of integers meaning
 package produces).  One engine, ``IncrementalFM``, eliminates exactly; face
 enumeration drives it row by row, and ``feasible_witness`` recovers a
 rational point from its per-variable levels by back substitution.
+
+The engine keeps only rows that can still bound a face.  Each row carries
+its history, the set of original rows it was combined from, and a row
+derived after eliminating k variables from more than k + 1 original rows
+is dropped (Chernikov's rule: S. N. Chernikov, "The convolution of finite
+systems of linear inequalities", 1965; see also J.-L. Imbert, "Fourier's
+elimination: which to choose?", 1993).  At the last variable only the
+tightest lower and upper bound are kept.  Neither changes the projection
+onto (x_k, ..., x_{d-1}) for any k, so back substitution sees the same
+interval for every variable as with plain elimination.
 """
 
 from __future__ import annotations
@@ -79,27 +89,47 @@ class IncrementalFM:
 
     The package's only elimination engine.  ``add`` cascades the new row
     and all its eliminations, and ``alive`` reports feasibility so far;
-    ``levels[k] = (pos, neg)`` holds the rows whose first nonzero
+    ``levels[k] = (pos, neg)`` holds the kept rows whose first nonzero
     coefficient is that of variable k, positive or negative, which is what
-    back substitution in ``feasible_witness`` reads.  ``clone()`` is cheap
-    (copy of the per-level row lists) for depth-first sign-vector
-    enumeration.  Only homogeneous-scaled integer rows are accepted.
+    back substitution in ``feasible_witness`` reads.  The last level holds
+    at most one row of each sign, the tightest bound on x_{d-1}; a new bound
+    there only has to be checked against the one opposite bound.
+
+    ``seen`` maps every kept row above the last level to its histories:
+    bitmasks over the original rows in the order they were added (``count``
+    of them so far), one per derivation the row was kept for, none inside
+    another.  The last level needs none, as its bounds are only ever
+    combined into constants.  A row combined while eliminating x_k has had
+    k + 1 variables eliminated and is dropped when its history has more
+    than k + 2 bits; every extreme combination, and so every row the
+    projection needs, has at most that many.  A row reached again is kept
+    for the new history too, unless one of its histories lies inside the
+    new one, whose combinations are then all made with histories no
+    larger.  Keeping only the first history of a row is not enough: on the
+    systems in ``tests/test_feasible.py`` it loses a bound.  A row sits in
+    its level once and is combined with each opposite row once per pair of
+    histories.  An original row that is already kept adds nothing.
+    ``clone()`` copies the level lists and ``seen`` for depth-first
+    sign-vector enumeration.  Only homogeneous-scaled integer rows are
+    accepted.
     """
 
-    __slots__ = ("dim", "levels", "seen", "alive")
+    __slots__ = ("dim", "levels", "seen", "alive", "count")
 
     def __init__(self, dim: int):
         self.dim = dim
         self.levels = [([], []) for _ in range(dim)]
-        self.seen = set()
+        self.seen = {}
         self.alive = True
+        self.count = 0
 
     def clone(self) -> "IncrementalFM":
         out = IncrementalFM.__new__(IncrementalFM)
         out.dim = self.dim
         out.levels = [(list(p), list(n)) for p, n in self.levels]
-        out.seen = set(self.seen)
+        out.seen = dict(self.seen)
         out.alive = self.alive
+        out.count = self.count
         return out
 
     def add(self, row) -> bool:
@@ -107,12 +137,14 @@ class IncrementalFM:
         if not self.alive:
             return False
         dim, levels, seen = self.dim, self.levels, self.seen
-        stack = [(_normalize(row), 0)]
+        last = dim - 1
+        r = _normalize(row)
+        if r in seen:
+            return True
+        stack = [(r, 0, 1 << self.count)]
+        self.count += 1
         while stack:
-            r, k = stack.pop()
-            if r in seen:
-                continue
-            seen.add(r)
+            r, k, h = stack.pop()
             while k < dim and r[k] == 0:
                 k += 1
             if k == dim:
@@ -121,10 +153,48 @@ class IncrementalFM:
                     return False
                 continue
             pos, neg = levels[k]
-            if r[k] > 0:
-                pos.append(r)
-                stack.extend((_combine(r, q, k), k + 1) for q in neg)
+            old = seen.get(r)
+            if old is not None:
+                if any(m & ~h == 0 for m in old):
+                    continue
+                seen[r] = (*[m for m in old if h & ~m], h)
+            elif k == last:
+                if r[k] > 0:
+                    if pos and pos[0][dim] * r[k] <= r[dim] * pos[0][k]:
+                        continue
+                    if neg and r[k] * neg[0][dim] < neg[0][k] * r[dim]:
+                        self.alive = False
+                        return False
+                    pos[:] = [r]
+                else:
+                    if neg and neg[0][dim] * r[k] >= r[dim] * neg[0][k]:
+                        continue
+                    if pos and pos[0][k] * r[dim] < r[k] * pos[0][dim]:
+                        self.alive = False
+                        return False
+                    neg[:] = [r]
+                continue
             else:
-                neg.append(r)
-                stack.extend((_combine(p, r, k), k + 1) for p in pos)
+                (pos if r[k] > 0 else neg).append(r)
+                seen[r] = (h,)
+            # eliminating x_k leaves rows with k + 1 variables eliminated
+            bound = k + 2
+            if r[k] > 0:
+                for q in neg:
+                    c = None
+                    for g in seen[q]:
+                        g |= h
+                        if g.bit_count() <= bound:
+                            if c is None:
+                                c = _combine(r, q, k)
+                            stack.append((c, k + 1, g))
+            else:
+                for p in pos:
+                    c = None
+                    for g in seen[p]:
+                        g |= h
+                        if g.bit_count() <= bound:
+                            if c is None:
+                                c = _combine(p, r, k)
+                            stack.append((c, k + 1, g))
         return True

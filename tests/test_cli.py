@@ -124,6 +124,25 @@ def test_verify_only_unknown_family(only, message, capsys):
     assert f"error: argument --only: {message}" in err
 
 
+@pytest.mark.parametrize("command", ["classify", "oracle"])
+@pytest.mark.parametrize("argv,message", [
+    (["--family", "F4", "--n", "3"], "family F4 does not take --n"),
+    (["--family", "G3", "--m", "1", "--n", "2"],
+     "family G3 does not take --m or --n"),
+    (["--family", "H", "--m", "2", "--n", "5"], "family H does not take --m"),
+    (["--family", "psl", "--m", "9", "--n", "2"],
+     "family psl does not take --m"),
+], ids=["F4-n", "G3-m-n", "H-m", "psl-m"])
+def test_unused_parameter_rejected(command, argv, message, capsys):
+    """A parameter the family does not take is an input error (exit 2), not
+    silently dropped."""
+    code = main([command] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_env_cap_not_an_integer(monkeypatch, capsys):
     monkeypatch.setenv("SUPERCOMIN_SUBSET_CAP", "abc")
     code = main(["oracle", "--family", "osp1", "--n", "1"])

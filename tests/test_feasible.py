@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 from supercomin.feasible import IncrementalFM, clear_denominators, feasible_witness
 
@@ -103,12 +104,32 @@ def vertex_oracle_feasible(rows, dim):
     return False
 
 
+def random_system(rng, dim, count):
+    """Random rows, about a third of them added as a +- pair (an equality,
+    as the zero branch of face enumeration adds them), with small
+    coefficients so that many combinations coincide."""
+    rows = []
+    while len(rows) < count:
+        v = tuple(rng.choice((-2, -1, 0, 0, 1, 1, 2)) for _ in range(dim))
+        t = rng.random()
+        if t < 0.3:
+            rows += [v + (0,), tuple(-c for c in v) + (0,)]
+        elif t < 0.7:
+            rows.append(v + (rng.choice((0, -1)),))
+        else:
+            rows.append(v + (rng.randint(-2, 2),))
+    return rows
+
+
 def test_incremental_matches_vertex_oracle():
     rng = random.Random(7)
     infeasible = 0
-    for _ in range(400):
-        dim = rng.randint(1, 4)
-        rows = random_rows(rng, dim, rng.randint(1, 8))
+    for trial in range(500):
+        dim = rng.randint(1, 6)
+        if trial % 2:
+            rows = random_rows(rng, dim, rng.randint(1, 9))
+        else:
+            rows = random_system(rng, dim, rng.randint(2, 9))
         inc = IncrementalFM(dim)
         alive = all(inc.add(r) for r in rows)
         oracle = vertex_oracle_feasible(rows, dim)
@@ -116,6 +137,94 @@ def test_incremental_matches_vertex_oracle():
         assert (feasible_witness(rows, dim) is not None) == oracle, rows
         infeasible += not oracle
     assert infeasible > 50
+
+
+def plain_witness(rows, dim):
+    """Reference: Fourier-Motzkin with no pruning and the back substitution
+    of ``feasible_witness`` (midpoint of each variable's interval)."""
+    levels = [([], []) for _ in range(dim)]
+    kept = set()
+    for r in rows:
+        stack = [r]
+        while stack:
+            r = stack.pop()
+            g = gcd(*r)
+            r = tuple(c // g for c in r) if g > 1 else tuple(r)
+            k = next((j for j in range(dim) if r[j]), dim)
+            if k == dim:
+                if r[dim] < 0:
+                    return None
+                continue
+            if r in kept:
+                continue
+            kept.add(r)
+            pos, neg = levels[k]
+            mine, other = (pos, neg) if r[k] > 0 else (neg, pos)
+            mine.append(r)
+            for q in other:
+                p, n = (r, q) if r[k] > 0 else (q, r)
+                stack.append([-n[k] * a + p[k] * b for a, b in zip(p, n)])
+    x = [Fraction(0)] * dim
+    for k in reversed(range(dim)):
+        bounds = [(Fraction(-r[dim] - sum(r[j] * x[j]
+                                          for j in range(k + 1, dim)), r[k]),
+                   r[k] > 0) for side in levels[k] for r in side]
+        lo = max((b for b, up in bounds if up), default=None)
+        hi = min((b for b, up in bounds if not up), default=None)
+        if lo is not None and hi is not None:
+            x[k] = (lo + hi) / 2
+        else:
+            x[k] = lo if lo is not None else hi if hi is not None else x[k]
+    return x
+
+
+# Keeping only the first history of a row that two derivations reach loses
+# a bound on these systems: back substitution then returns a point that
+# violates some of the rows.
+FIRST_HISTORY_COUNTEREXAMPLES = [
+    [(0, 1, -1, 0, 2, 1, 0), (0, -1, 1, 0, -2, -1, 0), (-2, -2, -2, -1, 0, -1, -1),
+     (1, 1, 1, 2, 2, 0, 0), (-1, -1, -1, -2, -2, 0, 0), (2, 0, 1, 1, 2, 1, 0),
+     (-2, 0, -1, -1, -2, -1, 0), (0, 0, -1, 1, -2, -1, -1), (1, 1, 1, 0, 1, 1, 0)],
+    [(2, 0, 0, 2, 2, 0, 0), (-2, 0, 0, -2, -2, 0, 0), (0, -1, 1, 1, 0, 0, 0),
+     (0, 1, -1, -1, 0, 0, 0), (1, 1, 2, 1, 2, 1, 0), (-1, -1, -2, -1, -2, -1, 0),
+     (-1, 0, 1, 1, 1, 0, 0), (1, 0, -1, -1, -1, 0, 0), (2, 1, 1, 2, -1, 2, -1),
+     (0, 2, 1, 2, -1, 0, 0), (0, -2, -1, -2, 1, 0, 0)],
+]
+
+
+def test_pruned_witness_equals_plain_elimination():
+    """Chernikov's rule and the one-bound last level leave every projection
+    unchanged, so the back-substituted point is the same Fractions."""
+    for rows in FIRST_HISTORY_COUNTEREXAMPLES:
+        assert feasible_witness(rows, 6) == plain_witness(rows, 6)
+    rng = random.Random(11)
+    witnesses = 0
+    for _ in range(400):
+        dim = rng.randint(1, 6)
+        rows = random_system(rng, dim, rng.randint(2, 10))
+        got = feasible_witness(rows, dim)
+        assert got == plain_witness(rows, dim), rows
+        witnesses += got is not None
+    assert witnesses > 100
+
+
+def test_last_level_keeps_one_bound_per_sign():
+    rng = random.Random(5)
+    for _ in range(300):
+        dim = rng.randint(1, 5)
+        fm = IncrementalFM(dim)
+        for r in random_system(rng, dim, rng.randint(1, 12)):
+            fm.add(r)
+            pos, neg = fm.levels[-1]
+            assert len(pos) <= 1 and len(neg) <= 1
+            assert all(r in fm.seen for level in fm.levels[:-1]
+                       for side in level for r in side)
+    # x >= 1, x >= 3, x >= 2 (in that order) keep x >= 3 only
+    fm = IncrementalFM(1)
+    for r in [(1, -1), (1, -3), (1, -2), (-1, 5)]:
+        assert fm.add(r)
+    assert fm.levels == [([(1, -3)], [(-1, 5)])]
+    assert not fm.add((-1, 2))
 
 
 def test_incremental_clone_isolation():
