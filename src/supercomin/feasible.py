@@ -5,7 +5,10 @@ Constraints are rows ``(c_0, ..., c_{d-1}, k)`` of integers meaning
 ``>= 1`` / ``<= -1`` by the caller (valid by homogeneity of the systems this
 package produces).  One engine, ``IncrementalFM``, eliminates exactly; face
 enumeration drives it row by row, and ``feasible_witness`` recovers a
-rational point from its per-variable levels by back substitution.
+rational point from its per-variable levels by back substitution.  Back
+substitution and the closing check of every row are integer-exact: the
+point is kept as integer numerators over one positive common denominator,
+and only the returned point is built as ``Fraction``s.
 
 The engine keeps only rows that can still bound a face.  Each row carries
 its history, the set of original rows it was combined from, and a row
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 def _normalize(row):
@@ -43,31 +47,47 @@ def feasible_witness(rows, dim):
     for r in rows:
         if not fm.add(r):
             return None
-    levels = fm.levels
-    x = [Fraction(0)] * dim
+    # The point is X / D: integer numerators over one positive denominator.
+    # X[j] is 0 until x_j is set, and a row of level k has r[j] == 0 for
+    # j < k, so sum(map(mul, r, X)) sums over the variables already set.
+    # A bound -(r.X + r[dim] D) / (r[k] D) on x_k is kept as (num, den)
+    # with den = |r[k]| > 0, over the common factor D.
+    X = [0] * dim
+    D = 1
     for k in reversed(range(dim)):
+        pos, neg = fm.levels[k]
         lo = hi = None
-        for sign_rows, is_pos in ((levels[k][0], True), (levels[k][1], False)):
-            for r in sign_rows:
-                rest = r[dim] + sum(r[j] * x[j] for j in range(k + 1, dim))
-                bound = Fraction(-rest, r[k])
-                if is_pos:
-                    lo = bound if lo is None or bound > lo else lo
-                else:
-                    hi = bound if hi is None or bound < hi else hi
+        for r in pos:
+            num, den = -sum(map(mul, r, X)) - r[dim] * D, r[k]
+            if lo is None or num * lo[1] > lo[0] * den:
+                lo = (num, den)
+        for r in neg:
+            num, den = sum(map(mul, r, X)) + r[dim] * D, -r[k]
+            if hi is None or num * hi[1] < hi[0] * den:
+                hi = (num, den)
         if lo is not None and hi is not None:
-            if not lo <= hi:
+            (a, b), (c, d) = lo, hi
+            if a * d > c * b:
                 raise AssertionError(
-                    f"back substitution: empty range [{lo}, {hi}] for x{k}")
-            x[k] = (lo + hi) / 2
-        elif lo is not None:
-            x[k] = lo
-        elif hi is not None:
-            x[k] = hi
+                    f"back substitution: empty range "
+                    f"[{a}/{b * D}, {c}/{d * D}] for x{k}")
+            p, q = a * d + c * b, 2 * b * d
+        elif lo is not None or hi is not None:
+            p, q = lo or hi
+        else:
+            continue
+        # x_k = p / (q D): rescale to the denominator q D, then reduce
+        D *= q
+        X = [v * q for v in X]
+        X[k] = p
+        g = gcd(D, *X)
+        if g > 1:
+            D //= g
+            X = [v // g for v in X]
     for r in rows:
-        if sum(c * v for c, v in zip(r, x)) + r[dim] < 0:
-            raise AssertionError(f"witness {x} violates row {r}")
-    return x
+        if sum(map(mul, r, X)) + r[dim] * D < 0:
+            raise AssertionError(f"witness {X}/{D} violates row {r}")
+    return [Fraction(v, D) for v in X]
 
 
 def clear_denominators(x):

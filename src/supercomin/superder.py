@@ -46,7 +46,8 @@ class SuperDerivation:
     def apply(self, g: GrassmannElement) -> GrassmannElement:
         out = GrassmannElement.zero(self.n)
         for j, p in self.components.items():
-            out = out + p * g.partial(j)
+            for mask, c in (p * g.partial(j)).terms.items():
+                out._accumulate(mask, c)
         return out
 
     def add(self, other: "SuperDerivation") -> "SuperDerivation":

@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from pathlib import Path
 
 from supercomin.feasible import IncrementalFM, clear_denominators, feasible_witness
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def brute_feasible(rows, dim, box=4):
@@ -206,6 +212,61 @@ def test_pruned_witness_equals_plain_elimination():
         assert got == plain_witness(rows, dim), rows
         witnesses += got is not None
     assert witnesses > 100
+
+
+def test_witness_with_growing_denominators():
+    """Wide coefficients: the common denominator of the back-substituted
+    point grows over several variables, and the point is still exactly the
+    one plain elimination gives."""
+    rng = random.Random(13)
+    witnesses = 0
+    widest = 1
+    for _ in range(300):
+        dim = rng.randint(4, 6)
+        rows = [tuple(0 if rng.random() < 0.3 else rng.randint(-40, 40)
+                      for _ in range(dim)) + (rng.randint(-40, 40),)
+                for _ in range(rng.randint(dim - 1, dim + 1))]
+        got = feasible_witness(rows, dim)
+        assert got == plain_witness(rows, dim), rows
+        if got is not None:
+            witnesses += 1
+            widest = max(widest, *(v.denominator for v in got))
+    assert witnesses >= 100
+    assert widest > 10 ** 6
+
+
+EMPTY_RANGE = """
+import sys
+from supercomin import feasible
+
+
+def keep_every_bound(self, row):
+    k = next(j for j in range(self.dim) if row[j])
+    self.levels[k][row[k] < 0].append(tuple(row))
+    return True
+
+
+feasible.IncrementalFM.add = keep_every_bound
+try:
+    feasible.feasible_witness([(1, -5), (-1, 2)], 1)
+except AssertionError as exc:
+    if "empty range" not in str(exc):
+        sys.exit(f"wrong self-check raised: {exc}")
+else:
+    sys.exit("back substitution accepted the empty range 5 <= x <= 2")
+"""
+
+
+def test_back_substitution_rejects_empty_range():
+    """An engine that kept x >= 5 and x <= 2 alive trips the empty-range
+    self-check of back substitution, also under ``python -O``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", EMPTY_RANGE],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, (flags, proc.stderr)
 
 
 def test_last_level_keeps_one_bound_per_sign():
