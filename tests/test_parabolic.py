@@ -5,10 +5,12 @@ import pytest
 
 from supercomin.cominuscule import is_cominuscule
 from supercomin.parabolic import (CapExceeded, ImproperSubsetError, RootSubset,
-                                  enumerate_parabolics, is_parabolic,
-                                  levi_decompositions, parabolic_status,
-                                  principal_parabolic, principality_witness)
+                                  _face_masks, enumerate_parabolics,
+                                  is_parabolic, levi_decompositions,
+                                  parabolic_status, principal_parabolic,
+                                  principality_witness)
 from supercomin.rootsys import build_root_system, wadd, wneg
+from supercomin.verify import EXPECTED_ORBITS
 
 F = Fraction
 
@@ -264,3 +266,24 @@ def test_principality_witness_golden(check_golden):
                          f"{list(w) if w is not None else None}")
     assert len(lines) == 2372
     check_golden("principality_witnesses.txt", "\n".join(lines) + "\n")
+
+
+def test_face_masks_golden(check_golden):
+    """``_face_masks`` on the table instances, byte for byte: one line per
+    instance and mode, with the count and the sorted masks in hex.  The
+    pair-rule pruned run covers all 26 instances; the unpruned run those
+    with at most 30 roots (F(4) unpruned has its own sweep test, and S(4)
+    and S'(4) unpruned take minutes)."""
+    lines = []
+    for fam, par, _ in EXPECTED_ORBITS:
+        rs = rsys(fam, par)
+        name = f"{fam}({','.join(map(str, par))})"
+        runs = [("pruned", rs.table.forbidden[False])]
+        if len(rs) <= 30:
+            runs.append(("unpruned", None))
+        for mode, prune in runs:
+            masks = _face_masks(rs, prune)
+            lines.append(" ".join([name, mode, str(len(masks))]
+                                  + [f"{m:#x}" for m in masks]))
+    assert len(lines) == 49
+    check_golden("face_masks.txt", "\n".join(lines) + "\n")
