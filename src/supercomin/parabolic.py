@@ -216,49 +216,61 @@ def _exhaustive_masks(rs: RootSystem, subset_cap, lift_cap):
 def _face_masks(rs: RootSystem, prune_masks=None):
     """Values P(lam) over all faces of the root hyperplane arrangement.
 
-    Sign vectors over the root list are extended one root at a time with
-    Fourier-Motzkin pruning.  ``prune_masks`` (optional) has bit b of entry
-    a set when roots a, b are forbidden as a nilradical pair; it skips
-    branches whose strictly-positive part already contains such a pair of
-    roots that lie in the nilradical of every Levi decomposition.  This
-    keeps only faces that can still produce sets with an abelian
-    nilradical, and is used for the largest runs.
+    Sign vectors over the distinct root hyperplanes (``RootTable.hyperplanes``)
+    are extended one hyperplane at a time with Fourier-Motzkin pruning: lam
+    is zero on it, positive or negative.  A root, its negative and its
+    collinear multiples (delta and 2 delta in osp) share one hyperplane, so
+    one choice fixes the sign of all of them.  ``prune_masks`` (optional)
+    has bit b of entry a set when roots a, b are forbidden as a nilradical
+    pair.  A branch is skipped when a root it makes strictly positive that
+    lies in the nilradical of every Levi decomposition has such a partner
+    in the strictly-positive part, itself included.  Since the masks are
+    symmetric, that is exactly the set of pairs a root-by-root test would
+    reject, so the prune keeps every face that can still produce a set with
+    an abelian nilradical, and only those; it is used for the largest runs.
     """
-    n = len(rs)
     dim = len(rs.basis)
     table = rs.table
-    rowvec = table.fm_weights
-    immovable = [rs.neg[i] is not None for i in range(n)]
+    planes = table.hyperplanes
+    immovable = sum(1 << i for i in range(len(rs)) if rs.neg[i] is not None)
     base_fm = IncrementalFM(dim)
     for row in table.fm_constraints:
         base_fm.add(row)
     found = set()
 
-    def rec(i, fm, ge_mask, plus):
+    def allowed(new, plus):
+        # new: the immovable roots a branch makes strictly positive
+        if prune_masks is None:
+            return True
+        plus |= new
+        while new:
+            low = new & -new
+            if prune_masks[low.bit_length() - 1] & plus:
+                return False
+            new ^= low
+        return True
+
+    def rec(h, fm, ge_mask, plus):
         # plus: the immovable roots of the strictly positive part
-        if i == n:
+        if h == len(planes):
             found.add(ge_mask)
             return
-        vec = rowvec[i]
+        rep, pos, neg = planes[h]
+        minus_rep = tuple(-c for c in rep)
         # zero branch
         fz = fm.clone()
-        if fz.add(vec + (0,)) and fz.add(tuple(-c for c in vec) + (0,)):
-            rec(i + 1, fz, ge_mask | (1 << i), plus)
-        # strictly positive branch
-        allow = not (prune_masks is not None and immovable[i]
-                     and prune_masks[i] & (plus | (1 << i)))
-        if allow:
-            fp = fm.clone()
-            if fp.add(vec + (-1,)):
-                rec(i + 1, fp, ge_mask | (1 << i),
-                    plus | (1 << i) if immovable[i] else plus)
-        # strictly negative branch
-        fn = fm.clone()
-        if fn.add(tuple(-c for c in vec) + (-1,)):
-            rec(i + 1, fn, ge_mask, plus)
+        if fz.add(rep + (0,)) and fz.add(minus_rep + (0,)):
+            rec(h + 1, fz, ge_mask | pos | neg, plus)
+        # strictly positive, then strictly negative branch
+        for side, row in ((pos, rep), (neg, minus_rep)):
+            new = side & immovable
+            if allowed(new, plus):
+                fs = fm.clone()
+                if fs.add(row + (-1,)):
+                    rec(h + 1, fs, ge_mask | side, plus | new)
 
     rec(0, base_fm, 0, 0)
-    full = (1 << n) - 1
+    full = (1 << len(rs)) - 1
     return sorted(m for m in found if m != full)
 
 

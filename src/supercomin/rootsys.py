@@ -312,6 +312,11 @@ class RootTable:
     * ``fm_weights``, ``fm_constraints``: the Fourier-Motzkin data, each
       root weight with its own denominators cleared and each functional
       constraint v as the rows v.lam >= 0 and -v.lam >= 0;
+    * ``hyperplanes``: the distinct root hyperplanes lam(alpha) = 0, as
+      triples (rep, plus, minus) ordered by their first root.  ``rep`` is
+      the primitive integer direction of ``fm_weights`` with its first
+      nonzero entry positive; ``plus`` and ``minus`` mask the roots that
+      are positive and negative multiples of it;
     * ``perms``: root permutations of group elements, filled by
       ``weyl.root_permutation``.
     """
@@ -391,6 +396,15 @@ class RootTable:
                 d *= Fraction(c).denominator
             fm_weights.append(tuple(int(Fraction(c) * d) for c in r.weight))
         self.fm_weights = tuple(fm_weights)
+        planes = {}
+        for i, w in enumerate(fm_weights):
+            g = gcd(*w)
+            if next(c for c in w if c) < 0:
+                g = -g
+            sides = planes.setdefault(tuple(c // g for c in w), [0, 0])
+            sides[g < 0] |= 1 << i
+        self.hyperplanes = tuple((rep, plus, minus)
+                                 for rep, (plus, minus) in planes.items())
         constraints = []
         for v in rs.functional_constraints():
             ints = tuple(int(c) for c in v)

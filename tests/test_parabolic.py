@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from supercomin.cominuscule import is_cominuscule
+from supercomin.feasible import IncrementalFM
 from supercomin.parabolic import (CapExceeded, ImproperSubsetError, RootSubset,
                                   _face_masks, enumerate_parabolics,
                                   is_parabolic, levi_decompositions,
@@ -79,6 +80,42 @@ def naive_parabolic_lifted(rs, bits, _cache={}):
         if lift_ok(bits | (extra << n)):
             return True
     return False
+
+
+def face_masks_per_root(rs, prune_masks=None):
+    """``_face_masks`` branching three ways on every root, not on every
+    hyperplane: the sign vectors over the root list, each root pruned on
+    its own when it turns strictly positive."""
+    n = len(rs)
+    rowvec = rs.table.fm_weights
+    immovable = [rs.neg[i] is not None for i in range(n)]
+    base_fm = IncrementalFM(len(rs.basis))
+    for row in rs.table.fm_constraints:
+        base_fm.add(row)
+    found = set()
+
+    def rec(i, fm, ge_mask, plus):
+        if i == n:
+            found.add(ge_mask)
+            return
+        vec = rowvec[i]
+        fz = fm.clone()
+        if fz.add(vec + (0,)) and fz.add(tuple(-c for c in vec) + (0,)):
+            rec(i + 1, fz, ge_mask | (1 << i), plus)
+        allow = not (prune_masks is not None and immovable[i]
+                     and prune_masks[i] & (plus | (1 << i)))
+        if allow:
+            fp = fm.clone()
+            if fp.add(vec + (-1,)):
+                rec(i + 1, fp, ge_mask | (1 << i),
+                    plus | (1 << i) if immovable[i] else plus)
+        fn = fm.clone()
+        if fn.add(tuple(-c for c in vec) + (-1,)):
+            rec(i + 1, fn, ge_mask, plus)
+
+    rec(0, base_fm, 0, 0)
+    full = (1 << n) - 1
+    return sorted(m for m in found if m != full)
 
 
 @pytest.mark.parametrize("fam,par", [
@@ -247,6 +284,48 @@ def test_principal_always_parabolic():
                 continue
             assert is_parabolic(P)
             assert dec.levi_bits | dec.nilradical_bits == P.bits
+
+
+@pytest.mark.parametrize("fam,par,unpruned", [
+    ("osp", (3, 2), True), ("osp", (1, 4), True), ("G3", (), True),
+    ("psl", (2,), True), ("p", (3,), True), ("W", (3,), True),
+    ("S", (3,), True), ("Sprime", (4,), False),
+])
+def test_face_masks_match_per_root_reference(fam, par, unpruned):
+    """Collinear roots (osp, G(3)), a functional constraint (psl(2|2)),
+    hyperplanes that mix movable and immovable roots (p, W, S) and roots
+    forbidden with themselves (S'(4) off the ``literal`` reading): one
+    branch per hyperplane finds the faces the per-root search finds, with
+    the pair-rule prune in both readings and, but for S'(4), without."""
+    rs = rsys(fam, par)
+    prunes = (None,) * unpruned + rs.table.forbidden
+    for prune in prunes:
+        assert _face_masks(rs, prune) == face_masks_per_root(rs, prune)
+
+
+def test_face_masks_work_is_pinned(monkeypatch):
+    """The Fourier-Motzkin clones and row insertions of one face search,
+    counted exactly, so that a change in algorithmic work shows as a diff."""
+    calls = {"clone": 0, "add": 0}
+
+    def counting(name):
+        method = getattr(IncrementalFM, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(IncrementalFM, name, counting(name))
+    counts = {}
+    for fam, par, prune in [("F4", (), True), ("osp", (6, 2), False)]:
+        rs = rsys(fam, par)
+        calls.update(clone=0, add=0)
+        _face_masks(rs, rs.table.forbidden[False] if prune else None)
+        counts[fam, prune] = dict(calls)
+    assert counts == {("F4", True): {"clone": 614, "add": 884},
+                      ("osp", False): {"clone": 12087, "add": 14479}}
 
 
 WITNESS_GOLDEN_SYSTEMS = [("H", (6,)), ("osp", (6, 2)), ("sl", (3, 2)),
