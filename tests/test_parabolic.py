@@ -296,10 +296,10 @@ def test_face_masks_match_per_root_reference(fam, par, unpruned):
     hyperplanes that mix movable and immovable roots (p, W, S) and roots
     forbidden with themselves (S'(4) off the ``literal`` reading): one
     branch per hyperplane finds the faces the per-root search finds, with
-    the pair-rule prune in both readings and, but for S'(4), without."""
+    the pair-rule prune in both readings, and without it on every system
+    but S'(4)."""
     rs = rsys(fam, par)
-    prunes = (None,) * unpruned + rs.table.forbidden
-    for prune in prunes:
+    for prune in (None,) * unpruned + rs.table.forbidden:
         assert _face_masks(rs, prune) == face_masks_per_root(rs, prune)
 
 
@@ -352,7 +352,7 @@ def test_face_masks_golden(check_golden):
     instance and mode, with the count and the sorted masks in hex.  The
     pair-rule pruned run covers all 26 instances; the unpruned run those
     with at most 30 roots (F(4) unpruned has its own sweep test, and S(4)
-    and S'(4) unpruned take minutes)."""
+    and S'(4) unpruned take about a minute each)."""
     lines = []
     for fam, par, _ in EXPECTED_ORBITS:
         rs = rsys(fam, par)
