@@ -748,23 +748,23 @@ def enumerate_cominuscule_orbits(family, params, method="auto", group="auto",
         can = weyl.canonical_rep(rs, e.bits, gens, cap=orbit_cap)
         expected_by_canonical[can] = e
 
+    found_by_bits = {s.bits: s for s in found}
     orbit_results = []
     all_principal = True
     all_unique = True
     for can in sorted(partition):
         entry = expected_by_canonical.get(can)
-        rep = RootSubset(rs, can)
+        rep = found_by_bits[can]
         wit = principality_witness(rep)
         verdict = is_cominuscule(rep, lift_cap=lift_cap)
-        decs = verdict.decompositions
         if wit is None:
             all_principal = False
         # uniqueness over every member of the orbit that the run found
-        ndec = len(decs)
+        ndec = len(verdict.decompositions)
         for b in partition[can]:
             if b != can:
-                ndec = max(ndec, len(levi_decompositions(
-                    RootSubset(rs, b), lift_cap=lift_cap)))
+                ndec = max(ndec, len(levi_decompositions(found_by_bits[b],
+                                                         lift_cap=lift_cap)))
         if ndec != 1:
             all_unique = False
         orbit_results.append(OrbitResult(

@@ -26,14 +26,23 @@ FAMILY_CHOICES = ["sl", "psl", "osp", "osp_odd", "osp1", "osp_even", "osp2",
                   "D21a", "F4", "G3", "psq", "p", "W", "S", "Sprime", "H"]
 
 
+def _cap(text):
+    """A cap option's value: a non-negative integer."""
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {v}")
+    return v
+
+
 def _env_cap(name, default):
     v = os.environ.get(name)
-    if not v:
-        return default
     try:
-        return int(v)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {v!r}") from None
+        return _cap(v) if v else default
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{name} {exc}") from None
 
 
 def _params_from_args(family, args):
@@ -179,10 +188,10 @@ def build_parser():
     def output_and_caps(p):
         p.add_argument("--format", choices=["json", "table"], default="json")
         p.add_argument("--out")
-        p.add_argument("--subset-cap", type=int,
+        p.add_argument("--subset-cap", type=_cap,
                        default=_env_cap("SUPERCOMIN_SUBSET_CAP",
                                         DEFAULT_SUBSET_CAP))
-        p.add_argument("--lift-cap", type=int,
+        p.add_argument("--lift-cap", type=_cap,
                        default=_env_cap("SUPERCOMIN_LIFT_CAP",
                                         DEFAULT_LIFT_CAP))
 
@@ -191,7 +200,7 @@ def build_parser():
         p.add_argument("--m", type=int)
         p.add_argument("--n", type=int)
         output_and_caps(p)
-        p.add_argument("--orbit-cap", type=int,
+        p.add_argument("--orbit-cap", type=_cap,
                        default=_env_cap("SUPERCOMIN_ORBIT_CAP",
                                         DEFAULT_ORBIT_CAP))
 

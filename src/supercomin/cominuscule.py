@@ -38,12 +38,6 @@ def rule_tag(rs: RootSystem) -> str:
     }.get(rs.family, "root_sum")
 
 
-def nilradical_abelian(rs: RootSystem, nil_bits: int, literal: bool = False) -> bool:
-    forb = rs.table.forbidden[literal]
-    return not any(forb[a] & nil_bits
-                   for a in range(len(rs)) if (nil_bits >> a) & 1)
-
-
 @dataclass(frozen=True)
 class CominusculeVerdict:
     is_cominuscule: bool
@@ -51,6 +45,15 @@ class CominusculeVerdict:
     rule_used: str
     decompositions: tuple = ()
     abelian_flags: tuple = ()
+
+
+def _abelian_scan(subset: RootSubset, nonzero, lift_cap):
+    """Each Levi decomposition of P, in order of its Levi bits, with whether
+    its nilradical is abelian: no roots a <= b in it with nonzero(a, b)."""
+    for d in levi_decompositions(subset, lift_cap=lift_cap):
+        idx = d.nilradical.indices()
+        yield d, not any(nonzero(a, b) for x, a in enumerate(idx)
+                         for b in idx[x:])
 
 
 def is_cominuscule(subset: RootSubset,
@@ -61,35 +64,18 @@ def is_cominuscule(subset: RootSubset,
     their individual verdicts are retained, since the defining property is
     existential over decompositions.
     """
-    rs = subset.rs
-    decs = levi_decompositions(subset, lift_cap=lift_cap)
-    flags = tuple(nilradical_abelian(rs, d.nilradical_bits) for d in decs)
-    witness = None
-    for d, ok in zip(decs, flags):
-        if ok:
-            witness = d
-            break
-    return CominusculeVerdict(witness is not None, witness, rule_tag(rs),
-                              tuple(decs), flags)
+    forb = subset.rs.table.forbidden[False]
+    scan = tuple(_abelian_scan(subset, lambda a, b: (forb[a] >> b) & 1, lift_cap))
+    witness = next((d for d, ok in scan if ok), None)
+    return CominusculeVerdict(witness is not None, witness, rule_tag(subset.rs),
+                              tuple(d for d, _ in scan), tuple(ok for _, ok in scan))
 
 
 def bracket_cominuscule(subset: RootSubset, rz,
                         lift_cap=DEFAULT_LIFT_CAP) -> bool:
     """The same existential verdict, decided by the realized superbracket."""
-    decs = levi_decompositions(subset, lift_cap=lift_cap)
-    for d in decs:
-        idx = [i for i in range(len(subset.rs)) if (d.nilradical_bits >> i) & 1]
-        ok = True
-        for x, a in enumerate(idx):
-            for b in idx[x:]:
-                if rz.bracket_nonzero(a, b):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+    return any(ok for _, ok in _abelian_scan(subset, rz.bracket_nonzero,
+                                             lift_cap))
 
 
 def crosscheck_bracket(subset: RootSubset, rz=None,

@@ -9,11 +9,11 @@ state space.
 Callers pass the negation map and the closure rows; the pair/single units
 and their search order are derived here.  Roots may be fixed in advance:
 ``inside`` lists roots every result contains, ``outside`` roots none
-contains, and only the other roots are searched.  The exhaustive search
-over Delta fixes nothing.  The lift search of the parabolic module runs
-here too: over the symmetrized list Delta u (-Delta) it fixes the Delta-part
-to P (``inside`` = P, ``outside`` = Delta \\ P), so the results are the
-parabolic lifts of P.
+contains, and only the other roots are searched.  The parabolic module
+searches the symmetrized list Delta u (-Delta): once per system with
+nothing fixed for the exhaustive stream, whose results are the lifts of
+every parabolic subset, and once per point query with the Delta-part fixed
+to P (``inside`` = P, ``outside`` = Delta \\ P), for the lifts of P.
 """
 
 from __future__ import annotations

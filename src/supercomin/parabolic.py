@@ -11,15 +11,17 @@ nonsymmetric P can decompose in several ways.
 
 Both definitions are one: a symmetric Delta has no extra weights, so its
 only possible lift is P.  Lifts are the closed covering subsets of
-Delta u (-Delta) with the Delta-part fixed to P, and ``kernel`` enumerates
-them; this module has no closure search of its own.
+Delta u (-Delta), and ``kernel`` enumerates them.  The exhaustive stream
+makes one search per system and groups the lifts by their Delta-parts, the
+parabolic subsets, each of which carries its Levi bits; a subset built
+elsewhere gets its lifts from a search with the Delta-part fixed to P.
 
 Subsets are bitmasks over root indices in canonical root order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import kernel
@@ -43,6 +45,8 @@ class CapExceeded(RuntimeError):
 class RootSubset:
     rs: RootSystem
     bits: int
+    # the sorted Levi bits, carried only by subsets of the exhaustive stream
+    levis: tuple | None = field(default=None, compare=False, repr=False)
 
     def indices(self):
         return [i for i in range(len(self.rs)) if (self.bits >> i) & 1]
@@ -112,25 +116,30 @@ def is_parabolic(subset: RootSubset, lift_cap=DEFAULT_LIFT_CAP) -> bool:
 # lifts
 
 
-def _lifts(rs: RootSystem, bits: int, lift_cap=DEFAULT_LIFT_CAP):
-    """Masks over the symmetrized weight list of the parabolic lifts of P.
-
-    A lift is a covering, closed subset of Delta u (-Delta) whose Delta-part
-    is P, so the kernel finds them all with the Delta-part fixed; only the
-    extra weights (-Delta) \\ Delta whose negation lies in P are free.  A
-    symmetric system has no extra weights: its only possible lift is P, and
-    its closure rows keep the psl lift-pair closure.
-    """
-    sym = rs.symmetrized()
-    nd = sym.n_delta
-    free = sum(1 for k in range(nd, len(sym)) if (bits >> sym.neg[k]) & 1)
+def _check_lift_cap(rs: RootSystem, bits: int, lift_cap):
+    """Raise unless the lifts of P have at most ``lift_cap`` free bits: the
+    extra weights -i for the roots i of P whose negation is no root."""
+    free = sum(1 for i, j in enumerate(rs.neg) if j is None and (bits >> i) & 1)
     if free > lift_cap:
-        raise CapExceeded(
-            f"lift search needs {free} free bits, cap is {lift_cap}")
-    rows = rs.table.closure_rows if rs.symmetric else rs.table.sym_rows
-    delta = (1 << nd) - 1
-    return kernel.enumerate_closed(sym.neg, rows, inside=bits,
-                                   outside=delta & ~bits)
+        raise CapExceeded(f"lift search needs {free} free bits, cap is {lift_cap}")
+
+
+def _lifts(rs: RootSystem, bits: int, lift_cap=DEFAULT_LIFT_CAP):
+    """Masks over the symmetrized weight list of the parabolic lifts of P,
+    from one kernel search with the Delta-part fixed to P.  A symmetric
+    system's only possible lift is P, and its closure rows keep the psl
+    lift-pair closure."""
+    _check_lift_cap(rs, bits, lift_cap)
+    rows = closure_rows(rs) if rs.symmetric else rs.table.sym_rows
+    return kernel.enumerate_closed(rs.symmetrized().neg, rows, inside=bits,
+                                   outside=((1 << len(rs)) - 1) & ~bits)
+
+
+def _levi_bits(rs: RootSystem, bits: int, lift: int) -> int:
+    """L = {i in P : -i in the lift}, as a mask over Delta."""
+    neg = rs.symmetrized().neg
+    return sum(1 << i for i in range(len(rs))
+               if (bits >> i) & 1 and (lift >> neg[i]) & 1)
 
 
 def levi_decompositions(subset: RootSubset, lift_cap=DEFAULT_LIFT_CAP):
@@ -138,19 +147,14 @@ def levi_decompositions(subset: RootSubset, lift_cap=DEFAULT_LIFT_CAP):
 
     One per distinct (L, N+) pair over all parabolic lifts, ordered by the
     Levi bits: L = Ptilde n (-Ptilde) n Delta and N+ = P \\ L.  A symmetric
-    system has exactly one, and a subset that is not parabolic none.
+    system has exactly one, and a subset that is not parabolic none.  Only
+    a subset built outside the exhaustive stream needs a lift search.
     """
-    rs, bits = subset.rs, subset.bits
-    sym = rs.symmetrized()
-    levis = set()
-    for mask in _lifts(rs, bits, lift_cap):
-        levi = 0
-        for i in subset.indices():
-            if (mask >> sym.neg[i]) & 1:
-                levi |= 1 << i
-        levis.add(levi)
-    return [LeviDecomposition(subset, levi, bits & ~levi)
-            for levi in sorted(levis)]
+    rs, bits, levis = subset.rs, subset.bits, subset.levis
+    if levis is None:
+        levis = sorted({_levi_bits(rs, bits, lift)
+                        for lift in _lifts(rs, bits, lift_cap)})
+    return [LeviDecomposition(subset, levi, bits & ~levi) for levi in levis]
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +208,25 @@ def principality_witness(subset: RootSubset):
 
 
 def _exhaustive_masks(rs: RootSystem, subset_cap, lift_cap):
-    """Proper closed covering subsets of Delta that have a lift, ascending."""
+    """{P: sorted Levi bits} over the proper parabolic subsets, ascending.
+
+    One kernel search, with nothing fixed, finds every lift, a closed
+    covering subset of Delta u (-Delta); grouped by their Delta-parts, the
+    lifts give each parabolic subset its Levi bits.
+    """
     n = len(rs)
     if n > subset_cap:
         raise CapExceeded(f"|Delta| = {n} exceeds the exhaustive cap {subset_cap}")
-    masks = kernel.enumerate_closed(rs.neg, closure_rows(rs))
+    rows = closure_rows(rs) if rs.symmetric else rs.table.sym_rows
     full = (1 << n) - 1
-    return sorted(m for m in masks if m != full and _lifts(rs, m, lift_cap))
+    groups = {}
+    for lift in kernel.enumerate_closed(rs.symmetrized().neg, rows):
+        bits = lift & full
+        if bits != full:
+            groups.setdefault(bits, set()).add(_levi_bits(rs, bits, lift))
+    for bits in groups:
+        _check_lift_cap(rs, bits, lift_cap)
+    return {bits: tuple(sorted(groups[bits])) for bits in sorted(groups)}
 
 
 def _face_masks(rs: RootSystem, prune_masks=None):
@@ -279,21 +295,22 @@ def enumerate_parabolics(rs: RootSystem, method="exhaustive",
                          prune_masks=None):
     """Stream of parabolic subsets in canonical bitmask order.
 
-    ``exhaustive`` filters all proper subsets (3^pairs state search with
-    closure propagation); ``principal`` enumerates hyperplane-arrangement
-    faces and emits P(lam) per face, deduplicated.
+    ``exhaustive`` groups the lifts of one closed-subset search (3^pairs
+    state search with closure propagation) by their Delta-parts, and each
+    subset it yields carries its Levi bits; ``principal`` enumerates
+    hyperplane-arrangement faces and emits P(lam) per face, deduplicated.
     """
     if method == "exhaustive":
-        masks = _exhaustive_masks(rs, subset_cap, lift_cap)
-    elif method == "principal":
-        masks = _face_masks(rs, prune_masks=prune_masks)
-        if rs.family == "psl" and any(len(ls) > 1 for ls in rs.lifts):
-            # lift-pair closure is stronger than closure of representative
-            # sums, so face values need a parabolicity filter here
-            masks = [m for m in masks
-                     if parabolic_status(RootSubset(rs, m)) == "parabolic"]
-    else:
+        for bits, levis in _exhaustive_masks(rs, subset_cap, lift_cap).items():
+            yield RootSubset(rs, bits, levis)
+        return
+    if method != "principal":
         raise ValueError(f"unknown method {method!r}")
+    masks = _face_masks(rs, prune_masks=prune_masks)
+    if rs.family == "psl" and any(len(ls) > 1 for ls in rs.lifts):
+        # lift-pair closure is stronger than closure of representative
+        # sums, so face values need a parabolicity filter here
+        masks = [m for m in masks
+                 if parabolic_status(RootSubset(rs, m)) == "parabolic"]
     for m in masks:
         yield RootSubset(rs, m)
-

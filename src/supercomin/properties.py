@@ -10,7 +10,7 @@ from __future__ import annotations
 from . import weyl
 from .cominuscule import is_cominuscule
 from .parabolic import (DEFAULT_LIFT_CAP, LeviDecomposition, RootSubset,
-                        parabolic_status, principality_witness)
+                        principality_witness)
 from .rootsys import RootSystem
 
 
@@ -126,19 +126,13 @@ def weyl_invariance_holds(rs: RootSystem, bits: int, gens,
                           lift_cap=DEFAULT_LIFT_CAP) -> bool:
     """Parabolicity, principality, and the cominuscule verdict are constant
     along the orbit of a subset under the given generators."""
-    base = RootSubset(rs, bits)
-    st0 = parabolic_status(base, lift_cap=lift_cap)
-    com0 = prin0 = None
-    if st0 == "parabolic":
-        com0 = is_cominuscule(base, lift_cap=lift_cap).is_cominuscule
-        prin0 = principality_witness(base) is not None
-    for m in gens:
-        img = RootSubset(rs, weyl.act(rs, m, bits))
-        if parabolic_status(img, lift_cap=lift_cap) != st0:
-            return False
-        if st0 == "parabolic":
-            if is_cominuscule(img, lift_cap=lift_cap).is_cominuscule != com0:
-                return False
-            if (principality_witness(img) is not None) != prin0:
-                return False
-    return True
+
+    def verdicts(b):
+        subset = RootSubset(rs, b)
+        v = is_cominuscule(subset, lift_cap=lift_cap)
+        if not v.decompositions:  # not parabolic
+            return None
+        return v.is_cominuscule, principality_witness(subset) is not None
+
+    base = verdicts(bits)
+    return all(verdicts(weyl.act(rs, m, bits)) == base for m in gens)

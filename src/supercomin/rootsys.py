@@ -275,7 +275,6 @@ class SymmetrizedSystem:
             self.neg = rs.neg
         else:
             self.neg = tuple(self._index[wneg(w)] for w in self.weights)
-        self.n_delta = len(rs.roots)
 
     def __len__(self):
         return len(self.weights)

@@ -29,10 +29,10 @@ import warnings
 from . import weyl
 from .classify import (cominuscule_subsets, enumerate_cominuscule_orbits,
                        expected_entries, restriction_extension_check)
-from .cominuscule import bracket_cominuscule, is_cominuscule, pair_forbidden
-from .parabolic import (DEFAULT_LIFT_CAP, DEFAULT_SUBSET_CAP, RootSubset,
-                        enumerate_parabolics, levi_decompositions,
-                        parabolic_status, principality_witness)
+from .cominuscule import crosscheck_bracket, is_cominuscule, pair_forbidden
+from .parabolic import (DEFAULT_LIFT_CAP, DEFAULT_SUBSET_CAP,
+                        LeviDecomposition, RootSubset, enumerate_parabolics,
+                        levi_decompositions, principality_witness)
 from .properties import (even_factor_index_sets, restriction_compatible,
                          sums_laws_hold, weyl_invariance_holds)
 from .realize import realize, realize_for
@@ -210,16 +210,12 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP,
             continue
         rs = build_root_system(family, params)
         rz = realize_for(rs)
-        bad = 0
-        total = 0
-        for s in enumerate_parabolics(rs, "exhaustive", subset_cap=subset_cap,
-                                      lift_cap=lift_cap):
-            total += 1
-            if is_cominuscule(s, lift_cap=lift_cap).is_cominuscule != \
-                    bracket_cominuscule(s, rz, lift_cap=lift_cap):
-                bad += 1
+        subsets = list(enumerate_parabolics(rs, "exhaustive", subset_cap=subset_cap,
+                                            lift_cap=lift_cap))
+        bad = sum(not crosscheck_bracket(s, rz, lift_cap=lift_cap)
+                  for s in subsets)
         chk(f"verdict-crosscheck {_tag(family, params)}", bad == 0,
-            f"{bad} of {total} parabolic subsets disagree")
+            f"{bad} of {len(subsets)} parabolic subsets disagree")
 
     for family, params in CROSSCHECK_REPRESENTATIVES:
         if not want(family):
@@ -233,15 +229,11 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP,
             table = [e.bits for e in expected_entries(rs_s)]
         found, _ = cominuscule_subsets(rs, subset_cap=subset_cap,
                                        lift_cap=lift_cap)
-        sample = sorted(set(table) | {s.bits for s in found})
-        bad = 0
-        for bits in sample:
-            s = RootSubset(rs, bits)
-            if parabolic_status(s, lift_cap=lift_cap) != "parabolic":
-                continue
-            if is_cominuscule(s, lift_cap=lift_cap).is_cominuscule != \
-                    bracket_cominuscule(s, rz, lift_cap=lift_cap):
-                bad += 1
+        sample = {bits: RootSubset(rs, bits) for bits in table}
+        sample.update((s.bits, s) for s in found)
+        # a subset that is not parabolic is cominuscule by neither verdict
+        bad = sum(not crosscheck_bracket(s, rz, lift_cap=lift_cap)
+                  for s in sample.values())
         chk(f"verdict-crosscheck-representatives {_tag(family, params)}",
             bad == 0, f"{bad} of {len(sample)} sampled sets disagree")
 
@@ -268,8 +260,7 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP,
         laws = restr = winv = True
         for s in enumerate_parabolics(rs, "exhaustive", subset_cap=subset_cap,
                                       lift_cap=lift_cap):
-            decs = levi_decompositions(s, lift_cap=lift_cap)
-            for d in decs:
+            for d in levi_decompositions(s, lift_cap=lift_cap):
                 laws = laws and sums_laws_hold(d)
                 for idx in factors.values():
                     restr = restr and restriction_compatible(d, idx)
@@ -286,9 +277,9 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP,
         factors = even_factor_index_sets(rs)
         ok = True
         for o in rep.orbits:
-            v = is_cominuscule(RootSubset(rs, o.canonical_bits), lift_cap=lift_cap)
+            witness = LeviDecomposition(o.representative, o.levi_bits, o.nil_bits)
             for idx in factors.values():
-                ok = ok and restriction_compatible(v.witness, idx)
+                ok = ok and restriction_compatible(witness, idx)
         chk(f"even-part-restriction {_tag(family, params)}", ok)
 
     # W(n) extension pattern

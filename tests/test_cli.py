@@ -151,6 +151,31 @@ def test_env_cap_not_an_integer(monkeypatch, capsys):
         "error: SUPERCOMIN_SUBSET_CAP must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize("option", ["--subset-cap", "--lift-cap", "--orbit-cap"])
+def test_negative_cap_rejected(option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--family", "H", "--n", "5", option, "-1"])
+    assert exc.value.code == 2
+    assert f"argument {option}: must be non-negative, got -1" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["SUBSET", "LIFT", "ORBIT"])
+def test_env_cap_negative(name, monkeypatch, capsys):
+    monkeypatch.setenv(f"SUPERCOMIN_{name}_CAP", "-1")
+    assert main(["oracle", "--family", "osp1", "--n", "1"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: SUPERCOMIN_{name}_CAP must be non-negative, got -1\n"
+
+
+def test_oracle_lift_cap(capsys):
+    assert main(["oracle", "--family", "p", "--n", "3", "--lift-cap", "2"]) == 2
+    assert capsys.readouterr().err == \
+        "cap exceeded: lift search needs 3 free bits, cap is 2\n"
+    assert main(["oracle", "--family", "W", "--n", "3", "--lift-cap", "5"]) == 2
+    assert main(["oracle", "--family", "W", "--n", "3", "--lift-cap", "6"]) == 0
+
+
 def test_parser_cap_defaults(monkeypatch):
     for name in ("SUBSET", "LIFT", "ORBIT"):
         monkeypatch.delenv(f"SUPERCOMIN_{name}_CAP", raising=False)

@@ -3,8 +3,7 @@ import warnings
 import pytest
 
 from supercomin.cominuscule import (bracket_cominuscule, crosscheck_bracket,
-                                    is_cominuscule, nilradical_abelian,
-                                    pair_forbidden)
+                                    is_cominuscule, pair_forbidden)
 from supercomin.parabolic import RootSubset, enumerate_parabolics
 from supercomin.realize import realize_for
 from supercomin.rootsys import build_root_system
@@ -44,9 +43,16 @@ def test_pair_rule_examples():
 
 
 def test_nilradical_abelian_examples():
+    """A decomposition's flag: its nilradical is abelian when no two of its
+    roots form a forbidden pair."""
     rs = rsys("sl", (2, 1))
-    assert not nilradical_abelian(rs, bits_of(rs, ["e1-e2", "e2-d1"]))
-    assert nilradical_abelian(rs, bits_of(rs, ["e1-d1", "e2-d1"]))
+    # (e1-e2) + (e2-d1) is a root
+    borel = RootSubset(rs, bits_of(rs, ["e1-e2", "e1-d1", "e2-d1"]))
+    assert is_cominuscule(borel).abelian_flags == (False,)
+    v = is_cominuscule(RootSubset(rs, bits_of(rs, ["e1-e2", "-e1+e2", "e1-d1",
+                                                   "e2-d1"])))
+    assert v.abelian_flags == (True,)
+    assert v.witness.nilradical_bits == bits_of(rs, ["e1-d1", "e2-d1"])
 
 
 def test_verdict_examples():

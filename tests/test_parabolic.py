@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from supercomin import kernel, weyl
+from supercomin.classify import enumerate_cominuscule_orbits
 from supercomin.cominuscule import is_cominuscule
 from supercomin.feasible import IncrementalFM
 from supercomin.parabolic import (CapExceeded, ImproperSubsetError, RootSubset,
@@ -10,8 +12,9 @@ from supercomin.parabolic import (CapExceeded, ImproperSubsetError, RootSubset,
                                   is_parabolic, levi_decompositions,
                                   parabolic_status, principal_parabolic,
                                   principality_witness)
+from supercomin.properties import weyl_invariance_holds
 from supercomin.rootsys import build_root_system, wadd, wneg
-from supercomin.verify import EXPECTED_ORBITS
+from supercomin.verify import EXPECTED_ORBITS, oracle_counts
 
 F = Fraction
 
@@ -249,6 +252,46 @@ def test_exhaustive_cap():
         list(enumerate_parabolics(rs, "exhaustive"))
 
 
+def test_exhaustive_lift_cap():
+    """The stream's one search still honours the lift cap: P(0) of p(3)
+    (see ``test_lift_cap``) needs three free bits."""
+    rs = rsys("p", (3,))
+    with pytest.raises(CapExceeded, match="needs 3 free bits, cap is 2"):
+        list(enumerate_parabolics(rs, "exhaustive", lift_cap=2))
+    assert len(list(enumerate_parabolics(rs, "exhaustive", lift_cap=3))) == 110
+
+
+@pytest.mark.parametrize("fam,par", [("p", (3,)), ("W", (3,)), ("S", (3,)),
+                                     ("sl", (3, 2)), ("osp", (6, 2))])
+def test_streamed_levis_equal_point_search(fam, par):
+    """The Levi bits a streamed subset carries give the decompositions and
+    verdict that the point search finds for the same subset built afresh."""
+    rs = rsys(fam, par)
+    for P in enumerate_parabolics(rs, "exhaustive"):
+        fresh = RootSubset(rs, P.bits)
+        assert P.levis is not None and fresh.levis is None and fresh == P
+        assert levi_decompositions(P) == levi_decompositions(fresh), P
+        assert is_cominuscule(P) == is_cominuscule(fresh), P
+
+
+def test_kernel_calls_are_pinned(count_calls):
+    """One closure search per system for the exhaustive verdicts; a point
+    query on a subset built afresh makes one search per subset."""
+    calls = count_calls(kernel, "enumerate_closed")
+    for run in (lambda: oracle_counts("p", (3,)),
+                lambda: oracle_counts("W", (3,)),
+                lambda: enumerate_cominuscule_orbits("sl", (3, 2))):
+        calls["enumerate_closed"] = 0
+        run()
+        assert calls["enumerate_closed"] == 1
+    rs = rsys("W", (3,))
+    gens = weyl.generators(rs, "auto")
+    P = next(enumerate_parabolics(rs, "exhaustive"))
+    calls["enumerate_closed"] = 0
+    assert weyl_invariance_holds(rs, P.bits, gens)
+    assert calls["enumerate_closed"] == 1 + len(gens)
+
+
 def test_canonical_order_and_determinism():
     rs = rsys("W", (3,))
     a = [p.bits for p in enumerate_parabolics(rs, "exhaustive")]
@@ -303,21 +346,10 @@ def test_face_masks_match_per_root_reference(fam, par, unpruned):
         assert _face_masks(rs, prune) == face_masks_per_root(rs, prune)
 
 
-def test_face_masks_work_is_pinned(monkeypatch):
+def test_face_masks_work_is_pinned(count_calls):
     """The Fourier-Motzkin clones and row insertions of one face search,
     counted exactly, so that a change in algorithmic work shows as a diff."""
-    calls = {"clone": 0, "add": 0}
-
-    def counting(name):
-        method = getattr(IncrementalFM, name)
-
-        def wrapper(self, *args):
-            calls[name] += 1
-            return method(self, *args)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(IncrementalFM, name, counting(name))
+    calls = count_calls(IncrementalFM, "clone", "add")
     counts = {}
     for fam, par, prune in [("F4", (), True), ("osp", (6, 2), False)]:
         rs = rsys(fam, par)
