@@ -691,6 +691,7 @@ class ClassificationReport:
     all_principal: bool
     all_unique_levi: bool
     entry_checks: list
+    subsets: list  # every cominuscule parabolic subset found, in stream order
 
 
 def choose_method(rs: RootSystem, subset_cap=DEFAULT_SUBSET_CAP) -> str:
@@ -799,6 +800,7 @@ def enumerate_cominuscule_orbits(family, params, method="auto", group="auto",
         all_principal=all_principal,
         all_unique_levi=all_unique,
         entry_checks=entry_checks,
+        subsets=found,
     )
 
 

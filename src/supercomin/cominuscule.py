@@ -80,10 +80,16 @@ def bracket_cominuscule(subset: RootSubset, rz,
 
 def crosscheck_bracket(subset: RootSubset, rz=None,
                        lift_cap=DEFAULT_LIFT_CAP) -> bool:
-    """Does the root-level verdict agree with the bracket oracle on P?"""
+    """Does the root-level verdict agree with the bracket oracle on P?
+
+    Both verdicts read one set of Levi bits, so a subset that carries none
+    pays one lift search, not two.
+    """
     if rz is None:
         from .realize import realize_for
 
         rz = realize_for(subset.rs)
+    levis = tuple(d.levi_bits for d in levi_decompositions(subset, lift_cap=lift_cap))
+    subset = RootSubset(subset.rs, subset.bits, levis)
     rule = is_cominuscule(subset, lift_cap=lift_cap).is_cominuscule
     return rule == bracket_cominuscule(subset, rz, lift_cap=lift_cap)

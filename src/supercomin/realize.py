@@ -6,6 +6,10 @@ served by gl(n|n), with brackets that land in the span of the identity
 counting as zero.  osp, D(2,1;a), F(4) and G(3) are intentionally not
 realized: for them root-level sum rules are authoritative.
 
+Elements of both kinds are sparse and exact: a matrix stores its nonzero
+entries (``matrixrep``), a superderivation its nonzero monomial terms
+x^I d/dx_j (``superder``), and each brackets term by term.
+
 A realization answers two questions exactly: is every stored root vector an
 eigenvector of the torus with the right eigenvalue, and is the bracket map
 g^a x g^b -> g nonzero.
@@ -15,11 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .grassmann import GrassmannElement
 from .matrixrep import MatrixSuperElement
 from .rootsys import RootSystem, build_root_system
 from .scalars import QI
-from .superder import SuperDerivation
+from .superder import SuperDerivation, merge_sign, partial, wedge
 
 DEFAULT_DIM_CAP = 4096
 
@@ -298,30 +301,29 @@ def _realize_W(n, rs):
 
 def _realize_S(n, rs, prime=False):
     full = (1 << n) - 1
+    one = Fraction(1)
     spaces = []
     for r in rs.roots:
         imask, j = _decode_w_weight(r.weight)
         if j is not None:
             if prime and imask == 0:
                 # (1 - x_1..x_n) d/dx_j
-                p = GrassmannElement(n, {0: Fraction(1), full: Fraction(-1)})
-                el = SuperDerivation(n, {j: p}, 1)
+                el = SuperDerivation(n, {(0, j): one, (full, j): -one}, 1)
             else:
-                el = SuperDerivation.term(n, imask, j, Fraction(1))
+                el = SuperDerivation.term(n, imask, j, one)
             spaces.append(([el], []) if el.parity == 0 else ([], [el]))
         else:
             # x_I (x_l0 d_l0 - x_m d_m): the product order fixes the relative
             # signs that make the element divergence-free
-            xi_i = GrassmannElement.monomial(n, imask, Fraction(1))
             l0 = next(l for l in range(n) if not imask >> l & 1)
             ev, od = [], []
             for m in range(n):
                 if m == l0 or imask >> m & 1:
                     continue
-                p = xi_i * GrassmannElement.monomial(n, 1 << l0, Fraction(1))
-                q = xi_i * GrassmannElement.monomial(n, 1 << m, Fraction(-1))
-                el = SuperDerivation(n, {l0: p, m: q},
-                                     bin(imask).count("1") % 2)
+                el = SuperDerivation(
+                    n, {(imask | 1 << l0, l0): merge_sign(imask, 1 << l0) * one,
+                        (imask | 1 << m, m): -merge_sign(imask, 1 << m) * one},
+                    imask.bit_count())
                 (ev if el.parity == 0 else od).append(el)
             spaces.append((ev, od))
     torus = []
@@ -329,20 +331,23 @@ def _realize_S(n, rs, prime=False):
         lin = [Fraction(0)] * n
         lin[k] = Fraction(1)
         lin[k + 1] = Fraction(-1)
-        h = SuperDerivation.term(n, 1 << k, k, Fraction(1)).add(
-            SuperDerivation.term(n, 1 << (k + 1), k + 1, Fraction(-1)))
+        h = SuperDerivation(n, {(1 << k, k): one, (1 << (k + 1), k + 1): -one}, 0)
         torus.append((h, tuple(lin)))
     weights = tuple(r.weight for r in rs.roots)
     return Realization("Sprime" if prime else "S", (n,), weights, spaces, torus,
                        dim=(n - 1) * 2 ** n + 1, zero_dim=n - 1, rs=rs)
 
 
-def _d_of(f: GrassmannElement) -> SuperDerivation:
-    """The Hamiltonian derivation D_f = sum (df/dx_i) d/dx_i."""
-    degs = f.degrees()
-    parity = degs[0] % 2
-    comps = {i: f.partial(i) for i in range(f.n)}
-    return SuperDerivation(f.n, comps, parity)
+def _d_of(n: int, f: dict) -> SuperDerivation:
+    """The Hamiltonian derivation D_f = sum (df/dx_i) d/dx_i of a
+    homogeneous ``{mask: coeff}``."""
+    terms = {}
+    for mask, c in f.items():
+        for i in range(n):
+            s = partial(mask, i)
+            if s:
+                terms[mask ^ 1 << i, i] = s * c
+    return SuperDerivation(n, terms, next(iter(f)).bit_count())
 
 
 def _realize_H(n, rs):
@@ -358,7 +363,7 @@ def _realize_H(n, rs):
     def eta(a):  # a in [0, 2l): paired combinations of x_a, x_{a+l}
         k = a % l
         sign = QI.i() if a < l else -QI.i()
-        return GrassmannElement(n, {1 << k: 1, 1 << (k + l): sign})
+        return {1 << k: 1, 1 << (k + l): sign}
 
     spaces = []
     for r in rs.roots:
@@ -369,22 +374,22 @@ def _realize_H(n, rs):
         for km in range(1 << len(rest)):
             kset = [rest[t] for t in range(len(rest)) if km >> t & 1]
             for b in range(2 if odd else 1):
-                f = GrassmannElement.one(n, 1)
+                f = {0: 1}
                 for k in range(l):
                     if imask >> k & 1:
-                        f = f * eta(k)
+                        f = wedge(f, eta(k))
                     elif jmask >> k & 1:
-                        f = f * eta(k + l)
+                        f = wedge(f, eta(k + l))
                     elif k in kset:
-                        f = f * (eta(k) * eta(k + l))
+                        f = wedge(f, wedge(eta(k), eta(k + l)))
                 if b:
-                    f = f * GrassmannElement.monomial(n, 1 << (n - 1), 1)
-                el = _d_of(f)
+                    f = wedge(f, {1 << (n - 1): 1})
+                el = _d_of(n, f)
                 (ev if el.parity == 0 else od).append(el)
         spaces.append((ev, od))
     torus = []
     for k in range(l):
-        h = _d_of(GrassmannElement.monomial(n, (1 << k) | (1 << (k + l)), 1))
+        h = _d_of(n, {(1 << k) | (1 << (k + l)): 1})
         lin = [0] * l
         lin[k] = -QI.i()
         torus.append((h, tuple(lin)))
@@ -456,9 +461,12 @@ def jacobi_defect(x, y, z):
     return out
 
 
-def divergence(d: SuperDerivation) -> GrassmannElement:
-    """sum_j d(p_j)/dx_j: S(n) is its kernel inside W(n)."""
-    out = GrassmannElement.zero(d.n)
-    for j, p in d.components.items():
-        out = out + p.partial(j)
-    return out
+def divergence(d: SuperDerivation) -> dict:
+    """sum_j d(p_j)/dx_j as ``{mask: coeff}``, empty exactly when d lies in
+    S(n), the divergence kernel inside W(n)."""
+    out = {}
+    for (mask, j), c in d.terms.items():
+        s = partial(mask, j)
+        if s:
+            out[mask ^ 1 << j] = out.get(mask ^ 1 << j, 0) + s * c
+    return {m: c for m, c in out.items() if c}

@@ -1,54 +1,98 @@
-"""Superderivations of the Grassmann algebra: elements sum_j p_j d/dx_j.
+"""Superderivations of the Grassmann algebra, as sparse monomial terms.
 
-A derivation with every coefficient p_j homogeneous of one global parity is
-parity-homogeneous; the superbracket of two such is
+W(n) = Der Lambda(n) has the basis x^I d/dx_j over subsets I of the
+generator slots 0..n-1 and slots j.  An element stores only its nonzero
+terms, as ``{(I, j): c}`` with I a bitmask (bit i <-> x_{i+1}), meaning
+sum c x^I d/dx_j.  A term has parity |I| + 1 mod 2, and every term of an
+element has the element's parity.
 
-    [X, Y] = sum_j X(q_j) d/dx_j  -  (-1)^{|X||Y|} sum_i Y(p_i) d/dx_i.
+Monomials x^I are kept in ascending slot order, so every sign is the parity
+of a permutation: ``merge_sign`` sorts a product x^I x^J, and ``partial``
+moves x_i to the front of x^J before taking it off.  The superbracket of
+x^I d_i and x^J d_j is then closed-form,
+
+    [x^I d_i, x^J d_j] = x^I d_i(x^J) d_j - (-1)^{|X||Y|} x^J d_j(x^I) d_i,
+
+with x^I d_i(x^J) = partial(J, i) merge_sign(I, J \\ i) x^{I u J \\ i}, or
+zero when I meets J \\ i.  Coefficients may be ``int``, ``Fraction`` or any
+field object with ``+``, ``*``, unary ``-`` and truthiness (see
+:class:`supercomin.scalars.QI`).
 """
 
 from __future__ import annotations
 
-from .grassmann import GrassmannElement
+
+def merge_sign(m1: int, m2: int) -> int:
+    """Sign (+1/-1) of sorting the concatenation x^{m1} * x^{m2}.
+
+    Counts inversions: pairs (a in m1, b in m2) with a > b.
+    """
+    inv = 0
+    m = m1
+    while m:
+        low = m & -m
+        # generators of m2 strictly below this generator of m1
+        inv += (m2 & (low - 1)).bit_count()
+        m ^= low
+    return -1 if inv & 1 else 1
+
+
+def partial(mask: int, slot: int) -> int:
+    """d/dx_{slot+1} x^mask = partial(mask, slot) x^{mask minus slot}.
+
+    The sign is (-1)^(generators before the slot); 0 when x_{slot+1} does
+    not divide x^mask.
+    """
+    bit = 1 << slot
+    if not mask & bit:
+        return 0
+    return -1 if (mask & (bit - 1)).bit_count() & 1 else 1
+
+
+def wedge(a: dict, b: dict) -> dict:
+    """The product of two Grassmann elements given as ``{mask: coeff}``."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            if not m1 & m2:  # a repeated generator squares to zero
+                m = m1 | m2
+                out[m] = out.get(m, 0) + merge_sign(m1, m2) * c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _act(I: int, i: int, J: int):
+    """(mask, sign) of x^I d_i applied to x^J, or None when it vanishes."""
+    s = partial(J, i)
+    if not s:
+        return None
+    rest = J ^ (1 << i)
+    if I & rest:
+        return None
+    return I | rest, s * merge_sign(I, rest)
 
 
 class SuperDerivation:
-    __slots__ = ("n", "components", "parity")
+    __slots__ = ("n", "terms", "parity")
 
-    def __init__(self, n: int, components: dict, parity: int):
-        """components maps slot j -> GrassmannElement p_j (zero entries dropped).
+    def __init__(self, n: int, terms: dict, parity: int):
+        """terms maps (I, j) -> c for c x^I d/dx_j (zero entries dropped).
 
-        ``parity`` is the parity of the derivation; every monomial of p_j must
-        have degree congruent to parity + 1 mod 2.
+        ``parity`` is the parity of the derivation; every term must have
+        |I| + 1 congruent to it mod 2.
         """
         self.n = n
-        self.components = {}
-        for j, p in components.items():
-            if p is not None and not p.is_zero():
-                for deg in p.degrees():
-                    if (deg - 1) % 2 != parity % 2:
-                        raise ValueError("coefficient parity inconsistent with declared parity")
-                self.components[j] = p
+        self.terms = {key: c for key, c in terms.items() if c}
         self.parity = parity % 2
-
-    @classmethod
-    def zero(cls, n: int, parity: int = 0):
-        return cls(n, {}, parity)
+        for mask, _ in self.terms:
+            if (mask.bit_count() + 1) % 2 != self.parity:
+                raise ValueError("term parity inconsistent with declared parity")
 
     @classmethod
     def term(cls, n: int, coeff_mask: int, slot: int, coeff):
-        p = GrassmannElement.monomial(n, coeff_mask, coeff)
-        parity = (bin(coeff_mask).count("1") - 1) % 2
-        return cls(n, {slot: p}, parity)
+        return cls(n, {(coeff_mask, slot): coeff}, coeff_mask.bit_count() + 1)
 
     def is_zero(self) -> bool:
-        return not self.components
-
-    def apply(self, g: GrassmannElement) -> GrassmannElement:
-        out = GrassmannElement.zero(self.n)
-        for j, p in self.components.items():
-            for mask, c in (p * g.partial(j)).terms.items():
-                out._accumulate(mask, c)
-        return out
+        return not self.terms
 
     def add(self, other: "SuperDerivation") -> "SuperDerivation":
         if self.is_zero():
@@ -57,41 +101,33 @@ class SuperDerivation:
             return self
         if self.parity != other.parity:
             raise ValueError("sum of derivations of different parity")
-        comps = dict(self.components)
-        for j, p in other.components.items():
-            q = comps.get(j)
-            comps[j] = p if q is None else q + p
-        return SuperDerivation(self.n, comps, self.parity)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0) + c
+        return SuperDerivation(self.n, out, self.parity)
 
     def scale(self, k) -> "SuperDerivation":
         return SuperDerivation(
-            self.n, {j: p.scale(k) for j, p in self.components.items()}, self.parity
-        )
+            self.n, {key: c * k for key, c in self.terms.items()}, self.parity)
 
     def bracket(self, other: "SuperDerivation") -> "SuperDerivation":
         sign = -1 if (self.parity and other.parity) else 1
-        comps: dict = {}
-
-        def acc(j, val):
-            cur = comps.get(j)
-            comps[j] = val if cur is None else cur + val
-
-        for j, q in other.components.items():
-            acc(j, self.apply(q))
-        for i, p in self.components.items():
-            v = other.apply(p)  # subtract sign * Y(p_i)
-            acc(i, v.scale(-1) if sign > 0 else v)
-        comps = {j: p for j, p in comps.items() if not p.is_zero()}
-        return SuperDerivation(self.n, comps, (self.parity + other.parity) % 2)
+        out = {}
+        for (I, i), c in self.terms.items():
+            for (J, j), d in other.terms.items():
+                hit = _act(I, i, J)  # X(q_j) d_j
+                if hit:
+                    key = (hit[0], j)
+                    out[key] = out.get(key, 0) + hit[1] * (c * d)
+                hit = _act(J, j, I)  # minus sign * Y(p_i) d_i
+                if hit:
+                    key = (hit[0], i)
+                    out[key] = out.get(key, 0) - sign * hit[1] * (d * c)
+        return SuperDerivation(self.n, out, (self.parity + other.parity) % 2)
 
     def __eq__(self, other):
-        return (
-            self.n == other.n
-            and self.parity == other.parity
-            and self.components == other.components
-        )
+        return (self.n, self.parity, self.terms) == (
+            other.n, other.parity, other.terms)
 
     def __repr__(self):
-        if not self.components:
-            return "0"
-        return " + ".join(f"[{p!r}] d{j + 1}" for j, p in sorted(self.components.items()))
+        return f"SuperDerivation({self.n}, {self.terms!r}, parity={self.parity})"

@@ -27,8 +27,8 @@ from __future__ import annotations
 import warnings
 
 from . import weyl
-from .classify import (cominuscule_subsets, enumerate_cominuscule_orbits,
-                       expected_entries, restriction_extension_check)
+from .classify import (enumerate_cominuscule_orbits, expected_entries,
+                       restriction_extension_check)
 from .cominuscule import crosscheck_bracket, is_cominuscule, pair_forbidden
 from .parabolic import (DEFAULT_LIFT_CAP, DEFAULT_SUBSET_CAP,
                         LeviDecomposition, RootSubset, enumerate_parabolics,
@@ -227,10 +227,8 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP,
             # S'(n) has no table entries; borrow the S(n) sets (same roots)
             rs_s = build_root_system("S", params)
             table = [e.bits for e in expected_entries(rs_s)]
-        found, _ = cominuscule_subsets(rs, subset_cap=subset_cap,
-                                       lift_cap=lift_cap)
         sample = {bits: RootSubset(rs, bits) for bits in table}
-        sample.update((s.bits, s) for s in found)
+        sample.update((s.bits, s) for s in reports[(family, params)].subsets)
         # a subset that is not parabolic is cominuscule by neither verdict
         bad = sum(not crosscheck_bracket(s, rz, lift_cap=lift_cap)
                   for s in sample.values())

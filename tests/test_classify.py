@@ -32,7 +32,7 @@ from itertools import product
 
 import pytest
 
-from supercomin import weyl
+from supercomin import classify, weyl
 from supercomin.classify import (enumerate_cominuscule_orbits, expected_entries,
                                  nilradical_multiset, restriction_extension_check)
 from supercomin.cominuscule import bracket_cominuscule, is_cominuscule
@@ -41,6 +41,7 @@ from supercomin.parabolic import (RootSubset, enumerate_parabolics, evaluate,
                                   principal_parabolic)
 from supercomin.realize import realize_for
 from supercomin.rootsys import build_root_system
+from supercomin.verify import run_paper_suite
 
 warnings.filterwarnings("ignore", message="p\\(2\\)")
 
@@ -427,3 +428,11 @@ def test_pruned_principal_finds_all_cominuscule(fam, par):
         rs, "principal", prune_masks=rs.table.forbidden[False])
         if is_cominuscule(s).is_cominuscule}
     assert ex == pr
+
+
+def test_suite_classifies_each_instance_once(count_calls):
+    # the representatives cross-check reads the subsets that classification
+    # found: H(5) and H(6) each run one face enumeration
+    calls = count_calls(classify, "cominuscule_subsets", "enumerate_parabolics")
+    run_paper_suite(only={"H"})
+    assert calls == {"cominuscule_subsets": 2, "enumerate_parabolics": 2}

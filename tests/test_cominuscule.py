@@ -2,6 +2,7 @@ import warnings
 
 import pytest
 
+from supercomin import kernel
 from supercomin.cominuscule import (bracket_cominuscule, crosscheck_bracket,
                                     is_cominuscule, pair_forbidden)
 from supercomin.parabolic import RootSubset, enumerate_parabolics
@@ -91,6 +92,22 @@ def test_crosscheck_full_oracle(fam, par):
     rz = realize_for(rs)
     for P in enumerate_parabolics(rs, "exhaustive"):
         assert crosscheck_bracket(P, rz)
+
+
+def test_crosscheck_makes_one_lift_search(count_calls):
+    # both verdicts read one set of Levi bits: none is searched for a
+    # streamed subset, and one search serves a subset built afresh
+    rs = rsys("W", (3,))
+    rz = realize_for(rs)
+    streamed = list(enumerate_parabolics(rs, "exhaustive"))[:8]
+    calls = count_calls(kernel, "enumerate_closed")
+    for P in streamed:
+        assert crosscheck_bracket(P, rz)
+    assert calls["enumerate_closed"] == 0
+    for P in streamed:
+        calls["enumerate_closed"] = 0
+        assert crosscheck_bracket(RootSubset(rs, P.bits), rz)
+        assert calls["enumerate_closed"] == 1
 
 
 def test_s3_known_crosscheck_exception():

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from supercomin.grassmann import GrassmannElement
 from supercomin.scalars import QI, format_rational
+from supercomin.superder import SuperDerivation
 
 small = st.fractions(max_denominator=6)
 elements = st.builds(QI, small, small)
@@ -58,8 +58,7 @@ def test_real_elements_hash_like_rationals():
     assert QI(1) == 1 and hash(QI(1)) == hash(1)
     assert {QI(1)} == {1} == {Fraction(1)}
     assert hash(QI(Fraction(1, 2))) == hash(Fraction(1, 2))
-    assert GrassmannElement(2, {1: QI(1)}) == GrassmannElement(2, {1: 1})
-    assert hash(GrassmannElement(2, {1: QI(1)})) == hash(GrassmannElement(2, {1: 1}))
+    assert SuperDerivation.term(2, 1, 0, QI(1)) == SuperDerivation.term(2, 1, 0, 1)
 
 
 def test_special_elements():
