@@ -6,6 +6,18 @@ enumerator then checks that the orbits it finds match those tables
 bijectively after canonicalization, that each representative is principal
 with a unique Levi decomposition, and that the nilradical's weight multiset
 equals the stated module expression.
+
+The transcription has one vocabulary.  A module table is
+``{weight: [even_dim, odd_dim]}``, summed per weight by ``_table`` from
+(weight, even_dim, odd_dim) triples or by ``_agg`` from (weight, parity)
+pairs.  ``tensor_weights`` (V (x) W) and ``_super_square`` (S^2 V or
+Lambda^2 V) build the stated modules, ``flip_parities`` is the parity shift
+and ``shift_weights`` the shift by a weight.  Root sets come from two rules:
+``_gl_split``, the parabolic of gl that puts one side of a coordinate split
+first (sl(m|n), psl(n|n), psq(n), the gl Levi factors of p(n) and
+osp(2m|2n)), and ``_grading``, the Levi and nilradical of a grading by a sum
+of coordinates (the e_1-gradings of osp and H(n), P(n) of p(n), and the
+W(n)/S(n) tables).
 """
 
 from __future__ import annotations
@@ -16,11 +28,10 @@ from fractions import Fraction
 from . import weyl
 from .cominuscule import is_cominuscule
 from .parabolic import (DEFAULT_LIFT_CAP, DEFAULT_SUBSET_CAP, RootSubset,
-                        enumerate_parabolics, levi_decompositions,
-                        principality_witness)
-from .realize import _decode_w_weight
-from .rootsys import (RootSystem, _unit, build_root_system, osp_subfamily, wadd,
-                      wneg)
+                        check_subset_cap, enumerate_parabolics,
+                        levi_decompositions, principality_witness)
+from .rootsys import (RootSystem, _unit, _w_weight, build_root_system,
+                      normalize_family, root_count, wadd, wneg)
 
 HALF = Fraction(1, 2)
 
@@ -32,8 +43,8 @@ class ExpectedEntry:
     nil_bits: int
     levi_descriptor: str
     module_claim: str
-    module_weights: dict | None  # weight -> [even_dim, odd_dim]
-    module_check: str  # "multiset" | "support" | "none"
+    module_weights: dict  # weight -> [even_dim, odd_dim]
+    module_check: str  # "multiset" | "support"
 
     @property
     def bits(self):
@@ -51,38 +62,36 @@ def _bits_of(rs, weights, tag=""):
 
 
 # ---------------------------------------------------------------------------
-# module weight rules (the standard super conventions)
+# module weight tables (the standard super conventions)
+
+
+def _table(entries):
+    """{weight: [even_dim, odd_dim]} of (weight, even_dim, odd_dim) triples."""
+    out = {}
+    for w, ev, od in entries:
+        cell = out.setdefault(w, [0, 0])
+        cell[0] += ev
+        cell[1] += od
+    return out
 
 
 def _agg(pairs):
-    out = {}
-    for w, parity in pairs:
-        cell = out.setdefault(w, [0, 0])
-        cell[parity] += 1
-    return out
+    return _table((w, 1 - parity, parity) for w, parity in pairs)
 
 
 def tensor_weights(v1, v2):
     return _agg([(wadd(w1, w2), (p1 + p2) % 2) for w1, p1 in v1 for w2, p2 in v2])
 
 
-def supersym2_weights(v):
-    ev = [w for w, p in v if p == 0]
-    od = [w for w, p in v if p == 1]
-    out = []
-    out += [(wadd(ev[i], ev[j]), 0) for i in range(len(ev)) for j in range(i, len(ev))]
-    out += [(wadd(x, y), 1) for x in ev for y in od]
-    out += [(wadd(od[i], od[j]), 0) for i in range(len(od)) for j in range(i + 1, len(od))]
-    return _agg(out)
-
-
-def superwedge2_weights(v):
-    ev = [w for w, p in v if p == 0]
-    od = [w for w, p in v if p == 1]
-    out = []
-    out += [(wadd(ev[i], ev[j]), 0) for i in range(len(ev)) for j in range(i + 1, len(ev))]
-    out += [(wadd(x, y), 1) for x in ev for y in od]
-    out += [(wadd(od[i], od[j]), 0) for i in range(len(od)) for j in range(i, len(od))]
+def _super_square(v, diagonal):
+    """S^2 V (``diagonal`` 0) or Lambda^2 V (``diagonal`` 1) of a list of
+    (weight, parity): a product of two weights of one parity is even, and
+    keeps its diagonal only in the parity ``diagonal``; even times odd is odd."""
+    by_parity = [[w for w, p in v if p == q] for q in (0, 1)]
+    out = [(wadd(x, y), 1) for x in by_parity[0] for y in by_parity[1]]
+    for q, ws in enumerate(by_parity):
+        out += [(wadd(ws[i], ws[j]), 0) for i in range(len(ws))
+                for j in range(i + (q != diagonal), len(ws))]
     return _agg(out)
 
 
@@ -95,16 +104,6 @@ def flip_parities(table):
     return {w: [d[1], d[0]] for w, d in table.items()}
 
 
-def _explicit(entries):
-    """entries: iterable of (weight, even_dim, odd_dim)."""
-    out = {}
-    for w, ev, od in entries:
-        cell = out.setdefault(w, [0, 0])
-        cell[0] += ev
-        cell[1] += od
-    return out
-
-
 def nilradical_multiset(rs: RootSystem, nil_bits: int):
     out = {}
     for i in range(len(rs)):
@@ -115,13 +114,38 @@ def nilradical_multiset(rs: RootSystem, nil_bits: int):
 
 
 # ---------------------------------------------------------------------------
+# root sets
+
+
+def _gl_split(d, coords, side):
+    """(Levi, nilradical) weights of the parabolic of gl on the unit weights
+    u_a, a in ``coords``, of a d-dimensional space that puts ``side`` first:
+    u_a - u_b lies in the Levi when a and b are on one side, and in the
+    nilradical when a is in ``side`` and b is not."""
+    levi, nil = [], []
+    for a in coords:
+        for b in coords:
+            if a != b and (a in side or b not in side):
+                w = wadd(_unit(d, a), _unit(d, b, -1))
+                (levi if (a in side) == (b in side) else nil).append(w)
+    return levi, nil
+
+
+def _grading(rs, coords, sign=1):
+    """(Levi, nilradical) weights of the grading by sign * (the sum of the
+    coordinates ``coords``): the roots where it is zero, and where positive."""
+    value = lambda r: sign * sum(r.weight[k] for k in coords)
+    return ([r.weight for r in rs.roots if value(r) == 0],
+            [r.weight for r in rs.roots if value(r) > 0])
+
+
+# ---------------------------------------------------------------------------
 # family tables
 
 
 def _expected_sl(rs, m, n, proj=None):
-    d = len(rs.basis)
-    eps = lambda i: _unit(d, i - 1)
-    dlt = lambda k: _unit(d, m + k - 1)
+    d = m + n
+    unit = lambda k, s=1: _unit(d, k, s)  # e_1..e_m, d_1..d_n
     entries = []
     if rs.family == "psl" and m == 2:
         allowed = [(1, 1)]
@@ -133,455 +157,192 @@ def _expected_sl(rs, m, n, proj=None):
             if (m0, n0) not in ((0, 0), (m, n))
         ]
     for m0, n0 in allowed:
-        levi, nil = [], []
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                if i == j:
-                    continue
-                w = wadd(eps(i), wneg(eps(j)))
-                if (i <= m0) == (j <= m0):
-                    levi.append(w)
-                elif i <= m0 < j:
-                    nil.append(w)
-        for k in range(1, n + 1):
-            for l in range(1, n + 1):
-                if k == l:
-                    continue
-                w = wadd(dlt(k), wneg(dlt(l)))
-                if (k <= n0) == (l <= n0):
-                    levi.append(w)
-                elif k <= n0 < l:
-                    nil.append(w)
-        for i in range(1, m + 1):
-            for l in range(1, n + 1):
-                w = wadd(eps(i), wneg(dlt(l)))
-                if (i <= m0) == (l <= n0):
-                    levi += [w, wneg(w)]
-                elif i <= m0 and l > n0:
-                    nil.append(w)
-                else:
-                    nil.append(wneg(w))
-        v1 = [(eps(i), 0) for i in range(1, m0 + 1)] + [(dlt(k), 1) for k in range(1, n0 + 1)]
-        v2 = [(wneg(eps(j)), 0) for j in range(m0 + 1, m + 1)] + [
-            (wneg(dlt(l)), 1) for l in range(n0 + 1, n + 1)]
+        levi, nil = _gl_split(d, range(d), {*range(m0), *range(m, m + n0)})
+        v1 = [(unit(i), 0) for i in range(m0)] + [(unit(m + k), 1) for k in range(n0)]
+        v2 = [(unit(j, -1), 0) for j in range(m0, m)] + [
+            (unit(m + l, -1), 1) for l in range(n0, n)]
         table = tensor_weights(v1, v2)
         if proj is not None:
             table = proj(table)
-        if rs.family == "psl":
-            levi_desc = f"sl({m0}|{n0}) + sl({m - m0}|{n - n0})"
-        else:
-            levi_desc = f"sl({m0}|{n0}) + sl({m - m0}|{n - n0}) + C"
+        center = "" if rs.family == "psl" else " + C"
         entries.append(ExpectedEntry(
             f"P({m0}|{n0})",
             _bits_of(rs, levi), _bits_of(rs, nil),
-            levi_desc,
+            f"sl({m0}|{n0}) + sl({m - m0}|{n - n0}){center}",
             f"V^({m0}|{n0}) (x) V^({m - m0}|{n - n0})*",
             table, "multiset"))
     return entries
 
 
 def _expected_psl(rs, n):
-    shift = rs.gl_shift
+    def root_class(w):
+        i = rs.class_of(w)
+        return w if i is None else rs.roots[i].weight
 
-    def proj(table):
-        out = {}
-        for w, d in table.items():
-            i = rs.class_of(w)
-            rep = w if i is None else rs.roots[i].weight
-            cell = out.setdefault(rep, [0, 0])
-            cell[0] += d[0]
-            cell[1] += d[1]
-        return out
-
-    return _expected_sl(rs, n, n, proj=proj)
+    return _expected_sl(rs, n, n, proj=lambda table: _table(
+        (root_class(w), *dims) for w, dims in table.items()))
 
 
 def _expected_osp(rs):
-    M, N2 = rs.params
-    m, n = M // 2, N2 // 2
+    M, N = rs.params
+    m, n = M // 2, N // 2
     d = m + n
-    eps = lambda i, s=1: _unit(d, i - 1, s)
-    dlt = lambda k, s=1: _unit(d, m + k - 1, s)
-    sub = osp_subfamily(rs)
-    entries = []
-    if sub == "osp1":
-        return entries
-    if sub == "osp_odd":
-        levi, nil = [], []
-        for i in range(2, m + 1):
-            for j in range(i + 1, m + 1):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        levi.append(wadd(eps(i, si), eps(j, sj)))
-        for i in range(2, m + 1):
-            levi += [eps(i), eps(i, -1)]
-        for k in range(1, n + 1):
-            for l in range(k + 1, n + 1):
-                for sk in (1, -1):
-                    for sl in (1, -1):
-                        levi.append(wadd(dlt(k, sk), dlt(l, sl)))
-            levi += [dlt(k, 2), dlt(k, -2), dlt(k), dlt(k, -1)]
-            for i in range(2, m + 1):
-                for si in (1, -1):
-                    for sk in (1, -1):
-                        levi.append(wadd(eps(i, si), dlt(k, sk)))
-        for j in range(2, m + 1):
-            nil += [wadd(eps(1), eps(j)), wadd(eps(1), eps(j, -1))]
-        nil.append(eps(1))
-        for k in range(1, n + 1):
-            nil += [wadd(eps(1), dlt(k)), wadd(eps(1), dlt(k, -1))]
-        # standard module of osp(2m-1|2n) shifted by eps_1
-        std = [(tuple([Fraction(0)] * d), 0)]
-        std += [(eps(j, s), 0) for j in range(2, m + 1) for s in (1, -1)]
-        std += [(dlt(k, s), 1) for k in range(1, n + 1) for s in (1, -1)]
-        entries.append(ExpectedEntry(
-            "P", _bits_of(rs, levi), _bits_of(rs, nil),
-            f"osp({2 * m - 1}|{2 * n}) + C", f"V^({2 * m - 1}|{2 * n})",
-            shift_weights(_agg(std), eps(1)), "multiset"))
-        return entries
-    if sub == "osp_even":
-        def entry_pm(theta):
-            s_m = -1 if theta else 1
-            te = lambda i, s=1: eps(i, s * (s_m if i == m else 1))
-            levi, nil = [], []
-            for i in range(1, m + 1):
-                for j in range(1, m + 1):
-                    if i != j:
-                        levi.append(wadd(te(i), te(j, -1)))
-                for j in range(i + 1, m + 1):
-                    nil.append(wadd(te(i), te(j)))
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    if k != l:
-                        levi.append(wadd(dlt(k), dlt(l, -1)))
-                for l in range(k + 1, n + 1):
-                    nil.append(wadd(dlt(k), dlt(l)))
-                nil.append(dlt(k, 2))
-            for i in range(1, m + 1):
-                for k in range(1, n + 1):
-                    w = wadd(te(i), dlt(k, -1))
-                    levi += [w, wneg(w)]
-                    nil.append(wadd(te(i), dlt(k)))
-            v = [(te(i), 0) for i in range(1, m + 1)] + [
-                (dlt(k), 1) for k in range(1, n + 1)]
-            bar = "bar-" if theta else ""
-            return ExpectedEntry(
-                f"{bar}P({m})", _bits_of(rs, levi), _bits_of(rs, nil),
-                f"gl({m}|{n})", f"Wedge^2 V^({m}|{n})",
-                superwedge2_weights(v), "multiset")
+    u = lambda a, s=1: _unit(d, a, s)  # e_1..e_m, d_1..d_n
+    if M == 1:
+        return []
 
-        levi, nil = [], []
-        for i in range(2, m + 1):
-            for j in range(i + 1, m + 1):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        levi.append(wadd(eps(i, si), eps(j, sj)))
-        for k in range(1, n + 1):
-            for l in range(k + 1, n + 1):
-                for sk in (1, -1):
-                    for sl in (1, -1):
-                        levi.append(wadd(dlt(k, sk), dlt(l, sl)))
-            levi += [dlt(k, 2), dlt(k, -2)]
-            for i in range(2, m + 1):
-                for si in (1, -1):
-                    for sk in (1, -1):
-                        levi.append(wadd(eps(i, si), dlt(k, sk)))
-        for j in range(2, m + 1):
-            nil += [wadd(eps(1), eps(j)), wadd(eps(1), eps(j, -1))]
-        for k in range(1, n + 1):
-            nil += [wadd(eps(1), dlt(k)), wadd(eps(1), dlt(k, -1))]
-        std = [(eps(j, s), 0) for j in range(2, m + 1) for s in (1, -1)]
-        std += [(dlt(k, s), 1) for k in range(1, n + 1) for s in (1, -1)]
-        p1 = ExpectedEntry(
-            "P(1)", _bits_of(rs, levi), _bits_of(rs, nil),
-            f"osp({2 * m - 2}|{2 * n}) + C", f"V^({2 * m - 2}|{2 * n})",
-            shift_weights(_agg(std), eps(1)), "multiset")
-        return [entry_pm(False), p1, entry_pm(True)]
-    # osp2: four orbits
-    entries = []
-    delta0 = []
-    for k in range(1, n + 1):
-        for l in range(1, n + 1):
-            if k != l:
-                delta0.append(wadd(dlt(k), dlt(l, -1)))
-        for l in range(k + 1, n + 1):
-            for sk in (1, -1):
-                for sl in (1, -1):
-                    delta0.append(wadd(dlt(k, sk), dlt(l, sl)))
-        delta0 += [dlt(k, 2), dlt(k, -2)]
-    for sign, tag in ((1, "P(0)"), (-1, "-P(0)")):
-        nil = [wadd(eps(1, sign), dlt(k, s)) for k in range(1, n + 1) for s in (1, -1)]
-        std = [(dlt(k, s), 1) for k in range(1, n + 1) for s in (1, -1)]
-        entries.append(ExpectedEntry(
-            tag, _bits_of(rs, delta0), _bits_of(rs, nil),
-            f"sp({2 * n}) + C", f"V^({2 * n})",
-            shift_weights(_agg(std), eps(1, sign)), "multiset"))
-    for sign, tag in ((1, "P(n)"), (-1, "bar-P(n)")):
-        levi, nil = [], []
-        for k in range(1, n + 1):
-            for l in range(1, n + 1):
-                if k != l:
-                    levi.append(wadd(dlt(k), dlt(l, -1)))
-            for l in range(k + 1, n + 1):
-                nil.append(wadd(dlt(k), dlt(l)))
-            nil.append(dlt(k, 2))
-            w = wadd(eps(1, sign), dlt(k, -1))
-            levi += [w, wneg(w)]
-            nil.append(wadd(eps(1, sign), dlt(k)))
-        v = [(dlt(k), 0) for k in range(1, n + 1)] + [(eps(1, sign), 1)]
-        entries.append(ExpectedEntry(
-            tag, _bits_of(rs, levi), _bits_of(rs, nil),
-            f"sl(1|{n})", f"S^2 V^(1|{n})",
-            supersym2_weights(v), "multiset"))
-    return entries
+    def entry(name, levi, nil, levi_desc, claim, table, bar=False):
+        if bar:  # the image under e_m -> -e_m
+            refl = lambda w: w[:m - 1] + (-w[m - 1],) + w[m:]
+            levi, nil = map(refl, levi), map(refl, nil)
+            table = {refl(w): dims for w, dims in table.items()}
+        return ExpectedEntry(name, _bits_of(rs, levi), _bits_of(rs, nil),
+                             levi_desc, claim, table, "multiset")
+
+    # the e_1-grading: Levi osp(M-2|N) + C, nilradical e_1 + the standard
+    # module of osp(M-2|N); odd M adds the short roots, so e_1 and the zero
+    # weight
+    std = [(u(a, s), 0) for a in range(1, m) for s in (1, -1)]
+    std += [(u(a, s), 1) for a in range(m, d) for s in (1, -1)]
+    std += [(tuple([Fraction(0)] * d), 0)] * (M % 2)
+    e1_levi, e1_nil = _grading(rs, [0])
+    e1_module = shift_weights(_agg(std), u(0))
+    p1 = (e1_levi, e1_nil, f"osp({M - 2}|{N}) + C", f"V^({M - 2}|{N})", e1_module)
+    if M % 2:
+        return [entry("P", *p1)]
+    # Levi gl(m|n), nilradical Lambda^2 V^(m|n): u_a + u_b for a < b, 2 d_k.
+    # For m = 1 this is also S^2 of V^(1|n) with the parities swapped.
+    gl_levi = _gl_split(d, range(d), ())[0]
+    gl_nil = [wadd(u(a), u(b)) for a in range(d) for b in range(a + 1, d)]
+    gl_nil += [u(a, 2) for a in range(m, d)]
+    wedge = _super_square([(u(a), int(a >= m)) for a in range(d)], 1)
+    if M == 2:  # e_m is e_1: -P(0) and bar-P(n) are images under e_1 -> -e_1
+        p0 = (e1_levi, e1_nil, f"sp({N}) + C", f"V^({N})", e1_module)
+        pn = (gl_levi, gl_nil, f"sl(1|{n})", f"S^2 V^(1|{n})", wedge)
+        return [entry("P(0)", *p0), entry("-P(0)", *p0, bar=True),
+                entry("P(n)", *pn), entry("bar-P(n)", *pn, bar=True)]
+    pm = (gl_levi, gl_nil, f"gl({m}|{n})", f"Wedge^2 V^({m}|{n})", wedge)
+    return [entry(f"P({m})", *pm), entry("P(1)", *p1),
+            entry(f"bar-P({m})", *pm, bar=True)]
 
 
 def _expected_D21a(rs):
     g = lambda i, s=1: _unit(3, i - 1, s)
-    levi = [g(3), g(3, -1)]
-    for s1 in (1, -1):
-        for s3 in (1, -1):
-            levi.append(tuple(HALF * c for c in wadd(
-                wadd(g(1, s1), g(2, -s1)), g(3, s3))))
-    nil = [g(1), g(2)]
-    for s3 in (1, -1):
-        nil.append(tuple(HALF * c for c in wadd(wadd(g(1), g(2)), g(3, s3))))
     half = lambda w: tuple(HALF * c for c in w)
+    levi = [g(3), g(3, -1)] + [half(wadd(wadd(g(1, s1), g(2, -s1)), g(3, s3)))
+                               for s1 in (1, -1) for s3 in (1, -1)]
+    nil = [g(1), g(2)] + [half(wadd(wadd(g(1), g(2)), g(3, s3))) for s3 in (1, -1)]
     v = [(half(wadd(g(2), g(3))), 0), (half(wadd(g(2), g(3, -1))), 0), (half(g(1)), 1)]
     return [ExpectedEntry(
         "P", _bits_of(rs, levi), _bits_of(rs, nil),
-        "gl(2|1)", "Wedge^2 V^(2|1)", superwedge2_weights(v), "multiset")]
+        "gl(2|1)", "Wedge^2 V^(2|1)", _super_square(v, 1), "multiset")]
 
 
 def _expected_psq(rs, n):
     entries = []
     for n0 in range(1, n):
-        levi, nil = [], []
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                w = wadd(_unit(n, i - 1), _unit(n, j - 1, -1))
-                if (i <= n0) == (j <= n0):
-                    levi.append(w)
-                elif i <= n0 < j:
-                    nil.append(w)
-        support = {wadd(_unit(n, i - 1), _unit(n, j - 1, -1)): None
-                   for i in range(1, n0 + 1) for j in range(n0 + 1, n + 1)}
+        levi, nil = _gl_split(n, range(n), range(n0))
         entries.append(ExpectedEntry(
             f"P({n0})", _bits_of(rs, levi), _bits_of(rs, nil),
             f"psq({n0},{n - n0})",
             f"V^({n0}|{n0}) (x) V^({n - n0}|{n - n0})*",
-            {w: [2, 2] for w in support}, "support"))
+            {w: [2, 2] for w in nil}, "support"))
     return entries
 
 
 def _expected_p(rs, n):
-    e = lambda i, s=1: _unit(n, i - 1, s)
-    entries = []
-    delta0 = [wadd(e(i), e(j, -1)) for i in range(1, n + 1)
-              for j in range(1, n + 1) if i != j]
-    nil = [wadd(e(i), e(j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    nil += [e(i, 2) for i in range(1, n + 1)]
-    entries.append(ExpectedEntry(
-        "P(0)", _bits_of(rs, delta0), _bits_of(rs, nil),
-        f"sl({n})", f"S^2 V^{n} (odd)",
-        flip_parities(supersym2_weights([(e(i), 0) for i in range(1, n + 1)])),
-        "multiset"))
-    nilm = [wneg(wadd(e(i), e(j))) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    entries.append(ExpectedEntry(
-        "-P(0)", _bits_of(rs, delta0), _bits_of(rs, nilm),
-        f"sl({n})", f"Wedge^2 (V^{n})* (odd)",
-        flip_parities(superwedge2_weights([(e(i, -1), 0) for i in range(1, n + 1)])),
-        "multiset"))
+    e = lambda i, s=1: _unit(n, i, s)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    delta0 = _gl_split(n, range(n), ())[0]
+    plus = [wadd(e(i), e(j)) for i, j in pairs]
+    entries = [
+        ExpectedEntry(
+            "P(0)", _bits_of(rs, delta0),
+            _bits_of(rs, plus + [e(i, 2) for i in range(n)]),
+            f"sl({n})", f"S^2 V^{n} (odd)",
+            flip_parities(_super_square([(e(i), 0) for i in range(n)], 0)),
+            "multiset"),
+        ExpectedEntry(
+            "-P(0)", _bits_of(rs, delta0), _bits_of(rs, map(wneg, plus)),
+            f"sl({n})", f"Wedge^2 (V^{n})* (odd)",
+            flip_parities(_super_square([(e(i, -1), 0) for i in range(n)], 1)),
+            "multiset")]
     for n0 in range(1, n):
-        levi, nil = [], []
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                w = wadd(e(i), e(j, -1))
-                if (i <= n0) == (j <= n0):
-                    levi.append(w)
-                elif i <= n0 < j:
-                    nil.append(w)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                w = wadd(e(i), e(j))
-                if i <= n0 < j:
-                    levi += [w, wneg(w)]
-                elif j <= n0:
-                    nil.append(w)
-                else:
-                    nil.append(wneg(w))
-        for i in range(1, n0 + 1):
-            nil.append(e(i, 2))
-        v = [(e(i), 0) for i in range(1, n0 + 1)] + [
-            (e(j, -1), 1) for j in range(n0 + 1, n + 1)]
+        levi, nil = _gl_split(n, range(n), range(n0))
+        for i, j in pairs:
+            w = wadd(e(i), e(j))
+            if i < n0 <= j:
+                levi += [w, wneg(w)]
+            else:
+                nil.append(w if j < n0 else wneg(w))
+        nil += [e(i, 2) for i in range(n0)]
+        v = [(e(i), 0) for i in range(n0)] + [(e(j, -1), 1) for j in range(n0, n)]
         entries.append(ExpectedEntry(
             f"P({n0})", _bits_of(rs, levi), _bits_of(rs, nil),
             f"sl({n0}|{n - n0})", f"S^2 V^({n0}|{n - n0}) (odd)",
-            flip_parities(supersym2_weights(v)), "multiset"))
-    levi, nil = [], []
-    for i in range(1, n):
-        for j in range(1, n):
-            if i != j:
-                levi.append(wadd(e(i), e(j, -1)))
-        for j in range(i + 1, n):
-            w = wadd(e(i), e(j))
-            levi += [w, wneg(w)]
-        levi.append(e(i, 2))
-    for j in range(1, n):
-        nil += [wadd(e(j), e(n, -1)), wneg(wadd(e(j), e(n)))]
-    v = [(e(j), 0) for j in range(1, n)] + [(e(j, -1), 1) for j in range(1, n)]
+            flip_parities(_super_square(v, 0)), "multiset"))
+    levi, nil = _grading(rs, [n - 1], -1)
+    v = [(e(j), 0) for j in range(n - 1)] + [(e(j, -1), 1) for j in range(n - 1)]
     entries.append(ExpectedEntry(
         f"P({n})", _bits_of(rs, levi), _bits_of(rs, nil),
         f"p({n - 1}) + C", f"V^({n - 1}|{n - 1})",
-        shift_weights(_agg(v), e(n, -1)), "multiset"))
+        shift_weights(_agg(v), e(n - 1, -1)), "multiset"))
     return entries
 
 
 # -- Cartan families ---------------------------------------------------------
 
 
-def _subset_leq(mask, n0):
-    return not (mask >> n0)
-
-
-def _w_entry_sets(rs, n, n0):
-    """(levi, nil_plus, nil_minus) index lists of the W/S displays."""
-    levi, nplus, nminus = [], [], []
-    for i, r in enumerate(rs.roots):
-        imask, j = _decode_w_weight(r.weight)
-        if j is not None:
-            inside = _subset_leq(imask, n0)
-            if inside and j < n0:
-                levi.append(i)
-            elif inside and j >= n0:
-                nplus.append(i)
-            elif not inside and j < n0:
-                nminus.append(i)
-            else:
-                hi = imask >> n0
-                if bin(hi).count("1") == 1:
-                    levi.append(i)
-                elif bin(hi).count("1") >= 2:
-                    nminus.append(i)
-                else:  # impossible: not inside means hi != 0
-                    raise AssertionError
-        else:
-            (levi if _subset_leq(imask, n0) else nminus).append(i)
-    return levi, nplus, nminus
-
-
-def _wn_full_weights(nn, d, slots):
-    """Weight multiset of the whole algebra W(nn) on the given slots.
-
-    Used for the explicit module tables: root spaces per the defining
-    formulas plus the nn-dimensional zero weight space (even).
-    """
+def _cartan_weights(nn, d, s):
+    """(weight, even_dim, odd_dim) of W(nn) (s = 0) or S(nn) (s = 1) on the
+    first nn of d coordinates: x^I d_j for j not in I, and at the weight of
+    x^I the x^I x_j d_j, nn - |I| - s of them (S: the divergence-free
+    span); I = {} gives the Cartan subalgebra."""
     out = []
     for mask in range(1 << nn):
-        size = bin(mask).count("1")
-        iset = [slots[k] for k in range(nn) if mask >> k & 1]
-        for jj in range(nn):
-            if mask >> jj & 1:
-                continue
-            w = [Fraction(0)] * d
-            for s in iset:
-                w[s] += 1
-            w[slots[jj]] -= 1
-            par = (size - 1) % 2
-            out.append((tuple(w), 1 - par, par))
-        if 0 < size < nn:
-            w = [Fraction(0)] * d
-            for s in iset:
-                w[s] += 1
-            par = size % 2
-            dim = nn - size
-            out.append((tuple(w), dim * (1 - par), dim * par))
-    out.append((tuple([Fraction(0)] * d), nn, 0))
+        iset = [k for k in range(nn) if mask >> k & 1]
+        par = len(iset) % 2
+        out += [(_w_weight(d, iset, j), par, 1 - par)
+                for j in range(nn) if j not in iset]
+        dim = nn - len(iset) - s
+        if dim > 0:
+            out.append((_w_weight(d, iset), dim * (1 - par), dim * par))
     return out
-
-
-def _sn_full_weights(nn, d, slots):
-    out = []
-    for mask in range(1 << nn):
-        size = bin(mask).count("1")
-        iset = [slots[k] for k in range(nn) if mask >> k & 1]
-        for jj in range(nn):
-            if mask >> jj & 1:
-                continue
-            w = [Fraction(0)] * d
-            for s in iset:
-                w[s] += 1
-            w[slots[jj]] -= 1
-            par = (size - 1) % 2
-            out.append((tuple(w), 1 - par, par))
-        if 0 < size < nn - 1:
-            w = [Fraction(0)] * d
-            for s in iset:
-                w[s] += 1
-            par = size % 2
-            dim = nn - size - 1
-            out.append((tuple(w), dim * (1 - par), dim * par))
-    out.append((tuple([Fraction(0)] * d), nn - 1, 0))
-    return out
-
-
-def _parity_flip(entries):
-    return [(w, od, ev) for (w, ev, od) in entries]
 
 
 def _expected_cartan_WS(rs, n):
-    prime = rs.family == "Sprime"
-    if prime:
+    name = rs.family
+    if name == "Sprime":
         return []
-    is_w = rs.family == "W"
     entries = []
-    full = _wn_full_weights if is_w else _sn_full_weights
     for n0 in range(n):
-        levi, nplus, _ = _w_entry_sets(rs, n, n0)
+        # P(n0): the grading by minus the sum of e_{n0+1}..e_n
+        levi, nplus = _grading(rs, range(n0, n), -1)
         # Lambda(x_1..x_n0) (x) (V^{n-n0})* with the dual factor odd
-        mod = []
-        for mask in range(1 << n0):
-            w0 = [Fraction(0)] * n
-            for k in range(n0):
-                if mask >> k & 1:
-                    w0[k] += 1
-            par = bin(mask).count("1") % 2
-            for j in range(n0, n):
-                w = list(w0)
-                w[j] -= 1
-                mod.append((tuple(w), 1 - (par ^ 1), par ^ 1))
-        name = "W" if is_w else "S"
+        isets = [[k for k in range(n0) if mask >> k & 1] for mask in range(1 << n0)]
+        mod = [(_w_weight(n, iset, j), len(iset) % 2, 1 - len(iset) % 2)
+               for iset in isets for j in range(n0, n)]
         entries.append(ExpectedEntry(
-            f"P({n0})",
-            sum(1 << i for i in levi), sum(1 << i for i in nplus),
+            f"P({n0})", _bits_of(rs, levi), _bits_of(rs, nplus),
             f"{name}({n0}) |x (Lambda({n0}) (x) gl[{n0 + 1},{n}])",
             f"Lambda(x_1..x_{n0}) (x) (V^{n - n0})*",
-            _explicit(mod), "multiset"))
-    levi, _, nminus = _w_entry_sets(rs, n, n - 1)
-    shifted = []
-    for w, ev, od in _parity_flip(full(n - 1, n, list(range(n - 1)))):
-        shifted.append((wadd(w, _unit(n, n - 1)), ev, od))
-    name = "W" if is_w else "S"
+            _table(mod), "multiset"))
+    levi, nminus = _grading(rs, [n - 1])
+    full = _table(_cartan_weights(n - 1, n, int(name == "S")))
     entries.append(ExpectedEntry(
-        f"-P({n - 1})",
-        sum(1 << i for i in levi), sum(1 << i for i in nminus),
+        f"-P({n - 1})", _bits_of(rs, levi), _bits_of(rs, nminus),
         f"{name}({n - 1}) |x (Lambda({n - 1}) (x) gl[{n},{n}])",
         f"{name}({n - 1}) (x) V",
-        _explicit(shifted), "multiset"))
+        shift_weights(flip_parities(full), _unit(n, n - 1)), "multiset"))
     return entries
 
 
 def _htilde_full_weights(nn, d):
-    """Weight multiset of Htilde(nn) laid out on the last l' slots of d."""
-    l2 = nn // 2
-    odd = nn % 2
-    c = 2 if odd else 1
-    out = []
+    """(weight, even_dim, odd_dim) of Htilde(nn) on the last nn // 2 of d
+    coordinates."""
+    l2, odd = nn // 2, nn % 2
     lo = d - l2
+    out = []
     for imask in range(1 << l2):
         for jmask in range(1 << l2):
             if imask & jmask:
@@ -589,40 +350,26 @@ def _htilde_full_weights(nn, d):
             s = bin(imask).count("1") + bin(jmask).count("1")
             w = [Fraction(0)] * d
             for k in range(l2):
-                if imask >> k & 1:
-                    w[lo + k] += 1
-                if jmask >> k & 1:
-                    w[lo + k] -= 1
-            base = (1 << (l2 - s)) * c
+                w[lo + k] += (imask >> k & 1) - (jmask >> k & 1)
+            base = 1 << (l2 - s)
             if s == 0:
-                if odd:
-                    out.append((tuple(w), (1 << l2) - 1, 1 << l2))
-                else:
-                    out.append((tuple(w), (1 << l2) - 1, 0))
+                out.append((tuple(w), base - 1, base * odd))
             elif odd:
-                out.append((tuple(w), base // 2, base // 2))
+                out.append((tuple(w), base, base))
             else:
-                par = s % 2
-                out.append((tuple(w), base * (1 - par), base * par))
+                out.append((tuple(w), base * (1 - s % 2), base * (s % 2)))
     return out
 
 
 def _expected_H(rs, n):
     l = n // 2
-    levi, nil = [], []
-    for i, r in enumerate(rs.roots):
-        if r.weight[0] == 1:
-            nil.append(i)
-        elif r.weight[0] == 0:
-            levi.append(i)
+    levi, nil = _grading(rs, [0])
     mod = _htilde_full_weights(n - 2, l)
     mod.append((tuple([Fraction(0)] * l), 1, 0))  # the extra central line
-    shifted = [(wadd(w, _unit(l, 0)), ev, od) for w, ev, od in _parity_flip(mod)]
     return [ExpectedEntry(
-        "P",
-        sum(1 << i for i in levi), sum(1 << i for i in nil),
+        "P", _bits_of(rs, levi), _bits_of(rs, nil),
         f"H({n - 2}) (x) Lambda(1) + C^2", f"Htilde({n - 2}) + C",
-        _explicit(shifted), "multiset")]
+        shift_weights(flip_parities(_table(mod)), _unit(l, 0)), "multiset")]
 
 
 def expected_classification(family, params):
@@ -694,34 +441,42 @@ class ClassificationReport:
     subsets: list  # every cominuscule parabolic subset found, in stream order
 
 
-def choose_method(rs: RootSystem, subset_cap=DEFAULT_SUBSET_CAP) -> str:
-    if len(rs) <= subset_cap:
+def choose_method(family, params, subset_cap=DEFAULT_SUBSET_CAP) -> str:
+    """Exhaustive within the subset cap, else principal where that reaches
+    every cominuscule subset; |Delta| comes from the parameters, so a
+    refused instance is never built."""
+    count = root_count(family, params)
+    if count <= subset_cap:
         return "exhaustive"
-    if rs.family in PRINCIPAL_COMPLETE:
+    family = normalize_family(family, params)[0]
+    if family in PRINCIPAL_COMPLETE:
         return "principal"
     raise ValueError(
-        f"|Delta| = {len(rs)} needs the principal method, which does not "
-        f"cover every parabolic subset for family {rs.family}")
+        f"|Delta| = {count} needs the principal method, which does not "
+        f"cover every parabolic subset for family {family}")
 
 
 def cominuscule_subsets(rs: RootSystem, method="auto",
                         subset_cap=DEFAULT_SUBSET_CAP, lift_cap=DEFAULT_LIFT_CAP):
-    """All cominuscule parabolic subsets, plus the method actually used."""
+    """All cominuscule parabolic subsets, plus the method actually used.
+
+    Each subset carries the Levi bits its verdict read, so later verdicts
+    and decompositions on it search no lifts again.
+    """
     if method == "auto":
-        method = choose_method(rs, subset_cap)
+        method = choose_method(rs.family, rs.params, subset_cap)
     prune = rs.table.forbidden[False] if method == "principal" else None
     out = []
     for subset in enumerate_parabolics(rs, method, subset_cap=subset_cap,
                                        lift_cap=lift_cap, prune_masks=prune):
         v = is_cominuscule(subset, lift_cap=lift_cap)
         if v.is_cominuscule:
-            out.append(subset)
+            levis = tuple(d.levi_bits for d in v.decompositions)
+            out.append(RootSubset(rs, subset.bits, levis))
     return out, method
 
 
 def module_verdict(rs, entry: ExpectedEntry):
-    if entry.module_check == "none" or entry.module_weights is None:
-        return "not_checked"
     actual = nilradical_multiset(rs, entry.nil_bits)
     expected = entry.module_weights
     if entry.module_check == "support":
@@ -736,6 +491,10 @@ def enumerate_cominuscule_orbits(family, params, method="auto", group="auto",
                                  subset_cap=DEFAULT_SUBSET_CAP,
                                  lift_cap=DEFAULT_LIFT_CAP,
                                  orbit_cap=weyl.DEFAULT_ORBIT_CAP) -> ClassificationReport:
+    if method == "auto":
+        method = choose_method(family, params, subset_cap)
+    if method == "exhaustive":
+        check_subset_cap(root_count(family, params), subset_cap)
     rs = build_root_system(family, params)
     gens = weyl.generators(rs, group)
     group_used = weyl.classification_group(rs) if group == "auto" else group
@@ -830,44 +589,17 @@ def _gl_part_indices(rs_w: RootSystem):
 
 
 def _sl1n_sets(rs_w, n, m0, n0):
-    """P_{sl(1|n)}(m0|n0) inside the W(n) coordinates (delta_1 -> 0)."""
-    levi, nil = [], []
-    e = lambda i, s=1: _unit(n, i - 1, s)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            w = wadd(e(i), e(j, -1))
-            if (i <= n0) == (j <= n0):
-                levi.append(w)
-            elif i <= n0 < j:
-                nil.append(w)
-    for i in range(1, n + 1):
-        if m0 == 1:
-            if i <= n0:
-                levi += [e(i), e(i, -1)]
-            else:
-                nil.append(e(i, -1))
-        else:
-            if i > n0:
-                levi += [e(i), e(i, -1)]
-            else:
-                nil.append(e(i))
-    return _bits_of(rs_w, levi) | _bits_of(rs_w, nil)
+    """P_{sl(1|n)}(m0|n0) inside the W(n) coordinates: sl(1|n) on e_1..e_n
+    and one more coordinate for its epsilon_1, which then maps to 0."""
+    side = set(range(n0)) | ({n} if m0 else set())
+    levi, nil = _gl_split(n + 1, range(n + 1), side)
+    return _bits_of(rs_w, [w[:n] for w in levi + nil])
 
 
 def _gl_sets(rs_w, n, n0):
     """P_{sl(n)}(n0) inside the even gl-part of W(n)."""
-    sets = []
-    e = lambda i, s=1: _unit(n, i - 1, s)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            w = wadd(e(i), e(j, -1))
-            if (i <= n0) == (j <= n0) or i <= n0 < j:
-                sets.append(w)
-    return _bits_of(rs_w, sets)
+    levi, nil = _gl_split(n, range(n), range(n0))
+    return _bits_of(rs_w, levi + nil)
 
 
 def restriction_extension_check(n, subset_cap=DEFAULT_SUBSET_CAP,

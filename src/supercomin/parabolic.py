@@ -45,7 +45,8 @@ class CapExceeded(RuntimeError):
 class RootSubset:
     rs: RootSystem
     bits: int
-    # the sorted Levi bits, carried only by subsets of the exhaustive stream
+    # the sorted Levi bits, carried by the subsets of the exhaustive stream
+    # and by those ``classify.cominuscule_subsets`` returns
     levis: tuple | None = field(default=None, compare=False, repr=False)
 
     def indices(self):
@@ -114,6 +115,12 @@ def is_parabolic(subset: RootSubset, lift_cap=DEFAULT_LIFT_CAP) -> bool:
 
 # ---------------------------------------------------------------------------
 # lifts
+
+
+def check_subset_cap(count: int, subset_cap):
+    """Raise unless an exhaustive search over ``count`` roots is within the cap."""
+    if count > subset_cap:
+        raise CapExceeded(f"|Delta| = {count} exceeds the exhaustive cap {subset_cap}")
 
 
 def _check_lift_cap(rs: RootSystem, bits: int, lift_cap):
@@ -215,8 +222,7 @@ def _exhaustive_masks(rs: RootSystem, subset_cap, lift_cap):
     lifts give each parabolic subset its Levi bits.
     """
     n = len(rs)
-    if n > subset_cap:
-        raise CapExceeded(f"|Delta| = {n} exceeds the exhaustive cap {subset_cap}")
+    check_subset_cap(n, subset_cap)
     rows = closure_rows(rs) if rs.symmetric else rs.table.sym_rows
     full = (1 << n) - 1
     groups = {}

@@ -490,8 +490,6 @@ def _basis(m_eps, n_delta=0, n_gamma=0):
 
 
 def _build_sl(m, n):
-    _require(m >= 1 and n >= 1, "sl(m|n) needs m >= 1 and n >= 1")
-    _require(m != n, "sl(m|n) needs m != n (use psl for m = n)")
     d = m + n
     eps = [_unit(d, i) for i in range(m)]
     dlt = [_unit(d, m + k) for k in range(n)]
@@ -512,7 +510,6 @@ def _build_sl(m, n):
 
 
 def _build_psl(n):
-    _require(n >= 2, "psl(n|n) needs n >= 2")
     d = 2 * n
     eps = [_unit(d, i) for i in range(n)]
     dlt = [_unit(d, n + k) for k in range(n)]
@@ -546,8 +543,6 @@ def _build_psl(n):
 
 
 def _build_osp(M, N):
-    _require(M >= 1, "osp(M|N) needs M >= 1")
-    _require(N >= 2 and N % 2 == 0, "osp(M|N) needs even N >= 2")
     m, n = M // 2, N // 2
     d = m + n
     eps = [_unit(d, i) for i in range(m)]
@@ -645,7 +640,6 @@ def _build_G3():
 
 
 def _build_psq(n):
-    _require(n >= 3, "psq(n) needs n >= 3")
     roots = []
     for i in range(n):
         for j in range(n):
@@ -655,7 +649,6 @@ def _build_psq(n):
 
 
 def _build_p(n):
-    _require(n >= 2, "p(n) needs n >= 2")
     roots = []
     for i in range(n):
         for j in range(n):
@@ -680,7 +673,6 @@ def _w_weight(n, iset, j=None):
 
 
 def _build_W(n):
-    _require(n >= 2, "W(n) needs n >= 2")
     roots = []
     full = (1 << n) - 1
     for mask in range(full + 1):
@@ -701,10 +693,6 @@ def _build_W(n):
 
 
 def _build_S(n, prime=False):
-    if prime:
-        _require(n >= 4 and n % 2 == 0, "S'(n) needs even n >= 4")
-    else:
-        _require(n >= 3, "S(n) needs n >= 3")
     roots = []
     removed = []
     for mask in range(1 << n):
@@ -729,7 +717,6 @@ def _build_S(n, prime=False):
 
 
 def _build_H(n):
-    _require(n >= 5, "H(n) needs n >= 5")
     l = n // 2
     odd = n % 2
     roots = []
@@ -772,19 +759,83 @@ def normalize_family(family, params):
 
 
 _BUILDERS = {
-    "sl": lambda p: _build_sl(*p),
-    "psl": lambda p: _build_psl(*p),
-    "osp": lambda p: _build_osp(*p),
-    "D21a": lambda p: _build_D21a(),
-    "F4": lambda p: _build_F4(),
-    "G3": lambda p: _build_G3(),
-    "psq": lambda p: _build_psq(*p),
-    "p": lambda p: _build_p(*p),
-    "W": lambda p: _build_W(*p),
-    "S": lambda p: _build_S(*p),
-    "Sprime": lambda p: _build_S(*p, prime=True),
-    "H": lambda p: _build_H(*p),
+    "sl": _build_sl, "psl": _build_psl, "osp": _build_osp,
+    "D21a": lambda *_: _build_D21a(), "F4": lambda *_: _build_F4(),
+    "G3": lambda *_: _build_G3(), "psq": _build_psq, "p": _build_p,
+    "W": _build_W, "S": _build_S, "Sprime": lambda n: _build_S(n, prime=True),
+    "H": _build_H,
 }
+
+
+# |Delta| from the parameters, after the checks the builders rely on
+
+
+def _count_sl(m, n):
+    _require(m >= 1 and n >= 1, "sl(m|n) needs m >= 1 and n >= 1")
+    _require(m != n, "sl(m|n) needs m != n (use psl for m = n)")
+    return (m + n) * (m + n - 1)
+
+
+def _count_psl(n):
+    _require(n >= 2, "psl(n|n) needs n >= 2")
+    # psl(2|2): the 8 odd gl(2|2) roots fall into 4 classes
+    return 2 * n * (2 * n - 1) - 4 * (n == 2)
+
+
+def _count_osp(M, N):
+    _require(M >= 1, "osp(M|N) needs M >= 1")
+    _require(N >= 2 and N % 2 == 0, "osp(M|N) needs even N >= 2")
+    m, n = M // 2, N // 2
+    # so(M): 2m(m-1) long, 2m short; sp(N): 2n^2; odd: 4mn, 2n short
+    return 2 * m * (m - 1) + 2 * n * n + 4 * m * n + 2 * (m + n) * (M % 2)
+
+
+def _count_psq(n):
+    _require(n >= 3, "psq(n) needs n >= 3")
+    return n * (n - 1)
+
+
+def _count_p(n):
+    _require(n >= 2, "p(n) needs n >= 2")
+    return n * (2 * n - 1)
+
+
+def _count_W(n):
+    _require(n >= 2, "W(n) needs n >= 2")
+    return n * 2 ** (n - 1) + 2 ** n - 2
+
+
+def _count_S(n, prime=False):
+    if prime:
+        _require(n >= 4 and n % 2 == 0, "S'(n) needs even n >= 4")
+    else:
+        _require(n >= 3, "S(n) needs n >= 3")
+    return n * 2 ** (n - 1) + 2 ** n - 2 - n
+
+
+def _count_H(n):
+    _require(n >= 5, "H(n) needs n >= 5")
+    return 3 ** (n // 2) - 1
+
+
+_COUNTS = {
+    "sl": _count_sl, "psl": _count_psl, "osp": _count_osp,
+    "D21a": lambda *_: 14, "F4": lambda *_: 36, "G3": lambda *_: 28,
+    "psq": _count_psq, "p": _count_p, "W": _count_W, "S": _count_S,
+    "Sprime": lambda n: _count_S(n, prime=True), "H": _count_H,
+}
+
+
+def root_count(family, params=()) -> int:
+    """|Delta| of family(params), from the normalized parameters alone, so
+    that a cap is checked before the system is built.  Bad parameters raise
+    ``ParameterError`` as ``build_root_system`` does."""
+    fam, par = normalize_family(family, params)
+    try:
+        return _COUNTS[fam](*par)
+    except TypeError as exc:
+        raise ParameterError(
+            f"bad parameters {par} for family {fam}: {exc}") from exc
 
 
 _SYSTEMS = {}  # normalized (family, params) -> RootSystem
@@ -800,19 +851,7 @@ def build_root_system(family, params=()) -> RootSystem:
     rs = _SYSTEMS.get(key)
     if rs is None:
         fam, par = key
-        try:
-            rs = _BUILDERS[fam](par)
-        except TypeError as exc:
-            raise ParameterError(
-                f"bad parameters {par} for family {fam}: {exc}") from exc
-        _SYSTEMS[key] = rs
+        root_count(fam, par)  # checks the parameters
+        rs = _SYSTEMS[key] = _BUILDERS[fam](*par)
     return rs
 
-
-def osp_subfamily(rs: RootSystem) -> str:
-    M = rs.params[0]
-    if M == 1:
-        return "osp1"
-    if M == 2:
-        return "osp2"
-    return "osp_odd" if M % 2 else "osp_even"

@@ -31,12 +31,13 @@ from .classify import (enumerate_cominuscule_orbits, expected_entries,
                        restriction_extension_check)
 from .cominuscule import crosscheck_bracket, is_cominuscule, pair_forbidden
 from .parabolic import (DEFAULT_LIFT_CAP, DEFAULT_SUBSET_CAP,
-                        LeviDecomposition, RootSubset, enumerate_parabolics,
-                        levi_decompositions, principality_witness)
+                        LeviDecomposition, RootSubset, check_subset_cap,
+                        enumerate_parabolics, levi_decompositions,
+                        principality_witness)
 from .properties import (even_factor_index_sets, restriction_compatible,
                          sums_laws_hold, weyl_invariance_holds)
 from .realize import realize, realize_for
-from .rootsys import build_root_system, is_zero_weight, wadd
+from .rootsys import build_root_system, is_zero_weight, root_count, wadd
 
 SCHEMA_VERSION = "1"
 
@@ -142,7 +143,7 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP,
         chk(f"principality {t}", rep.all_principal)
         mod_bad = [c["entry"] for c in rep.entry_checks
                    if c["module_verdict"] not in
-                   ("match", "support_match_multiplicity_note", "not_checked")]
+                   ("match", "support_match_multiplicity_note")]
         chk(f"module-weights {t}", not mod_bad, f"mismatched entries {mod_bad}")
 
     # nonuniqueness exhibit in p(2): two Levi decompositions, L = {} and {2e2}
@@ -159,15 +160,13 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP,
     # psl(2|2): some parabolic subset admits no witness functional
     if want("psl"):
         rs = build_root_system("psl", (2,))
-        nonprincipal = [
-            s.bits for s in enumerate_parabolics(rs, "exhaustive",
-                                                 subset_cap=subset_cap)
-            if principality_witness(s) is None
-        ]
+        subsets = list(enumerate_parabolics(rs, "exhaustive",
+                                            subset_cap=subset_cap))
+        nonprincipal = [s.bits for s in subsets
+                        if principality_witness(s) is None]
         chk("nonprincipal parabolic subsets exist in psl(2|2)",
             bool(nonprincipal), f"{len(nonprincipal)} found")
-        ex = {s.bits for s in enumerate_parabolics(rs, "exhaustive",
-                                                   subset_cap=subset_cap)}
+        ex = {s.bits for s in subsets}
         pr = {s.bits for s in enumerate_parabolics(rs, "principal")}
         chk("principal stream strictly inside exhaustive for psl(2|2)",
             pr < ex, f"{len(pr)} principal of {len(ex)}")
@@ -319,6 +318,7 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP,
 def oracle_counts(family, params, subset_cap=DEFAULT_SUBSET_CAP,
                   lift_cap=DEFAULT_LIFT_CAP):
     """Exhaustive parabolic/cominuscule/principal counts for one instance."""
+    check_subset_cap(root_count(family, params), subset_cap)
     rs = build_root_system(family, params)
     subsets = list(enumerate_parabolics(rs, "exhaustive", subset_cap=subset_cap,
                                         lift_cap=lift_cap))

@@ -32,7 +32,7 @@ from itertools import product
 
 import pytest
 
-from supercomin import classify, weyl
+from supercomin import classify, kernel, weyl
 from supercomin.classify import (enumerate_cominuscule_orbits, expected_entries,
                                  nilradical_multiset, restriction_extension_check)
 from supercomin.cominuscule import bracket_cominuscule, is_cominuscule
@@ -444,3 +444,14 @@ def test_suite_classifies_each_instance_once(count_calls):
     calls = count_calls(classify, "cominuscule_subsets", "enumerate_parabolics")
     run_paper_suite(only={"H"})
     assert calls == {"cominuscule_subsets": 2, "enumerate_parabolics": 2}
+
+
+def test_orbit_loop_searches_no_lifts_again(count_calls):
+    # the subsets cominuscule_subsets returns carry the Levi bits their
+    # verdicts read, so the orbit loop makes no second lift search: one
+    # kernel call for each of the 12 principal subsets of F(4)
+    calls = count_calls(kernel, "enumerate_closed")
+    rep = enumerate_cominuscule_orbits("F4", ())
+    assert calls == {"enumerate_closed": 12}
+    assert len(rep.subsets) == 12
+    assert all(s.levis is not None for s in rep.subsets)

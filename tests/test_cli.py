@@ -70,6 +70,26 @@ def test_classify_exit_codes(capsys):
     assert code == 2
 
 
+def test_cap_refusal_builds_nothing(monkeypatch, capsys):
+    """An instance past the exhaustive cap is refused from its parameters,
+    with the same messages: p(99), 19,503 roots, is never built."""
+    from supercomin import rootsys
+
+    built = []
+    monkeypatch.setitem(rootsys._BUILDERS, "p", built.append)
+    monkeypatch.delitem(rootsys._SYSTEMS, ("p", (99,)), raising=False)
+    cap = "cap exceeded: |Delta| = 19503 exceeds the exhaustive cap 26\n"
+    for argv, err in [
+        (["classify", "--method", "exhaustive"], cap),
+        (["oracle"], cap),
+        (["classify"], "error: |Delta| = 19503 needs the principal method, "
+                       "which does not cover every parabolic subset for family p\n"),
+    ]:
+        assert main(argv + ["--family", "p", "--n", "99"]) == 2
+        assert capsys.readouterr() == ("", err)
+    assert built == []
+
+
 def test_verify_only_h(capsys):
     code, out = run(["verify", "--suite", "paper", "--only", "H"], capsys)
     assert code == 0

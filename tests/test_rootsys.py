@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from supercomin.rootsys import (ParameterError, SumOutcome, build_root_system,
-                                parse_weight, weight_str, wneg)
+                                parse_weight, root_count, weight_str, wneg)
 from supercomin.verify import EXPECTED_ORBITS
 
 F = Fraction
@@ -61,6 +61,24 @@ def count_S(n):
 ])
 def test_root_counts(fam, par, count):
     assert len(rsys(fam, par)) == count
+
+
+ROOT_COUNT_GRID = (
+    [("sl", (m, n)) for m in range(1, 5) for n in range(1, 5) if m != n]
+    + [("psl", (n,)) for n in (2, 3, 4)]
+    + [("osp", (M, N)) for M in range(1, 8) for N in (2, 4, 6)]
+    + [("osp_odd", (1, 1)), ("osp_odd", (2, 3)), ("osp1", (2,)),
+       ("osp_even", (2, 1)), ("osp_even", (3, 2)), ("osp2", (3,))]
+    + [("D21a", ()), ("F4", ()), ("G3", ())]
+    + [("psq", (n,)) for n in (3, 4, 5)] + [("p", (n,)) for n in (2, 3, 4, 5)]
+    + [("W", (n,)) for n in (2, 3, 4, 5)] + [("S", (n,)) for n in (3, 4, 5)]
+    + [("Sprime", (4,)), ("Sprime", (6,))] + [("H", (n,)) for n in range(5, 10)])
+
+
+def test_root_count_matches_build():
+    # the count that the exhaustive cap is checked against before a build
+    for fam, par in ROOT_COUNT_GRID:
+        assert root_count(fam, par) == len(rsys(fam, par)), (fam, par)
 
 
 def test_symmetry_flags():
@@ -176,9 +194,12 @@ def test_serialization_roundtrip():
 def test_parameter_errors():
     for fam, par in [("sl", (2, 2)), ("sl", (0, 1)), ("psq", (2,)),
                      ("H", (4,)), ("Sprime", (5,)), ("S", (2,)),
-                     ("osp", (4, 3)), ("W", (1,)), ("nosuch", (1,))]:
+                     ("osp", (4, 3)), ("W", (1,)), ("nosuch", (1,)),
+                     ("sl", (2,)), ("H", (5, 1))]:
         with pytest.raises(ParameterError):
             build_root_system(fam, par)
+        with pytest.raises(ParameterError):
+            root_count(fam, par)
 
 
 def test_p2_warns():
