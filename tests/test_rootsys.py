@@ -299,3 +299,35 @@ def test_g3_elimination():
     assert rs.index_of((F(1), F(1), F(0))) is not None
     # half-gamma odd roots
     assert rs.index_of((F(0), F(0), F(1, 2))) is not None
+
+
+# every family's builder over a grid of instances: 107 systems
+GOLDEN_GRID = (
+    [("sl", (m, n)) for m in range(1, 9) for n in range(1, 9)
+     if m != n and m + n <= 9]
+    + [("psl", (n,)) for n in range(2, 6)]
+    + [("osp", (M, N)) for N in range(2, 14, 2) for M in range(1, 15 - N)]
+    + [("D21a", ()), ("F4", ()), ("G3", ())]
+    + [("psq", (n,)) for n in range(3, 7)] + [("p", (n,)) for n in range(2, 7)]
+    + [("W", (n,)) for n in range(2, 7)] + [("S", (n,)) for n in range(3, 7)]
+    + [("Sprime", (4,)), ("Sprime", (6,))] + [("H", (n,)) for n in range(5, 11)])
+
+
+def test_root_systems_golden(check_golden):
+    """Each built system, hashed: the basis, every root with its dims, the
+    lifts, the ambient-only weights and the gl shift, exact types included
+    (reprs of the Fraction tuples)."""
+    from hashlib import sha256
+
+    lines = []
+    for fam, par in GOLDEN_GRID:
+        rs = rsys(fam, par)
+        parts = [repr(rs.basis)]
+        parts += [f"{rs.root_str(i)} {r.even_dim} {r.odd_dim}"
+                  for i, r in enumerate(rs.roots)]
+        parts += [repr(rs.lifts), repr(sorted(rs.ambient_extra)),
+                  repr(rs.gl_shift)]
+        digest = sha256("\n".join(parts).encode()).hexdigest()
+        tag = ",".join(str(x) for x in par)
+        lines.append(f"{fam}({tag}) {len(rs)} {digest}")
+    check_golden("root_systems.txt", "\n".join(lines) + "\n")
