@@ -30,8 +30,8 @@ from .cominuscule import is_cominuscule
 from .parabolic import (DEFAULT_LIFT_CAP, DEFAULT_SUBSET_CAP, RootSubset,
                         check_subset_cap, enumerate_parabolics,
                         levi_decompositions, principality_witness)
-from .rootsys import (RootSystem, _unit, _w_weight, build_root_system,
-                      normalize_family, root_count, wadd, wneg)
+from .rootsys import (RootSystem, _unit, build_root_system, normalize_family,
+                      root_count, wadd, wneg)
 
 HALF = Fraction(1, 2)
 
@@ -291,6 +291,16 @@ def _expected_p(rs, n):
 
 
 # -- Cartan families ---------------------------------------------------------
+
+
+def _w_weight(d, iset, j=None):
+    """e_I - e_j (e_I without j) on d coordinates."""
+    w = [Fraction(0)] * d
+    for i in iset:
+        w[i] += 1
+    if j is not None:
+        w[j] -= 1
+    return tuple(w)
 
 
 def _cartan_weights(nn, d, s):

@@ -122,17 +122,21 @@ def restriction_compatible(dec: LeviDecomposition, indices) -> bool:
     return La == dec.levi_bits & mask and (Pa & ~La) == dec.nilradical_bits & mask
 
 
-def weyl_invariance_holds(rs: RootSystem, bits: int, gens,
+def weyl_invariance_holds(rs: RootSystem, subset, gens,
                           lift_cap=DEFAULT_LIFT_CAP) -> bool:
     """Parabolicity, principality, and the cominuscule verdict are constant
-    along the orbit of a subset under the given generators."""
+    along the orbit of a subset under the given generators.  ``subset`` is
+    a ``RootSubset`` or its bits; a streamed subset carries its Levi bits,
+    so only its Weyl images need a lift search."""
+    if not isinstance(subset, RootSubset):
+        subset = RootSubset(rs, subset)
 
-    def verdicts(b):
-        subset = RootSubset(rs, b)
-        v = is_cominuscule(subset, lift_cap=lift_cap)
+    def verdicts(s):
+        v = is_cominuscule(s, lift_cap=lift_cap)
         if not v.decompositions:  # not parabolic
             return None
-        return v.is_cominuscule, principality_witness(subset) is not None
+        return v.is_cominuscule, principality_witness(s) is not None
 
-    base = verdicts(bits)
-    return all(verdicts(weyl.act(rs, m, bits)) == base for m in gens)
+    base = verdicts(subset)
+    return all(verdicts(RootSubset(rs, weyl.act(rs, m, subset.bits))) == base
+               for m in gens)

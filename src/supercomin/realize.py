@@ -26,6 +26,20 @@ from .superder import SuperDerivation, merge_sign, partial, wedge
 
 DEFAULT_DIM_CAP = 4096
 
+# the dimension of each realized algebra, checked against the cap before
+# the build and reported as ``Realization.dim``
+_DIMS = {
+    "gl": lambda m, n: (m + n) ** 2,
+    "sl": lambda m, n: (m + n) ** 2 - 1,
+    "psl": lambda n: (2 * n) ** 2,  # served by gl(n|n)
+    "psq": lambda n: 2 * n * n,  # served by q(n)
+    "p": lambda n: 2 * n * n - 1,
+    "W": lambda n: n * 2 ** n,
+    "S": lambda n: (n - 1) * 2 ** n + 1,
+    "Sprime": lambda n: (n - 1) * 2 ** n + 1,
+    "H": lambda n: 2 ** n - 2,
+}
+
 
 class UnsupportedFamilyError(ValueError):
     pass
@@ -168,14 +182,14 @@ def _realize_gl(m, n):
     weights = _gl_weights(m, n)
     spaces = [_unit_matrix_space(m, n, w) for w in weights]
     return Realization("gl", (m, n), weights, spaces, _matrix_torus(m, n, False),
-                       dim=(m + n) ** 2, zero_dim=m + n)
+                       dim=_DIMS["gl"](m, n), zero_dim=m + n)
 
 
 def _realize_sl(m, n, rs=None):
     weights = _gl_weights(m, n)
     spaces = [_unit_matrix_space(m, n, w) for w in weights]
     return Realization("sl", (m, n), weights, spaces, _matrix_torus(m, n, True),
-                       dim=(m + n) ** 2 - 1, zero_dim=m + n - 1, rs=rs)
+                       dim=_DIMS["sl"](m, n), zero_dim=m + n - 1, rs=rs)
 
 
 def _realize_psl(n, rs):
@@ -195,7 +209,7 @@ def _realize_psl(n, rs):
         eigen_override[i] = tuple(ew + ow)
     weights = tuple(r.weight for r in rs.roots)
     return Realization("psl-via-gl", (n,), weights, spaces,
-                       _matrix_torus(n, n, False), dim=(2 * n) ** 2,
+                       _matrix_torus(n, n, False), dim=_DIMS["psl"](n),
                        zero_dim=2 * n, center_projection=True, rs=rs,
                        eigen_override=eigen_override)
 
@@ -216,7 +230,7 @@ def _realize_q(n, rs):
         torus.append((MatrixSuperElement(n, n, {(k, k): 1, (n + k, n + k): 1}, 0),
                       tuple(lin)))
     weights = tuple(r.weight for r in rs.roots)
-    return Realization("q", (n,), weights, spaces, torus, dim=2 * n * n,
+    return Realization("q", (n,), weights, spaces, torus, dim=_DIMS["psq"](n),
                        zero_dim=2 * n, center_projection=True, rs=rs)
 
 
@@ -255,7 +269,7 @@ def _realize_p(n, rs):
         lin[k + 1] = Fraction(-1)
         torus.append((MatrixSuperElement(n, n, entries, 0), tuple(lin)))
     weights = tuple(r.weight for r in rs.roots)
-    return Realization("p", (n,), weights, spaces, torus, dim=2 * n * n - 1,
+    return Realization("p", (n,), weights, spaces, torus, dim=_DIMS["p"](n),
                        zero_dim=n - 1, rs=rs)
 
 
@@ -295,7 +309,7 @@ def _realize_W(n, rs):
         lin[k] = Fraction(1)
         torus.append((SuperDerivation.term(n, 1 << k, k, Fraction(1)), tuple(lin)))
     weights = tuple(r.weight for r in rs.roots)
-    return Realization("W", (n,), weights, spaces, torus, dim=n * 2 ** n,
+    return Realization("W", (n,), weights, spaces, torus, dim=_DIMS["W"](n),
                        zero_dim=n, rs=rs)
 
 
@@ -335,7 +349,7 @@ def _realize_S(n, rs, prime=False):
         torus.append((h, tuple(lin)))
     weights = tuple(r.weight for r in rs.roots)
     return Realization("Sprime" if prime else "S", (n,), weights, spaces, torus,
-                       dim=(n - 1) * 2 ** n + 1, zero_dim=n - 1, rs=rs)
+                       dim=_DIMS["S"](n), zero_dim=n - 1, rs=rs)
 
 
 def _d_of(n: int, f: dict) -> SuperDerivation:
@@ -395,7 +409,7 @@ def _realize_H(n, rs):
         torus.append((h, tuple(lin)))
     weights = tuple(r.weight for r in rs.roots)
     zero_dim = (1 << l) * (2 if odd else 1) - 2
-    return Realization("H", (n,), weights, spaces, torus, dim=2 ** n - 2,
+    return Realization("H", (n,), weights, spaces, torus, dim=_DIMS["H"](n),
                        zero_dim=zero_dim, rs=rs)
 
 
@@ -409,7 +423,7 @@ def realize(family, params, dim_cap=DEFAULT_DIM_CAP) -> Realization:
     """Realize one of gl, sl, psq, p, W, S, Sprime, H at the given rank."""
     if family == "gl":
         m, n = params
-        _check_cap((m + n) ** 2, dim_cap)
+        _check_cap(_DIMS["gl"](m, n), dim_cap)
         return _realize_gl(m, n)
     if family not in _DIRECT:
         raise UnsupportedFamilyError(
@@ -421,29 +435,24 @@ def realize(family, params, dim_cap=DEFAULT_DIM_CAP) -> Realization:
 def realize_for(rs: RootSystem, dim_cap=DEFAULT_DIM_CAP) -> Realization:
     """Realization bound to a root system's indices (psl is served by gl)."""
     fam, par = rs.family, rs.params
+    if fam not in _DIMS:
+        raise UnsupportedFamilyError(
+            f"{fam} is not realized (root-level rules are authoritative there)")
+    _check_cap(_DIMS[fam](*par), dim_cap)
     if fam == "sl":
-        _check_cap((par[0] + par[1]) ** 2, dim_cap)
-        return _realize_sl(par[0], par[1], rs=rs)
+        return _realize_sl(*par, rs=rs)
+    n = par[0]
     if fam == "psl":
-        _check_cap((2 * par[0]) ** 2, dim_cap)
-        return _realize_psl(par[0], rs)
+        return _realize_psl(n, rs)
     if fam == "psq":
-        _check_cap(2 * par[0] ** 2, dim_cap)
-        return _realize_q(par[0], rs)
+        return _realize_q(n, rs)
     if fam == "p":
-        _check_cap(2 * par[0] ** 2, dim_cap)
-        return _realize_p(par[0], rs)
+        return _realize_p(n, rs)
     if fam == "W":
-        _check_cap(par[0] * 2 ** par[0], dim_cap)
-        return _realize_W(par[0], rs)
-    if fam in ("S", "Sprime"):
-        _check_cap((par[0] - 1) * 2 ** par[0] + 1, dim_cap)
-        return _realize_S(par[0], rs, prime=(fam == "Sprime"))
+        return _realize_W(n, rs)
     if fam == "H":
-        _check_cap(2 ** par[0] - 2, dim_cap)
-        return _realize_H(par[0], rs)
-    raise UnsupportedFamilyError(
-        f"{fam} is not realized (root-level rules are authoritative there)")
+        return _realize_H(n, rs)
+    return _realize_S(n, rs, prime=(fam == "Sprime"))
 
 
 def _check_cap(dim, cap):

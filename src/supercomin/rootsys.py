@@ -39,6 +39,11 @@ Three families live in a coordinate space borrowed from a bigger algebra:
   eps_{[1,n] minus i} belong to W(n) but not to S(n), and sums landing on
   them are reported as ``ambient_only``.
 
+Every family but H(n) is built from two root shapes, ``_differences``
+(v_a - v_b for each a != b) and ``_signed_sums`` (+-v_1 +- ... +- v_k, every
+choice of signs), and the Cartan series W(n), S(n), S'(n) by one rule,
+``_build_cartan``.
+
 Every root-sum question is answered from ``RootSystem.table``, a
 ``RootTable`` of integer sums, closure rows and forbidden-pair masks that
 is built once, on first use.  ``build_root_system`` returns one shared
@@ -52,7 +57,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import gcd, lcm
 
 HALF = Fraction(1, 2)
@@ -471,6 +476,9 @@ def parse_weight(s: str, basis):
 # family builders
 
 
+_EVEN, _ODD = (1, 0), (0, 1)  # root-space dims of a line of either parity
+
+
 def _unit(dim, k, scale=1):
     w = [Fraction(0)] * dim
     w[k] = Fraction(scale)
@@ -489,48 +497,46 @@ def _basis(m_eps, n_delta=0, n_gamma=0):
     return out
 
 
-def _build_sl(m, n):
-    d = m + n
-    eps = [_unit(d, i) for i in range(m)]
-    dlt = [_unit(d, m + k) for k in range(n)]
+def _differences(vectors, dims):
+    """The roots v_a - v_b for each ordered pair a != b of ``vectors``."""
+    return [Root(wsub(u, v), *dims) for u, v in permutations(vectors, 2)]
+
+
+def _signed_sums(groups, dims):
+    """The roots +-v_1 +- ... +- v_k, every choice of signs, for each group
+    (v_1, ..., v_k) of vectors."""
     roots = []
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                roots.append(Root(wsub(eps[i], eps[j]), 1, 0))
-    for k in range(n):
-        for l in range(n):
-            if k != l:
-                roots.append(Root(wsub(dlt[k], dlt[l]), 1, 0))
-    for i in range(m):
-        for k in range(n):
-            roots.append(Root(wsub(eps[i], dlt[k]), 0, 1))
-            roots.append(Root(wsub(dlt[k], eps[i]), 0, 1))
-    return RootSystem("sl", (m, n), _basis(m, n), roots)
+    for first, *rest in groups:
+        sums = [first]  # v_1 +- ... +- v_k, each then with its negative
+        for v in rest:
+            signed = (v, wneg(v))
+            sums = [wadd(s, t) for s in sums for t in signed]
+        roots += [Root(w, *dims) for s in sums for w in (s, wneg(s))]
+    return roots
+
+
+def _gl_roots(m, n):
+    """gl(m|n): e_i - e_j and d_k - d_l even, +-(e_i - d_k) odd."""
+    eps = [_unit(m + n, i) for i in range(m)]
+    dlt = [_unit(m + n, m + k) for k in range(n)]
+    return (_differences(eps, _EVEN) + _differences(dlt, _EVEN)
+            + _signed_sums([(wsub(e, d),) for e in eps for d in dlt], _ODD))
+
+
+def _build_sl(m, n):
+    return RootSystem("sl", (m, n), _basis(m, n), _gl_roots(m, n))
 
 
 def _build_psl(n):
-    d = 2 * n
-    eps = [_unit(d, i) for i in range(n)]
-    dlt = [_unit(d, n + k) for k in range(n)]
-    gl_roots = []  # (weight, even_dim, odd_dim)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                gl_roots.append((wsub(eps[i], eps[j]), 1, 0))
-                gl_roots.append((wsub(dlt[i], dlt[j]), 1, 0))
-    for i in range(n):
-        for k in range(n):
-            gl_roots.append((wsub(eps[i], dlt[k]), 0, 1))
-            gl_roots.append((wsub(dlt[k], eps[i]), 0, 1))
-    shift = tuple(Fraction(1 if i < n else -1) for i in range(d))
+    gl_roots = _gl_roots(n, n)
+    shift = tuple(Fraction(1 if i < n else -1) for i in range(2 * n))
     # group gl roots into fibers of the quotient identification
-    wset = {w for w, _, _ in gl_roots}
+    wset = {r.weight for r in gl_roots}
     classes = {}
-    for w, _, _ in gl_roots:
+    for w in wset:
         mates = [w] + [c for c in (wadd(w, shift), wsub(w, shift)) if c in wset]
         classes[min(mates)] = tuple(sorted(set(mates)))
-    dim_by_weight = {w: (ev, od) for w, ev, od in gl_roots}
+    dim_by_weight = {r.weight: (r.even_dim, r.odd_dim) for r in gl_roots}
     roots, lifts = [], []
     for rep in sorted(classes):
         mates = classes[rep]
@@ -544,176 +550,79 @@ def _build_psl(n):
 
 def _build_osp(M, N):
     m, n = M // 2, N // 2
-    d = m + n
-    eps = [_unit(d, i) for i in range(m)]
-    dlt = [_unit(d, m + k) for k in range(n)]
-    roots = []
-    for i, j in combinations(range(m), 2):
-        for si in (1, -1):
-            for sj in (1, -1):
-                roots.append(Root(wadd(
-                    _unit(d, i, si), _unit(d, j, sj)), 1, 0))
-    for k, l in combinations(range(n), 2):
-        for sk in (1, -1):
-            for sl_ in (1, -1):
-                roots.append(Root(wadd(
-                    _unit(d, m + k, sk), _unit(d, m + l, sl_)), 1, 0))
-    for k in range(n):
-        roots.append(Root(_unit(d, m + k, 2), 1, 0))
-        roots.append(Root(_unit(d, m + k, -2), 1, 0))
+    eps = [_unit(m + n, i) for i in range(m)]
+    dlt = [_unit(m + n, m + k) for k in range(n)]
+    roots = (_signed_sums(combinations(eps, 2), _EVEN)
+             + _signed_sums(combinations(dlt, 2), _EVEN)
+             + _signed_sums([(wadd(d, d),) for d in dlt], _EVEN)
+             + _signed_sums(product(eps, dlt), _ODD))
     if M % 2 == 1:
-        for i in range(m):
-            roots.append(Root(eps[i], 1, 0))
-            roots.append(Root(wneg(eps[i]), 1, 0))
-        for k in range(n):
-            roots.append(Root(dlt[k], 0, 1))
-            roots.append(Root(wneg(dlt[k]), 0, 1))
-    for i in range(m):
-        for k in range(n):
-            for si in (1, -1):
-                for sk in (1, -1):
-                    roots.append(Root(wadd(
-                        _unit(d, i, si), _unit(d, m + k, sk)), 0, 1))
+        roots += (_signed_sums([(e,) for e in eps], _EVEN)
+                  + _signed_sums([(d,) for d in dlt], _ODD))
     return RootSystem("osp", (M, N), _basis(m, n), roots)
 
 
 def _build_D21a():
-    d = 3
-    roots = []
-    for i in range(3):
-        roots.append(Root(_unit(d, i), 1, 0))
-        roots.append(Root(_unit(d, i, -1), 1, 0))
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                roots.append(Root((HALF * s1, HALF * s2, HALF * s3), 0, 1))
-    return RootSystem("D21a", (), _basis(0, 0, 3), roots)
+    gam = [(_unit(3, i),) for i in range(3)]
+    half = [_unit(3, i, HALF) for i in range(3)]
+    return RootSystem("D21a", (), _basis(0, 0, 3),
+                      _signed_sums(gam, _EVEN) + _signed_sums([half], _ODD))
 
 
 def _build_F4():
-    d = 4
-    roots = []
-    for i, j in combinations(range(3), 2):
-        for si in (1, -1):
-            for sj in (1, -1):
-                roots.append(Root(wadd(_unit(d, i, si), _unit(d, j, sj)), 1, 0))
-    for i in range(3):
-        roots.append(Root(_unit(d, i), 1, 0))
-        roots.append(Root(_unit(d, i, -1), 1, 0))
-    roots.append(Root(_unit(d, 3), 1, 0))
-    roots.append(Root(_unit(d, 3, -1), 1, 0))
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                for s4 in (1, -1):
-                    roots.append(Root(
-                        (HALF * s1, HALF * s2, HALF * s3, HALF * s4), 0, 1))
+    u = [_unit(4, i) for i in range(4)]
+    half = [_unit(4, i, HALF) for i in range(4)]
+    roots = (_signed_sums(combinations(u[:3], 2), _EVEN)
+             + _signed_sums([(v,) for v in u], _EVEN)
+             + _signed_sums([half], _ODD))
     return RootSystem("F4", (), _basis(3, 0, 1), roots)
 
 
 def _build_G3():
     # eps3 is eliminated through eps1 + eps2 + eps3 = 0; basis (e1, e2, g1)
-    d = 3
-    eps = [(Fraction(1), Fraction(0), Fraction(0)),
-           (Fraction(0), Fraction(1), Fraction(0)),
-           (Fraction(-1), Fraction(-1), Fraction(0))]
-    gam = (Fraction(0), Fraction(0), Fraction(1))
-    half_gam = (Fraction(0), Fraction(0), HALF)
-    roots = []
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                roots.append(Root(wsub(eps[i], eps[j]), 1, 0))
-        roots.append(Root(eps[i], 1, 0))
-        roots.append(Root(wneg(eps[i]), 1, 0))
-    roots.append(Root(gam, 1, 0))
-    roots.append(Root(wneg(gam), 1, 0))
-    roots.append(Root(half_gam, 0, 1))
-    roots.append(Root(wneg(half_gam), 0, 1))
-    for i in range(3):
-        for se in (1, -1):
-            for sg in (1, -1):
-                e = eps[i] if se > 0 else wneg(eps[i])
-                g = half_gam if sg > 0 else wneg(half_gam)
-                roots.append(Root(wadd(e, g), 0, 1))
+    e1, e2, gam = (_unit(3, i) for i in range(3))
+    eps = [e1, e2, wneg(wadd(e1, e2))]
+    half_gam = _unit(3, 2, HALF)
+    roots = (_differences(eps, _EVEN)
+             + _signed_sums([(e,) for e in eps] + [(gam,)], _EVEN)
+             + _signed_sums([(half_gam,)] + [(e, half_gam) for e in eps], _ODD))
     return RootSystem("G3", (), _basis(2, 0, 1), roots)
 
 
 def _build_psq(n):
-    roots = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                roots.append(Root(wsub(_unit(n, i), _unit(n, j)), 1, 1))
+    roots = _differences([_unit(n, i) for i in range(n)], (1, 1))
     return RootSystem("psq", (n,), _basis(n), roots)
 
 
 def _build_p(n):
-    roots = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                roots.append(Root(wsub(_unit(n, i), _unit(n, j)), 1, 0))
-    for i, j in combinations(range(n), 2):
-        w = wadd(_unit(n, i), _unit(n, j))
-        roots.append(Root(w, 0, 1))
-        roots.append(Root(wneg(w), 0, 1))
-    for i in range(n):
-        roots.append(Root(_unit(n, i, 2), 0, 1))
+    u = [_unit(n, i) for i in range(n)]
+    roots = (_differences(u, _EVEN)
+             + _signed_sums([(wadd(a, b),) for a, b in combinations(u, 2)], _ODD)
+             + [Root(wadd(a, a), *_ODD) for a in u])
     return RootSystem("p", (n,), _basis(n), roots)
 
 
-def _w_weight(n, iset, j=None):
-    w = [Fraction(0)] * n
-    for i in iset:
-        w[i] += 1
-    if j is not None:
-        w[j] -= 1
-    return tuple(w)
-
-
-def _build_W(n):
-    roots = []
-    full = (1 << n) - 1
-    for mask in range(full + 1):
-        size = bin(mask).count("1")
-        iset = [i for i in range(n) if mask & (1 << i)]
-        for j in range(n):
-            if mask & (1 << j):
-                continue
-            w = _w_weight(n, iset, j)
-            par = (size - 1) % 2
-            roots.append(Root(w, 1 - par, par))
-        if 0 < size < n:
-            par = size % 2
-            dim = n - size
-            w = _w_weight(n, iset)
-            roots.append(Root(w, dim * (1 - par), dim * par))
-    return RootSystem("W", (n,), _basis(n), roots)
-
-
-def _build_S(n, prime=False):
-    roots = []
-    removed = []
+def _build_cartan(family, n):
+    """W(n), S(n) or S'(n) in W(n) coordinates.  x^I d_j has weight
+    e_I - e_j and parity |I| - 1.  For j outside I each weight is one root
+    line; the j in I give the weight e_K, K = I minus j, one line for each j
+    outside K.  S and S' keep one line fewer at each e_K, so the e_K with
+    |K| = n - 1 are only ambient."""
+    roots, removed = [], []
     for mask in range(1 << n):
+        e_I = tuple(Fraction(mask >> i & 1) for i in range(n))
         size = bin(mask).count("1")
-        iset = [i for i in range(n) if mask & (1 << i)]
-        for j in range(n):
-            if mask & (1 << j):
-                continue
-            w = _w_weight(n, iset, j)
-            par = (size - 1) % 2
-            roots.append(Root(w, 1 - par, par))
+        ev, od = (_EVEN, _ODD)[(size - 1) % 2]
+        roots += [Root(wsub(e_I, _unit(n, j)), ev, od)
+                  for j in range(n) if not mask >> j & 1]
+        # e_K, K = I, has the parity |K| of x^(K+j) d_j
+        dim = n - size - (family != "W")
         if 0 < size < n:
-            w = _w_weight(n, iset)
-            if size == n - 1:
-                removed.append(w)
+            if dim:
+                roots.append(Root(e_I, dim * od, dim * ev))
             else:
-                par = size % 2
-                dim = n - size - 1
-                roots.append(Root(w, dim * (1 - par), dim * par))
-    fam = "Sprime" if prime else "S"
-    return RootSystem(fam, (n,), _basis(n), roots, ambient_extra=removed)
+                removed.append(e_I)
+    return RootSystem(family, (n,), _basis(n), roots, ambient_extra=removed)
 
 
 def _build_H(n):
@@ -762,7 +671,8 @@ _BUILDERS = {
     "sl": _build_sl, "psl": _build_psl, "osp": _build_osp,
     "D21a": lambda *_: _build_D21a(), "F4": lambda *_: _build_F4(),
     "G3": lambda *_: _build_G3(), "psq": _build_psq, "p": _build_p,
-    "W": _build_W, "S": _build_S, "Sprime": lambda n: _build_S(n, prime=True),
+    "W": lambda n: _build_cartan("W", n), "S": lambda n: _build_cartan("S", n),
+    "Sprime": lambda n: _build_cartan("Sprime", n),
     "H": _build_H,
 }
 

@@ -261,7 +261,7 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP,
                 laws = laws and sums_laws_hold(d)
                 for idx in factors.values():
                     restr = restr and restriction_compatible(d, idx)
-            winv = winv and weyl_invariance_holds(rs, s.bits, gens,
+            winv = winv and weyl_invariance_holds(rs, s, gens,
                                                   lift_cap=lift_cap)
         t = _tag(family, params)
         chk(f"decomposition-laws {t}", laws)

@@ -290,6 +290,10 @@ def test_kernel_calls_are_pinned(count_calls):
     calls["enumerate_closed"] = 0
     assert weyl_invariance_holds(rs, P.bits, gens)
     assert calls["enumerate_closed"] == 1 + len(gens)
+    # the streamed subset lends its Levi bits: only its images are searched
+    calls["enumerate_closed"] = 0
+    assert weyl_invariance_holds(rs, P, gens)
+    assert calls["enumerate_closed"] == len(gens)
 
 
 def test_canonical_order_and_determinism():

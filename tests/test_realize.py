@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from supercomin.realize import (DimCapExceeded, Realization, UnsupportedFamilyError,
-                                divergence, jacobi_defect, realize, realize_for)
+from supercomin.realize import (DEFAULT_DIM_CAP, DimCapExceeded, Realization,
+                                UnsupportedFamilyError, divergence, jacobi_defect,
+                                realize, realize_for)
 from supercomin.rootsys import build_root_system
 from supercomin.superder import SuperDerivation, partial
 from supercomin.verify import REALIZED_AUDITS
@@ -49,6 +50,20 @@ def test_unsupported_and_cap():
         realize("F4", ())
     with pytest.raises(DimCapExceeded):
         realize("W", (9,), dim_cap=100)
+
+
+@pytest.mark.parametrize("fam,par", [("gl", (2, 1))] + ALL_REALIZED)
+def test_cap_is_the_reported_dimension(fam, par):
+    """The cap is checked against the dimension the realization reports."""
+    if fam == "gl":
+        build = lambda cap: realize("gl", par, dim_cap=cap)
+    else:
+        build = lambda cap: realize_for(rsys(fam, par), dim_cap=cap)
+    rz = build(DEFAULT_DIM_CAP)
+    assert build(rz.dim).dim == rz.dim
+    with pytest.raises(DimCapExceeded,
+                       match=f"dimension {rz.dim} exceeds cap {rz.dim - 1}"):
+        build(rz.dim - 1)
 
 
 def test_corrupted_realization_fails_naming_root():
