@@ -19,11 +19,22 @@ elimination: which to choose?", 1993).  At the last variable only the
 tightest lower and upper bound are kept.  Neither changes the projection
 onto (x_k, ..., x_{d-1}) for any k, so back substitution sees the same
 interval for every variable as with plain elimination.
+
+A caller may split its system into ``rows``, which are eliminated, and
+``implied`` rows that follow from them, which only the closing check reads.
+``parabolic.principality_witness`` passes as implied each root row that a
+root sum derives from rows still eliminated (``RootTable.implied_rows``).
+The kept rows then cut out the same polyhedron as all rows, and the point
+back substitution returns depends on the polyhedron alone: x_k is the
+midpoint (or the one finite end, or 0) of the fiber over the coordinates
+already set.  So the witness is the one the full system gives, and a row
+wrongly passed as implied fails the closing check instead of going unseen.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from operator import mul
 
@@ -41,8 +52,13 @@ def _combine(p, q, k):
     return _normalize([a * pc + b * qc for pc, qc in zip(p, q)])
 
 
-def feasible_witness(rows, dim):
-    """A rational point satisfying every row, or None if the system is empty."""
+def feasible_witness(rows, dim, implied=()):
+    """A rational point satisfying every row, or None if the system is empty.
+
+    Only ``rows`` are eliminated; the ``implied`` rows must follow from
+    them, and the closing check, which raises ``AssertionError`` on any
+    violated row, reads them too.
+    """
     fm = IncrementalFM(dim)
     for r in rows:
         if not fm.add(r):
@@ -84,7 +100,7 @@ def feasible_witness(rows, dim):
         if g > 1:
             D //= g
             X = [v // g for v in X]
-    for r in rows:
+    for r in chain(rows, implied):
         if sum(map(mul, r, X)) + r[dim] * D < 0:
             raise AssertionError(f"witness {X}/{D} violates row {r}")
     return [Fraction(v, D) for v in X]

@@ -191,20 +191,40 @@ def principal_parabolic(rs: RootSystem, lam):
 
 
 def principality_witness(subset: RootSubset):
-    """Integer functional with P = {lam >= 0}, lam <= -1 off P, or None.
+    """Integer functional lam with P = {lam >= 0}, or None if there is none.
 
-    Strict negativity is scaled to <= -1, which loses nothing for the
-    homogeneous system at hand.
+    The rows are ``fm_weights[i].lam >= 0`` on P and ``fm_weights[i].lam
+    <= -1`` off P, each weight with its own denominators cleared, so an
+    off-P root alpha gets alpha(lam) <= -1/d, d the product of its
+    coordinates' denominators: -1/16 for F(4)'s odd roots, whose four
+    coordinates are halves.  Scaling strict negativity this way loses
+    nothing for the homogeneous system at hand.  Rows are dropped one at a
+    time, in ``RootTable.implied_rows`` order, while a pair of rows still
+    present implies them through a root sum, so the kept rows cut out the
+    same polyhedron and give the same witness; ``feasible_witness``
+    eliminates only those and checks every row.
     """
     rs, bits = subset.rs, subset.bits
-    rows = []
-    for i, vec in enumerate(rs.table.fm_weights):
+    table = rs.table
+    kept = (1 << len(rs)) - 1
+    for i, inside, outside in table.implied_rows:
         if (bits >> i) & 1:
-            rows.append(vec + (0,))
+            live, pairs = kept & bits, inside
         else:
-            rows.append(tuple(-c for c in vec) + (-1,))
-    rows.extend(rs.table.fm_constraints)
-    x = feasible_witness(rows, len(rs.basis))
+            live, pairs = kept & ~bits, outside
+        for m in pairs:
+            if m & live == m:
+                kept ^= 1 << i
+                break
+    rows, implied = [], []
+    for i, vec in enumerate(table.fm_weights):
+        if (bits >> i) & 1:
+            row = vec + (0,)
+        else:
+            row = tuple(-c for c in vec) + (-1,)
+        (rows if (kept >> i) & 1 else implied).append(row)
+    rows.extend(table.fm_constraints)
+    x = feasible_witness(rows, len(rs.basis), implied)
     if x is None:
         return None
     return tuple(clear_denominators(x))

@@ -56,6 +56,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
@@ -322,7 +323,9 @@ class RootTable:
       nonzero entry positive; ``plus`` and ``minus`` mask the roots that
       are positive and negative multiples of it;
     * ``perms``: root permutations of group elements, filled by
-      ``weyl.root_permutation``.
+      ``weyl.root_permutation``;
+    * ``implied_rows``, built on first use: the witness rows that root sums
+      imply (see its docstring).
     """
 
     def __init__(self, rs: RootSystem):
@@ -416,6 +419,38 @@ class RootTable:
             constraints.append(tuple(-c for c in ints) + (0,))
         self.fm_constraints = tuple(constraints)
         self.perms = {}
+
+    @cached_property
+    def implied_rows(self):
+        """Triples (i, inside, outside) in the order the principality
+        witness drops rows: descending L1 norm of ``weights[i]``, then i.
+
+        ``inside`` masks each pair {a, b} (a == b allowed) with
+        weights[a] + weights[b] == weights[i]; ``outside`` the pairs among
+        them for which 1/s_a + 1/s_b >= 1/s_i, where fm_weights[j] =
+        s_j * weights[j].  The witness rows are fm_weights[j].lam >= 0 for
+        j in P and fm_weights[j].lam <= -1 off P, so a pair inside P
+        implies row i when i lies in P, and an ``outside`` pair off P
+        implies it when i lies off P: then weights[i].lam <= -1/s_a - 1/s_b
+        <= -1/s_i.  That fails only where two half-integral weights sum to
+        an integral one (F(4), D(2,1;a)), whose row asks for more.
+        Roots that are no pair sum are left out.
+        """
+        w, fm = self.weights, self.fm_weights
+        index = {v: i for i, v in enumerate(w)}
+        # 1/s_j, read off the first nonzero coordinate
+        inv = [next(Fraction(c, f) for c, f in zip(wv, fv) if c)
+               for wv, fv in zip(w, fm)]
+        pairs = [[] for _ in w]
+        for a in range(len(w)):
+            for b in range(a, len(w)):
+                i = index.get(tuple(x + y for x, y in zip(w[a], w[b])))
+                if i is not None:
+                    pairs[i].append((1 << a | 1 << b, inv[a] + inv[b] >= inv[i]))
+        order = sorted(range(len(w)), key=lambda i: (-sum(map(abs, w[i])), i))
+        return tuple((i, tuple(m for m, _ in pairs[i]),
+                      tuple(m for m, ok in pairs[i] if ok))
+                     for i in order if pairs[i])
 
 
 # ---------------------------------------------------------------------------

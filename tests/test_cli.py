@@ -219,6 +219,8 @@ def test_verify_rejects_orbit_cap(capsys):
 SELF_CHECKS = """
 import sys
 from supercomin import feasible, verify
+from supercomin.parabolic import RootSubset, principality_witness
+from supercomin.rootsys import build_root_system
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
@@ -234,6 +236,15 @@ feasible.IncrementalFM.add = (
 try:
     feasible.feasible_witness([(1, -5), (-1, 2)], 1)
     sys.exit("feasible_witness returned a point of an empty system")
+except AssertionError:
+    pass
+rs = build_root_system("sl", (2, 1))
+i = rs.parse_root("e2-d1")
+rs.table.implied_rows = ((i, (0,), (0,)),) + tuple(
+    e for e in rs.table.implied_rows if e[0] != i)
+try:
+    principality_witness(RootSubset(rs, 0x7))
+    sys.exit("principality_witness skipped a row wrongly marked implied")
 except AssertionError:
     pass
 """

@@ -1,12 +1,14 @@
+import itertools
 import warnings
 from fractions import Fraction
 
 import pytest
 
-from supercomin import kernel, weyl
+from supercomin import kernel, parabolic, weyl
 from supercomin.classify import enumerate_cominuscule_orbits
 from supercomin.cominuscule import is_cominuscule
-from supercomin.feasible import IncrementalFM
+from supercomin.feasible import (IncrementalFM, clear_denominators,
+                                 feasible_witness)
 from supercomin.parabolic import (CapExceeded, ImproperSubsetError, RootSubset,
                                   _face_masks, enumerate_parabolics,
                                   is_parabolic, levi_decompositions,
@@ -381,6 +383,84 @@ def test_principality_witness_golden(check_golden):
                          f"{list(w) if w is not None else None}")
     assert len(lines) == 2372
     check_golden("principality_witnesses.txt", "\n".join(lines) + "\n")
+
+
+def witness_from_every_row(P):
+    """``principality_witness`` with every root row eliminated: none is
+    dropped as implied by a root sum."""
+    rs, bits = P.rs, P.bits
+    rows = [vec + (0,) if (bits >> i) & 1 else tuple(-c for c in vec) + (-1,)
+            for i, vec in enumerate(rs.table.fm_weights)]
+    x = feasible_witness(rows + list(rs.table.fm_constraints), len(rs.basis))
+    return None if x is None else tuple(clear_denominators(x))
+
+
+@pytest.mark.parametrize("fam,par", [("sl", (2, 1)), ("p", (2,)), ("psl", (2,)),
+                                     ("osp", (3, 2)), ("osp", (1, 4))])
+def test_witness_matches_every_row_on_every_subset(fam, par):
+    """Dropping the rows that root sums imply changes no witness, on every
+    subset, parabolic or not, so the None of a non-principal subset too
+    (no exhaustive parabolic of ``WITNESS_GOLDEN_SYSTEMS`` has one)."""
+    rs = rsys(fam, par)
+    nones = 0
+    for bits in range(1 << len(rs)):
+        P = RootSubset(rs, bits)
+        w = principality_witness(P)
+        assert w == witness_from_every_row(P), P
+        nones += w is None
+    assert 0 < nones < 1 << len(rs)
+
+
+@pytest.mark.parametrize("fam,par", [("F4", ()), ("G3", ()), ("D21a", ()),
+                                     ("S", (4,)), ("psl", (3,)), ("osp", (6, 2))])
+def test_witness_matches_every_row_on_principal_grid(fam, par):
+    """P(lam) over lam in {-1, 0, 2}^d: half-integral weights, whose rows
+    have other scales than their summands' (F(4), G(3), D(2,1;a)), and the
+    collinear delta, 2 delta of osp."""
+    rs = rsys(fam, par)
+    seen = set()
+    for lam in itertools.product((-1, 0, 2), repeat=len(rs.basis)):
+        try:
+            P, _ = principal_parabolic(rs, lam)
+        except ImproperSubsetError:
+            continue
+        if P.bits not in seen:
+            seen.add(P.bits)
+            w = principality_witness(P)
+            assert w is not None and w == witness_from_every_row(P), P
+
+
+def test_witness_rows_are_pinned(monkeypatch):
+    """The rows ``principality_witness`` hands to Fourier-Motzkin over
+    ``WITNESS_GOLDEN_SYSTEMS``, counted exactly (53,620 with every root
+    row), so that a change in which rows drop shows as a diff."""
+    rows = 0
+
+    def counting(eliminated, dim, implied=()):
+        nonlocal rows
+        rows += len(eliminated)
+        return feasible_witness(eliminated, dim, implied)
+
+    monkeypatch.setattr(parabolic, "feasible_witness", counting)
+    for fam, par in WITNESS_GOLDEN_SYSTEMS:
+        for P in enumerate_parabolics(rsys(fam, par), "exhaustive"):
+            principality_witness(P)
+    assert rows == 24451
+
+
+def test_row_wrongly_marked_implied_fails_the_closing_check(monkeypatch):
+    """A row that no root sum implies, marked implied, is not eliminated;
+    the point found then violates it, and the closing check over every
+    row raises instead of returning a wrong witness."""
+    rs = rsys("sl", (2, 1))
+    P = RootSubset(rs, 0x7)
+    i = rs.parse_root("e2-d1")  # off P
+    assert principality_witness(P) == witness_from_every_row(P)
+    rows = ((i, (0,), (0,)),) + tuple(
+        e for e in rs.table.implied_rows if e[0] != i)
+    monkeypatch.setattr(rs.table, "implied_rows", rows)
+    with pytest.raises(AssertionError, match="violates row"):
+        principality_witness(P)
 
 
 def test_face_masks_golden(check_golden):
