@@ -217,11 +217,8 @@ def principality_witness(subset: RootSubset):
                 kept ^= 1 << i
                 break
     rows, implied = [], []
-    for i, vec in enumerate(table.fm_weights):
-        if (bits >> i) & 1:
-            row = vec + (0,)
-        else:
-            row = tuple(-c for c in vec) + (-1,)
+    for i, (inside, outside) in enumerate(table.witness_rows):
+        row = inside if (bits >> i) & 1 else outside
         (rows if (kept >> i) & 1 else implied).append(row)
     rows.extend(table.fm_constraints)
     x = feasible_witness(rows, len(rs.basis), implied)
@@ -270,15 +267,29 @@ def _face_masks(rs: RootSystem, prune_masks=None):
     symmetric, that is exactly the set of pairs a root-by-root test would
     reject, so the prune keeps every face that can still produce a set with
     an abelian nilradical, and only those; it is used for the largest runs.
+
+    A hyperplane whose sign two earlier ones force takes that one branch,
+    with the prune, and no Fourier-Motzkin clone or row: every other branch
+    is empty.  The sign is forced when rep_h = a rep_i + b rep_j
+    (``RootTable.plane_relations``) and the terms a lam.rep_i, b lam.rep_j
+    are not of opposite signs: it is 0 when both are 0, else the sign of a
+    nonzero one.  The row left out is implied only up to scale ((1,0) =
+    1/2 (1,1) + 1/2 (1,-1) gives lam.(1,0) > 0, not >= 1), so the scaled
+    system the engine holds differs from the one that adds every row.  The
+    set of lam with the chosen strict signs does not differ, and it is a
+    cone, so by homogeneity the scaled system of every later node is
+    feasible exactly when the full one is, and the masks are the same.
     """
     dim = len(rs.basis)
     table = rs.table
     planes = table.hyperplanes
+    relations = table.plane_relations
     immovable = sum(1 << i for i in range(len(rs)) if rs.neg[i] is not None)
     base_fm = IncrementalFM(dim)
     for row in table.fm_constraints:
         base_fm.add(row)
     found = set()
+    signs = [0] * len(planes)
 
     def allowed(new, plus):
         # new: the immovable roots a branch makes strictly positive
@@ -292,23 +303,44 @@ def _face_masks(rs: RootSystem, prune_masks=None):
             new ^= low
         return True
 
+    def forced(h):
+        # the sign of lam.rep_h that the signs of two earlier planes fix
+        for i, j, sa, sb in relations[h]:
+            s, t = sa * signs[i], sb * signs[j]
+            if s >= 0 and t >= 0 or s <= 0 and t <= 0:
+                return s or t
+        return None
+
     def rec(h, fm, ge_mask, plus):
         # plus: the immovable roots of the strictly positive part
         if h == len(planes):
             found.add(ge_mask)
             return
         rep, pos, neg = planes[h]
+        sign = forced(h)
+        if sign is not None:
+            signs[h] = sign
+            if sign == 0:
+                rec(h + 1, fm, ge_mask | pos | neg, plus)
+            else:
+                side = pos if sign > 0 else neg
+                new = side & immovable
+                if allowed(new, plus):
+                    rec(h + 1, fm, ge_mask | side, plus | new)
+            return
         minus_rep = tuple(-c for c in rep)
         # zero branch
         fz = fm.clone()
         if fz.add(rep + (0,)) and fz.add(minus_rep + (0,)):
+            signs[h] = 0
             rec(h + 1, fz, ge_mask | pos | neg, plus)
         # strictly positive, then strictly negative branch
-        for side, row in ((pos, rep), (neg, minus_rep)):
+        for sign, side, row in ((1, pos, rep), (-1, neg, minus_rep)):
             new = side & immovable
             if allowed(new, plus):
                 fs = fm.clone()
                 if fs.add(row + (-1,)):
+                    signs[h] = sign
                     rec(h + 1, fs, ge_mask | side, plus | new)
 
     rec(0, base_fm, 0, 0)

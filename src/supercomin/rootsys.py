@@ -317,6 +317,8 @@ class RootTable:
     * ``fm_weights``, ``fm_constraints``: the Fourier-Motzkin data, each
       root weight with its own denominators cleared and each functional
       constraint v as the rows v.lam >= 0 and -v.lam >= 0;
+    * ``witness_rows[i]``: root i's two principality-witness rows, the pair
+      (``fm_weights[i]`` + (0,), its negation + (-1,)), for i in and off P;
     * ``hyperplanes``: the distinct root hyperplanes lam(alpha) = 0, as
       triples (rep, plus, minus) ordered by their first root.  ``rep`` is
       the primitive integer direction of ``fm_weights`` with its first
@@ -324,8 +326,9 @@ class RootTable:
       are positive and negative multiples of it;
     * ``perms``: root permutations of group elements, filled by
       ``weyl.root_permutation``;
-    * ``implied_rows``, built on first use: the witness rows that root sums
-      imply (see its docstring).
+    * ``implied_rows`` and ``plane_relations``, built on first use: the
+      witness rows that root sums imply, and the hyperplanes whose sign two
+      earlier ones can force (see their docstrings).
     """
 
     def __init__(self, rs: RootSystem):
@@ -403,6 +406,8 @@ class RootTable:
                 d *= Fraction(c).denominator
             fm_weights.append(tuple(int(Fraction(c) * d) for c in r.weight))
         self.fm_weights = tuple(fm_weights)
+        self.witness_rows = tuple((w + (0,), tuple(-c for c in w) + (-1,))
+                                  for w in fm_weights)
         planes = {}
         for i, w in enumerate(fm_weights):
             g = gcd(*w)
@@ -451,6 +456,43 @@ class RootTable:
         return tuple((i, tuple(m for m, _ in pairs[i]),
                       tuple(m for m, ok in pairs[i] if ok))
                      for i in order if pairs[i])
+
+    @cached_property
+    def plane_relations(self):
+        """Per hyperplane h, the tuple of (i, j, sa, sb) with i < j < h and
+        rep_h = a rep_i + b rep_j for a, b != 0 of signs sa, sb (``rep`` of
+        ``hyperplanes``).  Once lam has signs s_i, s_j on planes i and j,
+        lam.rep_h is a sum of two terms of signs sa s_i and sb s_j; when
+        neither is positive or neither is negative, that fixes its sign.
+
+        Any two reps are independent (distinct primitive directions, first
+        entry positive), so some 2x2 minor det of rep_i, rep_j is nonzero,
+        and with A, B the minors that put rep_h in place of rep_i, rep_j,
+        rep_h lies in their span iff A rep_i + B rep_j == det rep_h on every
+        coordinate, all in integers: a = A/det, b = B/det.
+        """
+        reps = [rep for rep, _, _ in self.hyperplanes]
+        dim = len(reps[0]) if reps else 0
+        coords = [(p, q) for p in range(dim) for q in range(p + 1, dim)]
+        out = []
+        for h, z in enumerate(reps):
+            rels = []
+            for j in range(h):
+                y = reps[j]
+                for i in range(j):
+                    x = reps[i]
+                    for p, q in coords:
+                        det = x[p] * y[q] - x[q] * y[p]
+                        if det:
+                            break
+                    A = z[p] * y[q] - z[q] * y[p]
+                    B = x[p] * z[q] - x[q] * z[p]
+                    if A and B and all(A * u + B * v == det * t
+                                       for u, v, t in zip(x, y, z)):
+                        rels.append((i, j, 1 if A * det > 0 else -1,
+                                     1 if B * det > 0 else -1))
+            out.append(tuple(rels))
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------

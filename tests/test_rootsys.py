@@ -290,6 +290,50 @@ def test_table_matches_fraction_weights(fam, par):
             (j, 1 << k) for j, k in enumerate(row) if k is not None)
 
 
+def _span_coefficients(x, y, z):
+    """(a, b) with a x + b y == z for independent x, y, or None: exact row
+    reduction of the columns x, y | z."""
+    rows = [[F(u), F(v), F(w)] for u, v, w in zip(x, y, z)]
+    for c in range(2):
+        p = next(k for k in range(c, len(rows)) if rows[k][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [e / rows[c][c] for e in rows[c]]
+        for k in range(len(rows)):
+            if k != c and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [e - f * g for e, g in zip(rows[k], rows[c])]
+    if any(row[2] for row in rows[2:]):
+        return None
+    return rows[0][2], rows[1][2]
+
+
+@pytest.mark.parametrize("fam,par", [("G3", ()), ("osp", (3, 2)), ("psl", (2,)),
+                                     ("S", (3,)), ("p", (3,))])
+def test_plane_relations_match_brute_force(fam, par):
+    """``plane_relations`` lists, with the signs of a and b, exactly the
+    triples i < j < h of hyperplanes with rep_h = a rep_i + b rep_j, found
+    here by row reduction over Fractions: collinear roots (G(3), and osp's
+    delta, 2 delta) on one hyperplane, a functional constraint (psl(2|2)),
+    and W-type (S(3)) and periplectic (p(3)) arrangements."""
+    t = rsys(fam, par).table
+    reps = [rep for rep, _, _ in t.hyperplanes]
+    want = []
+    for h, z in enumerate(reps):
+        rels = []
+        for j in range(h):
+            for i in range(j):
+                ab = _span_coefficients(reps[i], reps[j], z)
+                if ab is not None:
+                    a, b = ab
+                    assert a and b
+                    assert all(a * u + b * v == w
+                               for u, v, w in zip(reps[i], reps[j], z))
+                    rels.append((i, j, 1 if a > 0 else -1, 1 if b > 0 else -1))
+        want.append(tuple(rels))
+    assert t.plane_relations == tuple(want)
+    assert any(want)
+
+
 def test_g3_elimination():
     rs = rsys("G3", ())
     # eps1 - eps3 = 2 eps1 + eps2 in the eliminated basis (eps3 = -eps1-eps2)
