@@ -8,7 +8,9 @@ import pytest
 from supercomin.realize import (DEFAULT_DIM_CAP, DimCapExceeded, Realization,
                                 UnsupportedFamilyError, divergence, jacobi_defect,
                                 realize, realize_for)
+from supercomin.matrixrep import MatrixSuperElement
 from supercomin.rootsys import build_root_system
+from supercomin.scalars import QI
 from supercomin.superder import SuperDerivation, partial
 from supercomin.verify import REALIZED_AUDITS
 
@@ -232,3 +234,55 @@ def test_bracket_tables_golden(check_golden):
             sum(1 << b for b in range(n) if rz.bracket_nonzero(a, b))
             for a in range(n)]
     check_golden("bracket_tables.json", json.dumps(tables, indent=1) + "\n")
+
+
+# every realization over a grid of instances: 31 algebras
+REALIZATION_GRID = (
+    [("gl", mn) for mn in ((1, 1), (2, 1), (2, 2), (3, 3), (1, 3))]
+    + [("sl", mn) for mn in ((2, 1), (1, 2), (3, 2), (4, 1))]
+    + [("psl", (n,)) for n in range(2, 5)] + [("psq", (n,)) for n in range(3, 6)]
+    + [("p", (n,)) for n in range(2, 6)] + [("W", (n,)) for n in range(2, 6)]
+    + [("S", (n,)) for n in range(3, 6)] + [("Sprime", (4,))]
+    + [("H", (n,)) for n in range(5, 9)])
+
+
+def _coeff(c):
+    """A coefficient with its exact type: ``int`` 1, ``Fraction`` 1 and
+    ``QI(1, 0)`` are three different strings."""
+    if isinstance(c, QI):
+        return f"QI({_coeff(c.re)}, {_coeff(c.im)})"
+    return f"{type(c).__name__}:{c!r}"
+
+
+def _element(x):
+    items = x.entries if isinstance(x, MatrixSuperElement) else x.terms
+    body = " ".join(f"{k}={_coeff(c)}" for k, c in sorted(items.items()))
+    return f"{type(x).__name__} {x.parity} {body}"
+
+
+def realization_digest(rz):
+    """SHA-256 of a realization: its label, params and weights, every basis
+    and torus element with the exact type of each coefficient, each torus
+    element's ``lin``, the eigenvalue weights of every basis vector, ``dim``,
+    ``zero_dim`` and ``center_projection``."""
+    from hashlib import sha256
+
+    parts = [f"{rz.label} {rz.params} {rz.dim} {rz.zero_dim} "
+             f"{rz.center_projection}"]
+    for i, (w, (ev, od)) in enumerate(zip(rz.weights, rz.spaces)):
+        eigen = rz.eigen_override.get(i, (w,) * (len(ev) + len(od)))
+        parts.append(f"{w!r} {len(ev)} {len(od)} {eigen!r}")
+        parts += [_element(x) for x in ev + od]
+    for h, lin in rz.torus:
+        parts.append(f"{_element(h)} lin {' '.join(map(_coeff, lin))}")
+    return sha256("\n".join(parts).encode()).hexdigest()
+
+
+def test_realizations_golden(check_golden):
+    """Each realization, hashed (``realization_digest``), byte for byte."""
+    lines = []
+    for fam, par in REALIZATION_GRID:
+        rz = realize(fam, par) if fam == "gl" else realize_for(rsys(fam, par))
+        tag = ",".join(str(x) for x in par)
+        lines.append(f"{fam}({tag}) {rz.dim} {realization_digest(rz)}")
+    check_golden("realizations.txt", "\n".join(lines) + "\n")
