@@ -1,10 +1,15 @@
 """Exact realizations with root-space bases: the bracket ground truth.
 
-Matrix families (gl, sl, q for psq, p) and superderivation families
-(W, S, S', H) are realized with explicit root-space bases; psl(n|n) is
-served by gl(n|n), with brackets that land in the span of the identity
-counting as zero.  osp, D(2,1;a), F(4) and G(3) are intentionally not
-realized: for them root-level sum rules are authoritative.
+Each realization states its root vectors and its torus diagonals.  gl(m|n),
+sl(m|n) and psl(n|n) are one shape, ``_gl_type``: E_ab on each gl root
+e_a - e_b, one space per class of roots.  psl(n|n) is served by gl(n|n),
+one space per class of gl lifts, with brackets that land in the span of the
+identity counting as zero.  q(n) (serving psq(n)) and p(n) state sparse
+matrices, W(n), S(n), S'(n) and H(n) sparse superderivations.  A torus
+element's ``lin`` is read off its diagonal (the matrix diagonal, or the
+coefficients of x_k d/dx_k for W and S); only H(n), whose torus is not
+diagonal in x, states it.  osp, D(2,1;a), F(4) and G(3) are intentionally
+not realized: for them root-level sum rules are authoritative.
 
 Elements of both kinds are sparse and exact: a matrix stores its nonzero
 entries (``matrixrep``), a superderivation its nonzero monomial terms
@@ -20,25 +25,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .matrixrep import MatrixSuperElement
-from .rootsys import RootSystem, build_root_system
+from .rootsys import RootSystem, _gl_roots, build_root_system
 from .scalars import QI
 from .superder import SuperDerivation, merge_sign, partial, wedge
 
 DEFAULT_DIM_CAP = 4096
-
-# the dimension of each realized algebra, checked against the cap before
-# the build and reported as ``Realization.dim``
-_DIMS = {
-    "gl": lambda m, n: (m + n) ** 2,
-    "sl": lambda m, n: (m + n) ** 2 - 1,
-    "psl": lambda n: (2 * n) ** 2,  # served by gl(n|n)
-    "psq": lambda n: 2 * n * n,  # served by q(n)
-    "p": lambda n: 2 * n * n - 1,
-    "W": lambda n: n * 2 ** n,
-    "S": lambda n: (n - 1) * 2 ** n + 1,
-    "Sprime": lambda n: (n - 1) * 2 ** n + 1,
-    "H": lambda n: 2 ** n - 2,
-}
 
 
 class UnsupportedFamilyError(ValueError):
@@ -141,136 +132,117 @@ class Realization:
 
 
 # ---------------------------------------------------------------------------
+# shared shapes
+
+
+def _space(vectors):
+    """A root space as (even basis, odd basis), each in the given order."""
+    vectors = list(vectors)
+    return [v for v in vectors if not v.parity], [v for v in vectors if v.parity]
+
+
+def _units(d):
+    """The diagonals e_k for k < d."""
+    return [[int(j == k) for j in range(d)] for k in range(d)]
+
+
+def _steps(d):
+    """The diagonals e_k - e_{k+1} for k < d - 1."""
+    return [[int(j == k) - int(j == k + 1) for j in range(d)] for k in range(d - 1)]
+
+
+def _diagonal(m, n):
+    """The element of gl(m|n) with a given diagonal."""
+    return lambda row: MatrixSuperElement(
+        m, n, {(k, k): c for k, c in enumerate(row) if c}, 0)
+
+
+def _euler(n):
+    """The derivation sum c_k x_k d/dx_k of W(n) with a given row of c_k."""
+    return lambda row: SuperDerivation(
+        n, {(1 << k, k): Fraction(c) for k, c in enumerate(row) if c}, 0)
+
+
+def _torus(element, rows, width):
+    """Torus pairs (h, lin) from diagonal rows: h = element(row), and lin is
+    the row's first ``width`` slots, the coordinates of the weights."""
+    return [(element(row), tuple(Fraction(c) for c in row[:width]))
+            for row in rows]
+
+
+def _bound(label, rs, spaces, torus, zero_dim, **extra):
+    """A realization on the indices of ``rs``: weights, params and dim come
+    from it."""
+    return Realization(label, rs.params, [r.weight for r in rs.roots], spaces,
+                       torus, _REALIZED[rs.family][0](*rs.params), zero_dim,
+                       rs=rs, **extra)
+
+
+# ---------------------------------------------------------------------------
 # matrix families
 
 
-def _gl_weights(m, n):
-    d = m + n
-    out = []
-    for a in range(d):
-        for b in range(d):
-            if a != b:
-                w = [Fraction(0)] * d
-                w[a], w[b] = Fraction(1), Fraction(-1)
-                out.append(tuple(w))
-    return sorted(out)
-
-
-def _unit_matrix_space(m, n, w):
-    a = next(i for i, c in enumerate(w) if c == 1)
-    b = next(i for i, c in enumerate(w) if c == -1)
-    el = MatrixSuperElement.unit(m, n, a, b)
-    return ([el], []) if el.parity == 0 else ([], [el])
-
-
-def _matrix_torus(m, n, traceless):
-    d = m + n
-    out = []
-    rng = range(d - 1) if traceless else range(d)
-    for k in rng:
-        entries = {(k, k): 1}
-        lin = [Fraction(0)] * d
-        lin[k] = Fraction(1)
-        if traceless:
-            entries[k + 1, k + 1] = -1
-            lin[k + 1] = Fraction(-1)
-        out.append((MatrixSuperElement(m, n, entries, 0), tuple(lin)))
-    return out
+def _gl_type(label, m, n, classes, diagonals, rs=None, **extra):
+    """gl(m|n) with E_ab on each root e_a - e_b, one space per class of
+    roots, and one torus element per diagonal, as many as the zero weight
+    space has dimensions.  Each basis vector keeps its own root as weight."""
+    spaces, eigen = [], {}
+    for i, lifts in enumerate(classes):
+        pairs = sorted(((MatrixSuperElement.unit(m, n, w.index(1), w.index(-1)), w)
+                        for w in lifts), key=lambda p: p[0].parity)
+        spaces.append(_space(v for v, _ in pairs))
+        eigen[i] = tuple(w for _, w in pairs)
+    torus = _torus(_diagonal(m, n), diagonals, m + n)
+    if rs is not None:
+        return _bound(label, rs, spaces, torus, len(diagonals),
+                      eigen_override=eigen, **extra)
+    return Realization(label, (m, n), [ls[0] for ls in classes], spaces, torus,
+                       _REALIZED["gl"][0](m, n), len(diagonals),
+                       eigen_override=eigen)
 
 
 def _realize_gl(m, n):
-    weights = _gl_weights(m, n)
-    spaces = [_unit_matrix_space(m, n, w) for w in weights]
-    return Realization("gl", (m, n), weights, spaces, _matrix_torus(m, n, False),
-                       dim=_DIMS["gl"](m, n), zero_dim=m + n)
+    """gl(m|n) itself, on the roots of ``rootsys._gl_roots``."""
+    weights = sorted(r.weight for r in _gl_roots(m, n))
+    return _gl_type("gl", m, n, [(w,) for w in weights], _units(m + n))
 
 
-def _realize_sl(m, n, rs=None):
-    weights = _gl_weights(m, n)
-    spaces = [_unit_matrix_space(m, n, w) for w in weights]
-    return Realization("sl", (m, n), weights, spaces, _matrix_torus(m, n, True),
-                       dim=_DIMS["sl"](m, n), zero_dim=m + n - 1, rs=rs)
-
-
-def _realize_psl(n, rs):
-    """gl(n|n) serving the psl class system: one space per class, all lifts."""
-    spaces = []
-    eigen_override = {}
-    for i, lifts in enumerate(rs.lifts):
-        ev, od = [], []
-        ew, ow = [], []
-        for w in lifts:
-            e1, o1 = _unit_matrix_space(n, n, w)
-            ev += e1
-            od += o1
-            ew += [w] * len(e1)
-            ow += [w] * len(o1)
-        spaces.append((ev, od))
-        eigen_override[i] = tuple(ew + ow)
-    weights = tuple(r.weight for r in rs.roots)
-    return Realization("psl-via-gl", (n,), weights, spaces,
-                       _matrix_torus(n, n, False), dim=_DIMS["psl"](n),
-                       zero_dim=2 * n, center_projection=True, rs=rs,
-                       eigen_override=eigen_override)
-
-
-def _realize_q(n, rs):
+def _realize_q(rs):
+    n = rs.params[0]
     spaces = []
     for r in rs.roots:
-        i = next(k for k, c in enumerate(r.weight) if c == 1)
-        j = next(k for k, c in enumerate(r.weight) if c == -1)
+        i, j = r.weight.index(1), r.weight.index(-1)
         a = {(i, j): 1, (n + i, n + j): 1}
         b = {(i, n + j): 1, (n + i, j): 1}
         spaces.append(([MatrixSuperElement(n, n, a, 0)],
                        [MatrixSuperElement(n, n, b, 1)]))
-    torus = []
-    for k in range(n):
-        lin = [Fraction(0)] * n
-        lin[k] = Fraction(1)
-        torus.append((MatrixSuperElement(n, n, {(k, k): 1, (n + k, n + k): 1}, 0),
-                      tuple(lin)))
-    weights = tuple(r.weight for r in rs.roots)
-    return Realization("q", (n,), weights, spaces, torus, dim=_DIMS["psq"](n),
-                       zero_dim=2 * n, center_projection=True, rs=rs)
+    torus = _torus(_diagonal(n, n), [u + u for u in _units(n)], n)
+    return _bound("q", rs, spaces, torus, 2 * n, center_projection=True)
 
 
-def _realize_p(n, rs):
+def _realize_p(rs):
+    n = rs.params[0]
     spaces = []
     for r in rs.roots:
         w = r.weight
-        entries = {}
         pos = [k for k, c in enumerate(w) if c > 0]
         neg = [k for k, c in enumerate(w) if c < 0]
+        parity = 1
         if len(pos) == 1 and len(neg) == 1 and w[pos[0]] == 1:
             i, j = pos[0], neg[0]  # eps_i - eps_j: A = E_ij, D = -E_ji
-            entries[i, j] = 1
-            entries[n + j, n + i] = -1
-            spaces.append(([MatrixSuperElement(n, n, entries, 0)], []))
-        elif len(neg) == 0:
-            if len(pos) == 1:  # 2 eps_i: B = E_ii
-                i = pos[0]
-                entries[i, n + i] = 1
-            else:  # eps_i + eps_j: B = E_ij + E_ji, symmetric
-                i, j = pos
-                entries[i, n + j] = 1
-                entries[j, n + i] = 1
-            spaces.append(([], [MatrixSuperElement(n, n, entries, 1)]))
+            entries, parity = {(i, j): 1, (n + j, n + i): -1}, 0
+        elif not neg and len(pos) == 1:  # 2 eps_i: B = E_ii
+            entries = {(pos[0], n + pos[0]): 1}
+        elif not neg:  # eps_i + eps_j: B = E_ij + E_ji, symmetric
+            i, j = pos
+            entries = {(i, n + j): 1, (j, n + i): 1}
         else:  # -(eps_i + eps_j): C = E_ij - E_ji, antisymmetric
             i, j = neg
-            entries[n + i, j] = 1
-            entries[n + j, i] = -1
-            spaces.append(([], [MatrixSuperElement(n, n, entries, 1)]))
-    torus = []
-    for k in range(n - 1):
-        entries = {(k, k): 1, (k + 1, k + 1): -1,
-                   (n + k, n + k): -1, (n + k + 1, n + k + 1): 1}
-        lin = [Fraction(0)] * n
-        lin[k] = Fraction(1)
-        lin[k + 1] = Fraction(-1)
-        torus.append((MatrixSuperElement(n, n, entries, 0), tuple(lin)))
-    weights = tuple(r.weight for r in rs.roots)
-    return Realization("p", (n,), weights, spaces, torus, dim=_DIMS["p"](n),
-                       zero_dim=n - 1, rs=rs)
+            entries = {(n + i, j): 1, (n + j, i): -1}
+        spaces.append(_space([MatrixSuperElement(n, n, entries, parity)]))
+    # diag(A, D) with D = -A^t
+    diagonals = [s + [-c for c in s] for s in _steps(n)]
+    return _bound("p", rs, spaces, _torus(_diagonal(n, n), diagonals, n), n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -288,68 +260,44 @@ def _decode_w_weight(w):
     return imask, j
 
 
-def _realize_W(n, rs):
+def _realize_W(rs):
+    n = rs.params[0]
     spaces = []
     for r in rs.roots:
         imask, j = _decode_w_weight(r.weight)
         if j is not None:
-            el = SuperDerivation.term(n, imask, j, Fraction(1))
-            spaces.append(([el], []) if el.parity == 0 else ([], [el]))
+            vectors = [SuperDerivation.term(n, imask, j, Fraction(1))]
         else:
-            ev, od = [], []
-            for l in range(n):
-                if imask >> l & 1:
-                    continue
-                el = SuperDerivation.term(n, imask | (1 << l), l, Fraction(1))
-                (ev if el.parity == 0 else od).append(el)
-            spaces.append((ev, od))
-    torus = []
-    for k in range(n):
-        lin = [Fraction(0)] * n
-        lin[k] = Fraction(1)
-        torus.append((SuperDerivation.term(n, 1 << k, k, Fraction(1)), tuple(lin)))
-    weights = tuple(r.weight for r in rs.roots)
-    return Realization("W", (n,), weights, spaces, torus, dim=_DIMS["W"](n),
-                       zero_dim=n, rs=rs)
+            vectors = [SuperDerivation.term(n, imask | (1 << l), l, Fraction(1))
+                       for l in range(n) if not imask >> l & 1]
+        spaces.append(_space(vectors))
+    return _bound("W", rs, spaces, _torus(_euler(n), _units(n), n), n)
 
 
-def _realize_S(n, rs, prime=False):
+def _realize_S(rs):
+    """S(n), or S'(n) when ``rs`` is the S'(n) system."""
+    n = rs.params[0]
     full = (1 << n) - 1
     one = Fraction(1)
     spaces = []
     for r in rs.roots:
         imask, j = _decode_w_weight(r.weight)
-        if j is not None:
-            if prime and imask == 0:
-                # (1 - x_1..x_n) d/dx_j
-                el = SuperDerivation(n, {(0, j): one, (full, j): -one}, 1)
-            else:
-                el = SuperDerivation.term(n, imask, j, one)
-            spaces.append(([el], []) if el.parity == 0 else ([], [el]))
-        else:
+        if j is None:
             # x_I (x_l0 d_l0 - x_m d_m): the product order fixes the relative
             # signs that make the element divergence-free
             l0 = next(l for l in range(n) if not imask >> l & 1)
-            ev, od = [], []
-            for m in range(n):
-                if m == l0 or imask >> m & 1:
-                    continue
-                el = SuperDerivation(
-                    n, {(imask | 1 << l0, l0): merge_sign(imask, 1 << l0) * one,
-                        (imask | 1 << m, m): -merge_sign(imask, 1 << m) * one},
-                    imask.bit_count())
-                (ev if el.parity == 0 else od).append(el)
-            spaces.append((ev, od))
-    torus = []
-    for k in range(n - 1):
-        lin = [Fraction(0)] * n
-        lin[k] = Fraction(1)
-        lin[k + 1] = Fraction(-1)
-        h = SuperDerivation(n, {(1 << k, k): one, (1 << (k + 1), k + 1): -one}, 0)
-        torus.append((h, tuple(lin)))
-    weights = tuple(r.weight for r in rs.roots)
-    return Realization("Sprime" if prime else "S", (n,), weights, spaces, torus,
-                       dim=_DIMS["S"](n), zero_dim=n - 1, rs=rs)
+            vectors = [SuperDerivation(
+                n, {(imask | 1 << l0, l0): merge_sign(imask, 1 << l0) * one,
+                    (imask | 1 << m, m): -merge_sign(imask, 1 << m) * one},
+                imask.bit_count())
+                for m in range(n) if m != l0 and not imask >> m & 1]
+        elif rs.family == "Sprime" and imask == 0:
+            # (1 - x_1..x_n) d/dx_j
+            vectors = [SuperDerivation(n, {(0, j): one, (full, j): -one}, 1)]
+        else:
+            vectors = [SuperDerivation.term(n, imask, j, one)]
+        spaces.append(_space(vectors))
+    return _bound(rs.family, rs, spaces, _torus(_euler(n), _steps(n), n), n - 1)
 
 
 def _d_of(n: int, f: dict) -> SuperDerivation:
@@ -364,13 +312,15 @@ def _d_of(n: int, f: dict) -> SuperDerivation:
     return SuperDerivation(n, terms, next(iter(f)).bit_count())
 
 
-def _realize_H(n, rs):
+def _realize_H(rs):
     """H(n) on eta_k = x_k + i x_{k+l} and eta_{k+l} = x_k - i x_{k+l}.
 
     These are sqrt(2) times the orthonormal pairing: a root vector rescaled
     by a nonzero scalar keeps its weight and every bracket's vanishing, and
-    every coefficient stays a Gaussian integer.
+    every coefficient stays a Gaussian integer.  The torus elements
+    D_{x_k x_{k+l}} are not diagonal in x, so their ``lin`` is stated.
     """
+    n = rs.params[0]
     l = n // 2
     odd = n % 2
 
@@ -384,7 +334,7 @@ def _realize_H(n, rs):
         imask = sum(1 << k for k, c in enumerate(r.weight) if c == 1)
         jmask = sum(1 << k for k, c in enumerate(r.weight) if c == -1)
         rest = [k for k in range(l) if not ((imask | jmask) >> k) & 1]
-        ev, od = [], []
+        vectors = []
         for km in range(1 << len(rest)):
             kset = [rest[t] for t in range(len(rest)) if km >> t & 1]
             for b in range(2 if odd else 1):
@@ -398,66 +348,69 @@ def _realize_H(n, rs):
                         f = wedge(f, wedge(eta(k), eta(k + l)))
                 if b:
                     f = wedge(f, {1 << (n - 1): 1})
-                el = _d_of(n, f)
-                (ev if el.parity == 0 else od).append(el)
-        spaces.append((ev, od))
+                vectors.append(_d_of(n, f))
+        spaces.append(_space(vectors))
     torus = []
     for k in range(l):
         h = _d_of(n, {(1 << k) | (1 << (k + l)): 1})
         lin = [0] * l
         lin[k] = -QI.i()
         torus.append((h, tuple(lin)))
-    weights = tuple(r.weight for r in rs.roots)
     zero_dim = (1 << l) * (2 if odd else 1) - 2
-    return Realization("H", (n,), weights, spaces, torus, dim=_DIMS["H"](n),
-                       zero_dim=zero_dim, rs=rs)
+    return _bound("H", rs, spaces, torus, zero_dim)
 
 
 # ---------------------------------------------------------------------------
 # entry points
 
-_DIRECT = {"gl", "sl", "psq", "p", "W", "S", "Sprime", "H"}
+# family -> (dimension of the realized algebra, builder).  The dimension is
+# checked against the cap before the build and reported as
+# ``Realization.dim``; gl's builder takes (m, n), every other one a root
+# system, on whose indices its realization is bound.
+_REALIZED = {
+    "gl": (lambda m, n: (m + n) ** 2, _realize_gl),
+    "sl": (lambda m, n: (m + n) ** 2 - 1,
+           lambda rs: _gl_type("sl", *rs.params, rs.lifts,
+                               _steps(sum(rs.params)), rs)),
+    # psl(n|n) is served by gl(n|n): a class of lifts spans one space, and
+    # brackets in the span of the identity count as zero
+    "psl": (lambda n: (2 * n) ** 2,
+            lambda rs: _gl_type("psl-via-gl", *rs.params * 2, rs.lifts,
+                                _units(2 * rs.params[0]), rs,
+                                center_projection=True)),
+    "psq": (lambda n: 2 * n * n, _realize_q),  # served by q(n)
+    "p": (lambda n: 2 * n * n - 1, _realize_p),
+    "W": (lambda n: n * 2 ** n, _realize_W),
+    "S": (lambda n: (n - 1) * 2 ** n + 1, _realize_S),
+    "Sprime": (lambda n: (n - 1) * 2 ** n + 1, _realize_S),
+    "H": (lambda n: 2 ** n - 2, _realize_H),
+}
+
+
+def _builder(family, params, dim_cap):
+    """The builder of ``family``, once the dimension at ``params`` is within
+    the cap."""
+    if family not in _REALIZED:
+        raise UnsupportedFamilyError(
+            f"{family} is not realized (root-level rules are authoritative there)")
+    dim, build = _REALIZED[family]
+    if dim(*params) > dim_cap:
+        raise DimCapExceeded(f"algebra dimension {dim(*params)} exceeds cap {dim_cap}")
+    return build
 
 
 def realize(family, params, dim_cap=DEFAULT_DIM_CAP) -> Realization:
-    """Realize one of gl, sl, psq, p, W, S, Sprime, H at the given rank."""
+    """Realize one of the families of ``_REALIZED`` at the given rank; every
+    family but gl is bound to its root system, as by ``realize_for``."""
+    build = _builder(family, params, dim_cap)
     if family == "gl":
-        m, n = params
-        _check_cap(_DIMS["gl"](m, n), dim_cap)
-        return _realize_gl(m, n)
-    if family not in _DIRECT:
-        raise UnsupportedFamilyError(
-            f"{family} is not realized (root-level rules are authoritative there)")
-    rs = build_root_system(family, params)
-    return realize_for(rs, dim_cap=dim_cap)
+        return build(*params)
+    return realize_for(build_root_system(family, params), dim_cap=dim_cap)
 
 
 def realize_for(rs: RootSystem, dim_cap=DEFAULT_DIM_CAP) -> Realization:
-    """Realization bound to a root system's indices (psl is served by gl)."""
-    fam, par = rs.family, rs.params
-    if fam not in _DIMS:
-        raise UnsupportedFamilyError(
-            f"{fam} is not realized (root-level rules are authoritative there)")
-    _check_cap(_DIMS[fam](*par), dim_cap)
-    if fam == "sl":
-        return _realize_sl(*par, rs=rs)
-    n = par[0]
-    if fam == "psl":
-        return _realize_psl(n, rs)
-    if fam == "psq":
-        return _realize_q(n, rs)
-    if fam == "p":
-        return _realize_p(n, rs)
-    if fam == "W":
-        return _realize_W(n, rs)
-    if fam == "H":
-        return _realize_H(n, rs)
-    return _realize_S(n, rs, prime=(fam == "Sprime"))
-
-
-def _check_cap(dim, cap):
-    if dim > cap:
-        raise DimCapExceeded(f"algebra dimension {dim} exceeds cap {cap}")
+    """Realization bound to a root system's indices."""
+    return _builder(rs.family, rs.params, dim_cap)(rs)
 
 
 def jacobi_defect(x, y, z):

@@ -286,3 +286,11 @@ def test_realizations_golden(check_golden):
         tag = ",".join(str(x) for x in par)
         lines.append(f"{fam}({tag}) {rz.dim} {realization_digest(rz)}")
     check_golden("realizations.txt", "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_realize_serves_psl_as_realize_for(n):
+    """``realize`` takes psl(n|n) through the same table as ``realize_for``
+    (it used to refuse it as not realized)."""
+    assert realization_digest(realize("psl", (n,))) == realization_digest(
+        realize_for(rsys("psl", (n,))))
