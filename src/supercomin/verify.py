@@ -238,9 +238,8 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP,
     for family, params in AGREEMENT_INSTANCES:
         if not want(family):
             continue
+        check_subset_cap(root_count(family, params), subset_cap)
         rs = build_root_system(family, params)
-        if len(rs) > subset_cap:
-            continue
         ex = [s.bits for s in enumerate_parabolics(rs, "exhaustive",
                                                    subset_cap=subset_cap)]
         pr = [s.bits for s in enumerate_parabolics(rs, "principal")]

@@ -196,6 +196,17 @@ def test_oracle_lift_cap(capsys):
     assert main(["oracle", "--family", "W", "--n", "3", "--lift-cap", "6"]) == 0
 
 
+def test_verify_agreement_instance_past_cap_exits_2(capsys):
+    """An exhaustive==principal instance past the exhaustive cap stops the
+    suite with exit 2, as the crosscheck and law instances do, instead of
+    dropping its check: sl(2|3) has 20 roots."""
+    assert main(["verify", "--only", "sl", "--subset-cap", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "cap exceeded: |Delta| = 20 exceeds the exhaustive cap 10\n"
+
+
 def test_parser_cap_defaults(monkeypatch):
     for name in ("SUBSET", "LIFT", "ORBIT"):
         monkeypatch.delenv(f"SUPERCOMIN_{name}_CAP", raising=False)
