@@ -30,6 +30,7 @@ from .cominuscule import is_cominuscule
 from .parabolic import (DEFAULT_LIFT_CAP, DEFAULT_SUBSET_CAP, RootSubset,
                         check_subset_cap, enumerate_parabolics,
                         levi_decompositions, principality_witness)
+from .properties import even_factor_index_sets
 from .rootsys import (RootSystem, _unit, build_root_system, normalize_family,
                       root_count, wadd, wneg)
 
@@ -589,15 +590,6 @@ def _s_subsystem_indices(rs_w: RootSystem):
     return out
 
 
-def _gl_part_indices(rs_w: RootSystem):
-    out = []
-    for i, r in enumerate(rs_w.roots):
-        nz = sorted(c for c in r.weight if c != 0)
-        if nz == [-1, 1]:
-            out.append(i)
-    return out
-
-
 def _sl1n_sets(rs_w, n, m0, n0):
     """P_{sl(1|n)}(m0|n0) inside the W(n) coordinates: sl(1|n) on e_1..e_n
     and one more coordinate for its epsilon_1, which then maps to 0."""
@@ -620,10 +612,8 @@ def restriction_extension_check(n, subset_cap=DEFAULT_SUBSET_CAP,
     rs = build_root_system("W", (n,))
     gens = weyl.generators(rs, "auto")
     found, _ = cominuscule_subsets(rs, "auto", subset_cap, lift_cap)
-    s_idx = _s_subsystem_indices(rs)
-    s_mask = sum(1 << i for i in s_idx)
-    gl_idx = _gl_part_indices(rs)
-    gl_mask = sum(1 << i for i in gl_idx)
+    s_mask = sum(1 << i for i in _s_subsystem_indices(rs))
+    gl_mask = sum(1 << i for i in even_factor_index_sets(rs)["gl"])
 
     by_restriction = {}
     by_gl = {}
