@@ -18,8 +18,10 @@ class QI:
 
     Immutable.  ``re`` and ``im`` are kept as given (``int`` or
     ``Fraction``), so Gaussian-integer arithmetic stays on Python ints.
-    Arithmetic never leaves the field, equality with 0 is decidable, and an
-    element equal to a rational hashes like that rational.
+    The operations are those the H(n) superbrackets and root-space audit
+    use: ``+``, ``-`` and ``*`` with another element or a rational, unary
+    ``-``, the zero test ``bool`` and ``==``.  An element equal to a
+    rational hashes like that rational.
     """
 
     __slots__ = ("re", "im")
@@ -29,14 +31,6 @@ class QI:
         self.im = im
 
     # -- constructors -------------------------------------------------
-    @staticmethod
-    def of(x) -> "QI":
-        if isinstance(x, QI):
-            return x
-        if isinstance(x, _RATIONAL):
-            return QI(x)
-        raise TypeError(f"not an exact scalar: {x!r}")
-
     @staticmethod
     def i() -> "QI":
         return QI(0, 1)
@@ -76,16 +70,6 @@ class QI:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "QI":
-        if not self:
-            raise ZeroDivisionError("inverse of 0 in Q(i)")
-        # 1/(a + bi) = (a - bi)/(a^2 + b^2)
-        norm = Fraction(self.re * self.re + self.im * self.im)
-        return QI(self.re / norm, -self.im / norm)
-
-    def __truediv__(self, other):
-        return self * QI.of(other).inverse()
-
     # -- predicates ----------------------------------------------------
     def __bool__(self):
         return bool(self.re or self.im)
@@ -103,7 +87,3 @@ class QI:
 
     def __repr__(self):
         return f"QI({self.re}, {self.im})"
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"

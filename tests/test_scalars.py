@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from supercomin.scalars import QI, format_rational
+from supercomin.scalars import QI
 from supercomin.superder import SuperDerivation
 
 small = st.fractions(max_denominator=6)
@@ -37,16 +37,6 @@ def test_gaussian_integers_stay_ints(a, b):
         assert type(z.re) is int and type(z.im) is int
 
 
-@given(elements)
-def test_inverse(a):
-    if a:
-        assert a * a.inverse() == QI(1)
-        assert a / a == 1
-    else:
-        with pytest.raises(ZeroDivisionError):
-            a.inverse()
-
-
 @given(scalars, scalars)
 def test_equal_implies_equal_hash(x, y):
     if x == y:
@@ -65,18 +55,10 @@ def test_special_elements():
     i = QI.i()
     assert i * i == QI(-1) == -1
     assert i * -i == 1
-    assert (QI(1, 1) / QI(1, 1)) == QI(1)
     assert QI(1, 1) * QI(1, -1) == 2
 
 
 def test_non_scalars_rejected():
     with pytest.raises(TypeError):
-        QI.of(0.5)
-    with pytest.raises(TypeError):
         QI(1) + "1"
     assert QI(1) != "1"
-
-
-def test_format_rational():
-    assert format_rational(Fraction(3)) == "3"
-    assert format_rational(Fraction(-1, 2)) == "-1/2"
