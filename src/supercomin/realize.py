@@ -52,8 +52,9 @@ class Realization:
         self.zero_dim = zero_dim
         self.center_projection = center_projection
         self.rs = rs
-        # per-slot eigenvalue weights when basis vectors are not eigenvectors
-        # of the stored class weight (psl: one gl weight per lift)
+        # per-slot eigenvalue weights of the basis vectors, needed where they
+        # differ from the stored class weight (psl: one gl weight per lift);
+        # the gl-type builder gives them for gl and sl too
         self.eigen_override = eigen_override or {}
         self._index = {w: i for i, w in enumerate(self.weights)}
 
