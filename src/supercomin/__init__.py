@@ -8,7 +8,7 @@ from .parabolic import (LeviDecomposition, RootSubset, enumerate_parabolics,
                         principality_witness)
 from .cominuscule import CominusculeVerdict, crosscheck_bracket, is_cominuscule
 from .classify import (ClassificationReport, enumerate_cominuscule_orbits,
-                       expected_classification, restriction_extension_check)
+                       restriction_extension_check)
 from .realize import Realization, realize, realize_for
 from .verify import oracle_counts, run_paper_suite
 
@@ -20,7 +20,7 @@ __all__ = [
     "levi_decompositions", "principal_parabolic", "principality_witness",
     "CominusculeVerdict", "crosscheck_bracket", "is_cominuscule",
     "ClassificationReport", "enumerate_cominuscule_orbits",
-    "expected_classification", "restriction_extension_check",
+    "restriction_extension_check",
     "Realization", "realize", "realize_for",
     "oracle_counts", "run_paper_suite",
     "__version__",

@@ -383,11 +383,6 @@ def _expected_H(rs, n):
         shift_weights(flip_parities(_table(mod)), _unit(l, 0)), "multiset")]
 
 
-def expected_classification(family, params):
-    rs = build_root_system(family, params)
-    return expected_entries(rs), rs
-
-
 def expected_entries(rs: RootSystem):
     fam = rs.family
     if fam == "sl":
@@ -469,21 +464,13 @@ def choose_method(family, params, subset_cap=DEFAULT_SUBSET_CAP) -> str:
 
 def cominuscule_subsets(rs: RootSystem, method="auto",
                         subset_cap=DEFAULT_SUBSET_CAP, lift_cap=DEFAULT_LIFT_CAP):
-    """All cominuscule parabolic subsets, plus the method actually used.
-
-    Each subset carries the Levi bits its verdict read, so later verdicts
-    and decompositions on it search no lifts again.
-    """
+    """All cominuscule parabolic subsets, plus the method actually used."""
     if method == "auto":
         method = choose_method(rs.family, rs.params, subset_cap)
     prune = rs.table.forbidden[False] if method == "principal" else None
-    out = []
-    for subset in enumerate_parabolics(rs, method, subset_cap=subset_cap,
-                                       lift_cap=lift_cap, prune_masks=prune):
-        v = is_cominuscule(subset, lift_cap=lift_cap)
-        if v.is_cominuscule:
-            levis = tuple(d.levi_bits for d in v.decompositions)
-            out.append(RootSubset(rs, subset.bits, levis))
+    out = [s for s in enumerate_parabolics(rs, method, subset_cap=subset_cap,
+                                           lift_cap=lift_cap, prune_masks=prune)
+           if is_cominuscule(s, lift_cap=lift_cap).is_cominuscule]
     return out, method
 
 

@@ -200,12 +200,11 @@ def build_parser():
         p.add_argument("--m", type=int)
         p.add_argument("--n", type=int)
         output_and_caps(p)
-        p.add_argument("--orbit-cap", type=_cap,
-                       default=_env_cap("SUPERCOMIN_ORBIT_CAP",
-                                        DEFAULT_ORBIT_CAP))
 
     p = sub.add_parser("classify", help="classify cominuscule orbits of one instance")
     instance(p)
+    p.add_argument("--orbit-cap", type=_cap,
+                   default=_env_cap("SUPERCOMIN_ORBIT_CAP", DEFAULT_ORBIT_CAP))
     p.add_argument("--method", choices=["exhaustive", "principal", "auto"],
                    default="auto")
     p.add_argument("--group", choices=["even_weyl", "levi_weyl", "extended", "auto"],

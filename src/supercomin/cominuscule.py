@@ -32,17 +32,10 @@ def pair_forbidden(rs: RootSystem, a: int, b: int, literal: bool = False) -> boo
     return bool((rs.table.forbidden[literal][a] >> b) & 1)
 
 
-def rule_tag(rs: RootSystem) -> str:
-    return {
-        "psl": "psl33_ambient", "S": "S_ambient", "Sprime": "Sprime_ambient",
-    }.get(rs.family, "root_sum")
-
-
 @dataclass(frozen=True)
 class CominusculeVerdict:
     is_cominuscule: bool
     witness: LeviDecomposition | None
-    rule_used: str
     decompositions: tuple = ()
     abelian_flags: tuple = ()
 
@@ -67,7 +60,7 @@ def is_cominuscule(subset: RootSubset,
     forb = subset.rs.table.forbidden[False]
     scan = tuple(_abelian_scan(subset, lambda a, b: (forb[a] >> b) & 1, lift_cap))
     witness = next((d for d, ok in scan if ok), None)
-    return CominusculeVerdict(witness is not None, witness, rule_tag(subset.rs),
+    return CominusculeVerdict(witness is not None, witness,
                               tuple(d for d, _ in scan), tuple(ok for _, ok in scan))
 
 
@@ -78,18 +71,8 @@ def bracket_cominuscule(subset: RootSubset, rz,
                                              lift_cap))
 
 
-def crosscheck_bracket(subset: RootSubset, rz=None,
+def crosscheck_bracket(subset: RootSubset, rz,
                        lift_cap=DEFAULT_LIFT_CAP) -> bool:
-    """Does the root-level verdict agree with the bracket oracle on P?
-
-    Both verdicts read one set of Levi bits, so a subset that carries none
-    pays one lift search, not two.
-    """
-    if rz is None:
-        from .realize import realize_for
-
-        rz = realize_for(subset.rs)
-    levis = tuple(d.levi_bits for d in levi_decompositions(subset, lift_cap=lift_cap))
-    subset = RootSubset(subset.rs, subset.bits, levis)
+    """Does the root-level verdict agree with the bracket oracle on P?"""
     rule = is_cominuscule(subset, lift_cap=lift_cap).is_cominuscule
     return rule == bracket_cominuscule(subset, rz, lift_cap=lift_cap)

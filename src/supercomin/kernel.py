@@ -12,7 +12,7 @@ and their search order are derived here.  Roots may be fixed in advance:
 contains, and only the other roots are searched.  The parabolic module
 searches the symmetrized list Delta u (-Delta): once per system with
 nothing fixed for the exhaustive stream, whose results are the lifts of
-every parabolic subset, and once per point query with the Delta-part fixed
+every parabolic subset, and once per other subset with the Delta-part fixed
 to P (``inside`` = P, ``outside`` = Delta \\ P), for the lifts of P.
 """
 

@@ -10,11 +10,14 @@ L = Ptilde n (-Ptilde) n Delta and N+ = (Ptilde \\ -Ptilde) n Delta, so a
 nonsymmetric P can decompose in several ways.
 
 Both definitions are one: a symmetric Delta has no extra weights, so its
-only possible lift is P.  Lifts are the closed covering subsets of
-Delta u (-Delta), and ``kernel`` enumerates them.  The exhaustive stream
-makes one search per system and groups the lifts by their Delta-parts, the
-parabolic subsets, each of which carries its Levi bits; a subset built
-elsewhere gets its lifts from a search with the Delta-part fixed to P.
+only possible lift is P.  The lift rule is stated once, in ``_levi_groups``:
+the lifts are the closed covering subsets of Delta u (-Delta), which one
+``kernel`` search enumerates, grouped by their Delta-parts into
+{P: sorted Levi bits}.  The exhaustive stream searches with nothing fixed
+and seeds each subset it yields with its Levi bits; any other subset
+searches with its Delta-part fixed to P on its first read
+(``RootSubset.levi_masks``) and keeps the result.  P is parabolic exactly
+when it has Levi bits, and every verdict reads them.
 
 Subsets are bitmasks over root indices in canonical root order.
 """
@@ -45,9 +48,20 @@ class CapExceeded(RuntimeError):
 class RootSubset:
     rs: RootSystem
     bits: int
-    # the sorted Levi bits, carried by the subsets of the exhaustive stream
-    # and by those ``classify.cominuscule_subsets`` returns
+    # the sorted Levi bits, seeded by the exhaustive stream or kept from the
+    # first ``levi_masks`` read
     levis: tuple | None = field(default=None, compare=False, repr=False)
+
+    def levi_masks(self, lift_cap=DEFAULT_LIFT_CAP) -> tuple:
+        """The sorted Levi bits over the lifts of P, () when P is not
+        parabolic; searched at most once per subset, capped on every read."""
+        rs, bits = self.rs, self.bits
+        _check_lift_cap(rs, bits, lift_cap)
+        if self.levis is None:
+            groups = _levi_groups(rs, inside=bits,
+                                  outside=((1 << len(rs)) - 1) & ~bits)
+            object.__setattr__(self, "levis", groups.get(bits, ()))
+        return self.levis
 
     def indices(self):
         return [i for i in range(len(self.rs)) if (self.bits >> i) & 1]
@@ -100,10 +114,9 @@ def parabolic_status(subset: RootSubset, lift_cap=DEFAULT_LIFT_CAP) -> str:
     A proper P is parabolic exactly when it has a lift; for a symmetric
     system that is P itself, covering and closed.
     """
-    rs, bits = subset.rs, subset.bits
-    if bits == (1 << len(rs)) - 1:
+    if subset.bits == (1 << len(subset.rs)) - 1:
         return "improper"
-    return "parabolic" if _lifts(rs, bits, lift_cap) else "not_parabolic"
+    return "parabolic" if subset.levi_masks(lift_cap) else "not_parabolic"
 
 
 def is_parabolic(subset: RootSubset, lift_cap=DEFAULT_LIFT_CAP) -> bool:
@@ -131,22 +144,22 @@ def _check_lift_cap(rs: RootSystem, bits: int, lift_cap):
         raise CapExceeded(f"lift search needs {free} free bits, cap is {lift_cap}")
 
 
-def _lifts(rs: RootSystem, bits: int, lift_cap=DEFAULT_LIFT_CAP):
-    """Masks over the symmetrized weight list of the parabolic lifts of P,
-    from one kernel search with the Delta-part fixed to P.  A symmetric
+def _levi_groups(rs: RootSystem, inside=0, outside=0):
+    """{P: sorted Levi bits} over the lifts that one kernel search finds,
+    ascending in P: L = {i in P : -i in the lift}.  ``inside`` and
+    ``outside`` fix roots as ``kernel.enumerate_closed`` does.  A symmetric
     system's only possible lift is P, and its closure rows keep the psl
     lift-pair closure."""
-    _check_lift_cap(rs, bits, lift_cap)
-    rows = closure_rows(rs) if rs.symmetric else rs.table.sym_rows
-    return kernel.enumerate_closed(rs.symmetrized().neg, rows, inside=bits,
-                                   outside=((1 << len(rs)) - 1) & ~bits)
-
-
-def _levi_bits(rs: RootSystem, bits: int, lift: int) -> int:
-    """L = {i in P : -i in the lift}, as a mask over Delta."""
+    full = (1 << len(rs)) - 1
     neg = rs.symmetrized().neg
-    return sum(1 << i for i in range(len(rs))
-               if (bits >> i) & 1 and (lift >> neg[i]) & 1)
+    rows = closure_rows(rs) if rs.symmetric else rs.table.sym_rows
+    groups = {}
+    for lift in kernel.enumerate_closed(neg, rows, inside=inside, outside=outside):
+        bits = lift & full
+        groups.setdefault(bits, set()).add(
+            sum(1 << i for i in range(len(rs))
+                if (bits >> i) & 1 and (lift >> neg[i]) & 1))
+    return {bits: tuple(sorted(groups[bits])) for bits in sorted(groups)}
 
 
 def levi_decompositions(subset: RootSubset, lift_cap=DEFAULT_LIFT_CAP):
@@ -154,14 +167,10 @@ def levi_decompositions(subset: RootSubset, lift_cap=DEFAULT_LIFT_CAP):
 
     One per distinct (L, N+) pair over all parabolic lifts, ordered by the
     Levi bits: L = Ptilde n (-Ptilde) n Delta and N+ = P \\ L.  A symmetric
-    system has exactly one, and a subset that is not parabolic none.  Only
-    a subset built outside the exhaustive stream needs a lift search.
+    system has exactly one, and a subset that is not parabolic none.
     """
-    rs, bits, levis = subset.rs, subset.bits, subset.levis
-    if levis is None:
-        levis = sorted({_levi_bits(rs, bits, lift)
-                        for lift in _lifts(rs, bits, lift_cap)})
-    return [LeviDecomposition(subset, levi, bits & ~levi) for levi in levis]
+    return [LeviDecomposition(subset, levi, subset.bits & ~levi)
+            for levi in subset.levi_masks(lift_cap)]
 
 
 # ---------------------------------------------------------------------------
@@ -232,24 +241,14 @@ def principality_witness(subset: RootSubset):
 
 
 def _exhaustive_masks(rs: RootSystem, subset_cap, lift_cap):
-    """{P: sorted Levi bits} over the proper parabolic subsets, ascending.
-
-    One kernel search, with nothing fixed, finds every lift, a closed
-    covering subset of Delta u (-Delta); grouped by their Delta-parts, the
-    lifts give each parabolic subset its Levi bits.
-    """
-    n = len(rs)
-    check_subset_cap(n, subset_cap)
-    rows = closure_rows(rs) if rs.symmetric else rs.table.sym_rows
-    full = (1 << n) - 1
-    groups = {}
-    for lift in kernel.enumerate_closed(rs.symmetrized().neg, rows):
-        bits = lift & full
-        if bits != full:
-            groups.setdefault(bits, set()).add(_levi_bits(rs, bits, lift))
+    """{P: sorted Levi bits} over the proper parabolic subsets, ascending,
+    from one lift search with nothing fixed."""
+    check_subset_cap(len(rs), subset_cap)
+    groups = _levi_groups(rs)
+    groups.pop((1 << len(rs)) - 1, None)
     for bits in groups:
         _check_lift_cap(rs, bits, lift_cap)
-    return {bits: tuple(sorted(groups[bits])) for bits in sorted(groups)}
+    return groups
 
 
 def _face_masks(rs: RootSystem, prune_masks=None):
@@ -311,37 +310,31 @@ def _face_masks(rs: RootSystem, prune_masks=None):
                 return s or t
         return None
 
+    # per plane, the branches lam = 0, > 0, < 0 on it, so that a sign s
+    # indexes its own branch: (sign, roots made >= 0, rows added)
+    branches = []
+    for rep, pos, neg in planes:
+        minus = tuple(-c for c in rep)
+        branches.append(((0, pos | neg, (rep + (0,), minus + (0,))),
+                         (1, pos, (rep + (-1,),)), (-1, neg, (minus + (-1,),))))
+
     def rec(h, fm, ge_mask, plus):
         # plus: the immovable roots of the strictly positive part
         if h == len(planes):
             found.add(ge_mask)
             return
-        rep, pos, neg = planes[h]
         sign = forced(h)
-        if sign is not None:
-            signs[h] = sign
-            if sign == 0:
-                rec(h + 1, fm, ge_mask | pos | neg, plus)
-            else:
-                side = pos if sign > 0 else neg
-                new = side & immovable
-                if allowed(new, plus):
-                    rec(h + 1, fm, ge_mask | side, plus | new)
-            return
-        minus_rep = tuple(-c for c in rep)
-        # zero branch
-        fz = fm.clone()
-        if fz.add(rep + (0,)) and fz.add(minus_rep + (0,)):
-            signs[h] = 0
-            rec(h + 1, fz, ge_mask | pos | neg, plus)
-        # strictly positive, then strictly negative branch
-        for sign, side, row in ((1, pos, rep), (-1, neg, minus_rep)):
-            new = side & immovable
-            if allowed(new, plus):
-                fs = fm.clone()
-                if fs.add(row + (-1,)):
-                    signs[h] = sign
-                    rec(h + 1, fs, ge_mask | side, plus | new)
+        for s, side, rows in branches[h] if sign is None else (branches[h][sign],):
+            new = side & immovable if s else 0
+            if not allowed(new, plus):
+                continue
+            branch = fm
+            if sign is None:
+                branch = fm.clone()
+                if not all(branch.add(row) for row in rows):
+                    continue
+            signs[h] = s
+            rec(h + 1, branch, ge_mask | side, plus | new)
 
     rec(0, base_fm, 0, 0)
     full = (1 << len(rs)) - 1
@@ -353,10 +346,10 @@ def enumerate_parabolics(rs: RootSystem, method="exhaustive",
                          prune_masks=None):
     """Stream of parabolic subsets in canonical bitmask order.
 
-    ``exhaustive`` groups the lifts of one closed-subset search (3^pairs
-    state search with closure propagation) by their Delta-parts, and each
-    subset it yields carries its Levi bits; ``principal`` enumerates
-    hyperplane-arrangement faces and emits P(lam) per face, deduplicated.
+    ``exhaustive`` yields the subsets of one lift search (3^pairs state
+    search with closure propagation), seeded with their Levi bits;
+    ``principal`` enumerates hyperplane-arrangement faces and emits P(lam)
+    per face, deduplicated.
     """
     if method == "exhaustive":
         for bits, levis in _exhaustive_masks(rs, subset_cap, lift_cap).items():
@@ -364,11 +357,10 @@ def enumerate_parabolics(rs: RootSystem, method="exhaustive",
         return
     if method != "principal":
         raise ValueError(f"unknown method {method!r}")
-    masks = _face_masks(rs, prune_masks=prune_masks)
+    subsets = (RootSubset(rs, m) for m in _face_masks(rs, prune_masks=prune_masks))
     if rs.family == "psl" and any(len(ls) > 1 for ls in rs.lifts):
         # lift-pair closure is stronger than closure of representative
         # sums, so face values need a parabolicity filter here
-        masks = [m for m in masks
-                 if parabolic_status(RootSubset(rs, m)) == "parabolic"]
-    for m in masks:
-        yield RootSubset(rs, m)
+        subsets = (s for s in subsets
+                   if parabolic_status(s, lift_cap) == "parabolic")
+    yield from subsets

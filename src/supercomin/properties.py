@@ -126,8 +126,7 @@ def weyl_invariance_holds(rs: RootSystem, subset, gens,
                           lift_cap=DEFAULT_LIFT_CAP) -> bool:
     """Parabolicity, principality, and the cominuscule verdict are constant
     along the orbit of a subset under the given generators.  ``subset`` is
-    a ``RootSubset`` or its bits; a streamed subset carries its Levi bits,
-    so only its Weyl images need a lift search."""
+    a ``RootSubset`` or its bits."""
     if not isinstance(subset, RootSubset):
         subset = RootSubset(rs, subset)
 

@@ -152,6 +152,15 @@ def _steps(d):
     return [[int(j == k) - int(j == k + 1) for j in range(d)] for k in range(d - 1)]
 
 
+def _sl_steps(m, n):
+    """The diagonals of ``_steps(m + n)`` with the step across the block
+    boundary made a sum, the last even and first odd slots both 1: the
+    difference there has supertrace 2 and is no element of sl(m|n)."""
+    rows = _steps(m + n)
+    rows[m - 1][m] = 1
+    return rows
+
+
 def _diagonal(m, n):
     """The element of gl(m|n) with a given diagonal."""
     return lambda row: MatrixSuperElement(
@@ -372,7 +381,7 @@ _REALIZED = {
     "gl": (lambda m, n: (m + n) ** 2, _realize_gl),
     "sl": (lambda m, n: (m + n) ** 2 - 1,
            lambda rs: _gl_type("sl", *rs.params, rs.lifts,
-                               _steps(sum(rs.params)), rs)),
+                               _sl_steps(*rs.params), rs)),
     # psl(n|n) is served by gl(n|n): a class of lifts spans one space, and
     # brackets in the span of the identity count as zero
     "psl": (lambda n: (2 * n) ** 2,

@@ -173,8 +173,9 @@ def test_env_cap_not_an_integer(monkeypatch, capsys):
 
 @pytest.mark.parametrize("option", ["--subset-cap", "--lift-cap", "--orbit-cap"])
 def test_negative_cap_rejected(option, capsys):
+    command = "classify" if option == "--orbit-cap" else "oracle"
     with pytest.raises(SystemExit) as exc:
-        main(["oracle", "--family", "H", "--n", "5", option, "-1"])
+        main([command, "--family", "H", "--n", "5", option, "-1"])
     assert exc.value.code == 2
     assert f"argument {option}: must be non-negative, got -1" in \
         capsys.readouterr().err
@@ -216,13 +217,21 @@ def test_parser_cap_defaults(monkeypatch):
         args = parser.parse_args(argv)
         assert args.subset_cap == DEFAULT_SUBSET_CAP
         assert args.lift_cap == DEFAULT_LIFT_CAP
-        if argv[0] != "verify":
+        if argv[0] == "classify":
             assert args.orbit_cap == DEFAULT_ORBIT_CAP
 
 
 def test_verify_rejects_orbit_cap(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--orbit-cap", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --orbit-cap 5" in capsys.readouterr().err
+
+
+def test_oracle_rejects_orbit_cap(capsys):
+    """``oracle`` computes no orbits, so it takes no orbit cap."""
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--family", "H", "--n", "5", "--orbit-cap", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --orbit-cap 5" in capsys.readouterr().err
 

@@ -66,21 +66,12 @@ def test_verdict_examples():
     from supercomin.classify import expected_entries
     entries = {e.name: e for e in expected_entries(rs)}
     v = is_cominuscule(RootSubset(rs, entries["P(0)"].bits))
-    assert v.is_cominuscule and v.rule_used == "root_sum"
+    assert v.is_cominuscule
     assert v.witness.levi_bits == entries["P(0)"].levi_bits
     # p(2): P(0) = Delta_even + positive odd part
     rs = rsys("p", (2,))
     P = RootSubset(rs, bits_of(rs, ["e1-e2", "-e1+e2", "e1+e2", "2e1", "2e2"]))
     assert is_cominuscule(P).is_cominuscule
-
-
-def test_rule_tags():
-    assert is_cominuscule(next(enumerate_parabolics(rsys("psl", (2,)),
-                                                    "exhaustive"))).rule_used \
-        == "psl33_ambient"
-    assert is_cominuscule(next(enumerate_parabolics(rsys("S", (3,)),
-                                                    "exhaustive"))).rule_used \
-        == "S_ambient"
 
 
 @pytest.mark.parametrize("fam,par", [("psq", (3,)), ("p", (2,)), ("W", (3,)),

@@ -298,6 +298,28 @@ def test_kernel_calls_are_pinned(count_calls):
     assert calls["enumerate_closed"] == len(gens)
 
 
+@pytest.mark.parametrize("fam,par,lams", [
+    ("p", (3,), [(-1, 0, 1), (1, 1, 0)]), ("W", (3,), [(1, 0, -1)]),
+    ("sl", (3, 2), [(2, 1, 0, 1, -1)]), ("F4", (), [(-1, 0, 0, -1)])])
+def test_point_query_makes_one_lift_search(fam, par, lams, count_calls):
+    """The point queries on one subset built afresh (status, witness,
+    decompositions, verdict, in that order) make one lift search together:
+    the first read searches and the subset keeps its Levi bits."""
+    rs = rsys(fam, par)
+    calls = count_calls(kernel, "enumerate_closed")
+    subsets = [principal_parabolic(rs, lam)[0] for lam in lams]
+    # one subset that is no parabolic: its empty Levi bits are kept too
+    subsets.append(RootSubset(rs, 1))
+    for P in subsets:
+        calls["enumerate_closed"] = 0
+        status = parabolic_status(P)
+        principality_witness(P)
+        decs = levi_decompositions(P)
+        verdict = is_cominuscule(P)
+        assert calls["enumerate_closed"] == 1, (P, status)
+        assert (status == "parabolic") == bool(decs) == bool(verdict.decompositions)
+
+
 def test_canonical_order_and_determinism():
     rs = rsys("W", (3,))
     a = [p.bits for p in enumerate_parabolics(rs, "exhaustive")]

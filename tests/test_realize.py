@@ -288,6 +288,15 @@ def test_realizations_golden(check_golden):
     check_golden("realizations.txt", "\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("par", [p for f, p in REALIZATION_GRID if f == "sl"])
+def test_sl_torus_is_supertraceless(par):
+    """Every torus element of an sl(m|n) realization has supertrace 0, so it
+    lies in sl(m|n): across the block boundary the torus takes
+    e_m + e_{m+1}, not the difference, whose supertrace is 2."""
+    rz = realize_for(rsys("sl", par))
+    assert [h.supertrace() for h, _ in rz.torus] == [0] * len(rz.torus)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_realize_serves_psl_as_realize_for(n):
     """``realize`` takes psl(n|n) through the same table as ``realize_for``
