@@ -37,12 +37,31 @@ def _cap(text):
     return v
 
 
-def _env_cap(name, default):
-    v = os.environ.get(name)
-    try:
-        return _cap(v) if v else default
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"{name} {exc}") from None
+class _EnvCap:
+    """A cap's default: environment variable ``name`` if set, else
+    ``default``, read only when a subcommand that takes the cap parses."""
+
+    def __init__(self, name, default):
+        self.name, self.default = name, default
+
+    def read(self):
+        v = os.environ.get(self.name)
+        try:
+            return _cap(v) if v else self.default
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"{self.name} {exc}") from None
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, which reads the environment defaults of its
+    own caps, so a bad variable stops only the subcommands that take it."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, rest = super().parse_known_args(args, namespace)
+        for key, value in vars(namespace).items():
+            if isinstance(value, _EnvCap):
+                setattr(namespace, key, value.read())
+        return namespace, rest
 
 
 def _params_from_args(family, args):
@@ -183,17 +202,18 @@ def build_parser():
         prog="supercomin",
         description="Root systems and the abelian-nilradical classification "
                     "of parabolic subsets for simple Lie superalgebras")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Subcommand)
 
     def output_and_caps(p):
         p.add_argument("--format", choices=["json", "table"], default="json")
         p.add_argument("--out")
         p.add_argument("--subset-cap", type=_cap,
-                       default=_env_cap("SUPERCOMIN_SUBSET_CAP",
-                                        DEFAULT_SUBSET_CAP))
+                       default=_EnvCap("SUPERCOMIN_SUBSET_CAP",
+                                       DEFAULT_SUBSET_CAP))
         p.add_argument("--lift-cap", type=_cap,
-                       default=_env_cap("SUPERCOMIN_LIFT_CAP",
-                                        DEFAULT_LIFT_CAP))
+                       default=_EnvCap("SUPERCOMIN_LIFT_CAP",
+                                       DEFAULT_LIFT_CAP))
 
     def instance(p):
         p.add_argument("--family", required=True, choices=FAMILY_CHOICES)
@@ -204,7 +224,7 @@ def build_parser():
     p = sub.add_parser("classify", help="classify cominuscule orbits of one instance")
     instance(p)
     p.add_argument("--orbit-cap", type=_cap,
-                   default=_env_cap("SUPERCOMIN_ORBIT_CAP", DEFAULT_ORBIT_CAP))
+                   default=_EnvCap("SUPERCOMIN_ORBIT_CAP", DEFAULT_ORBIT_CAP))
     p.add_argument("--method", choices=["exhaustive", "principal", "auto"],
                    default="auto")
     p.add_argument("--group", choices=["even_weyl", "levi_weyl", "extended", "auto"],

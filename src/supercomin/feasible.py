@@ -5,10 +5,11 @@ Constraints are rows ``(c_0, ..., c_{d-1}, k)`` of integers meaning
 ``>= 1`` / ``<= -1`` by the caller (valid by homogeneity of the systems this
 package produces).  One engine, ``IncrementalFM``, eliminates exactly; face
 enumeration drives it row by row, and ``feasible_witness`` recovers a
-rational point from its per-variable levels by back substitution.  Back
-substitution and the closing check of every row are integer-exact: the
-point is kept as integer numerators over one positive common denominator,
-and only the returned point is built as ``Fraction``s.
+rational point from its per-variable levels by back substitution.  The
+point is integer numerators X over one positive common denominator D, in
+lowest terms, and ``feasible_witness`` returns it as ``(X, D)``: back
+substitution and the closing check of every row are integer-exact, and no
+``Fraction`` is built.
 
 The engine keeps only rows that can still bound a face.  Each row carries
 its history, the set of original rows it was combined from, and a row
@@ -18,7 +19,17 @@ systems of linear inequalities", 1965; see also J.-L. Imbert, "Fourier's
 elimination: which to choose?", 1993).  At the last variable only the
 tightest lower and upper bound are kept.  Neither changes the projection
 onto (x_k, ..., x_{d-1}) for any k, so back substitution sees the same
-interval for every variable as with plain elimination.
+interval for every variable as with plain elimination.  A combination made
+while eliminating x_{d-2} bounds x_{d-1} alone: only its two entries, the
+coefficient of x_{d-1} and the constant, are formed, and it is built as a
+row only when it becomes the kept bound.
+
+``feasible_witness`` eliminates one row per direction.  Of rows whose
+coefficient parts are positive multiples of each other, such as
+lam(alpha) >= 0 beside lam(alpha) >= 1 or the rows of delta and 2 delta
+in osp, only the tightest goes to the engine: the one with the least
+constant after dividing by the gcd of its coefficients.  It implies the
+others, so the rows eliminated cut out the same polyhedron.
 
 A caller may split its system into ``rows``, which are eliminated, and
 ``implied`` rows that follow from them, which only the closing check reads.
@@ -28,12 +39,12 @@ The kept rows then cut out the same polyhedron as all rows, and the point
 back substitution returns depends on the polyhedron alone: x_k is the
 midpoint (or the one finite end, or 0) of the fiber over the coordinates
 already set.  So the witness is the one the full system gives, and a row
-wrongly passed as implied fails the closing check instead of going unseen.
+wrongly passed as implied, or wrongly dropped as parallel to a tighter one,
+fails the closing check, which reads every row, instead of going unseen.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd
 from operator import mul
@@ -53,17 +64,30 @@ def _combine(p, q, k):
 
 
 def feasible_witness(rows, dim, implied=()):
-    """A rational point satisfying every row, or None if the system is empty.
+    """A point satisfying every row as ``(X, D)``, or None if there is none.
 
+    The point is X / D: a list of integer numerators over one positive
+    denominator, in lowest terms.  Of rows whose coefficient parts are
+    positive multiples of each other only the tightest is eliminated.
     Only ``rows`` are eliminated; the ``implied`` rows must follow from
     them, and the closing check, which raises ``AssertionError`` on any
     violated row, reads them too.
     """
-    fm = IncrementalFM(dim)
+    # one row per direction: the one with the least constant over the gcd
+    # of its coefficients (a constant-only row has direction 0 and gcd 1)
+    tightest = {}
     for r in rows:
+        key = tuple(r[:dim])
+        g = gcd(*key) or 1
+        if g > 1:
+            key = tuple(c // g for c in key)
+        kept = tightest.get(key)
+        if kept is None or r[dim] * kept[1] < kept[0][dim] * g:
+            tightest[key] = (r, g)
+    fm = IncrementalFM(dim)
+    for r, _ in tightest.values():
         if not fm.add(r):
             return None
-    # The point is X / D: integer numerators over one positive denominator.
     # X[j] is 0 until x_j is set, and a row of level k has r[j] == 0 for
     # j < k, so sum(map(mul, r, X)) sums over the variables already set.
     # A bound -(r.X + r[dim] D) / (r[k] D) on x_k is kept as (num, den)
@@ -103,21 +127,7 @@ def feasible_witness(rows, dim, implied=()):
     for r in chain(rows, implied):
         if sum(map(mul, r, X)) + r[dim] * D < 0:
             raise AssertionError(f"witness {X}/{D} violates row {r}")
-    return [Fraction(v, D) for v in X]
-
-
-def clear_denominators(x):
-    """Scale a rational vector to coprime integers (empty-safe)."""
-    denom = 1
-    for v in x:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in x]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    return X, D
 
 
 class IncrementalFM:
@@ -130,6 +140,12 @@ class IncrementalFM:
     back substitution in ``feasible_witness`` reads.  The last level holds
     at most one row of each sign, the tightest bound on x_{d-1}; a new bound
     there only has to be checked against the one opposite bound.
+    ``_last_bound`` makes that comparison for every bound that reaches the
+    last level, a row that lands there and a combination made while
+    eliminating x_{d-2} alike.  Such a combination is two entries, the
+    coefficient of x_{d-1} and the constant; it is built as a row only
+    when it becomes the kept bound, and it is formed once per opposite row
+    with some history small enough, as the last level keeps none.
 
     ``seen`` maps every kept row above the last level to its histories:
     bitmasks over the original rows in the order they were added (``count``
@@ -183,9 +199,9 @@ class IncrementalFM:
             r, k, h = stack.pop()
             while k < dim and r[k] == 0:
                 k += 1
-            if k == dim:
-                if r[dim] < 0:
-                    self.alive = False
+            if k >= last:
+                # a bound on x_{d-1} alone, or a constant when k == dim
+                if not self._last_bound(r[k] if k == last else 0, r[dim], r):
                     return False
                 continue
             pos, neg = levels[k]
@@ -194,28 +210,22 @@ class IncrementalFM:
                 if any(m & ~h == 0 for m in old):
                     continue
                 seen[r] = (*[m for m in old if h & ~m], h)
-            elif k == last:
-                if r[k] > 0:
-                    if pos and pos[0][dim] * r[k] <= r[dim] * pos[0][k]:
-                        continue
-                    if neg and r[k] * neg[0][dim] < neg[0][k] * r[dim]:
-                        self.alive = False
-                        return False
-                    pos[:] = [r]
-                else:
-                    if neg and neg[0][dim] * r[k] >= r[dim] * neg[0][k]:
-                        continue
-                    if pos and pos[0][k] * r[dim] < r[k] * pos[0][dim]:
-                        self.alive = False
-                        return False
-                    neg[:] = [r]
-                continue
             else:
                 (pos if r[k] > 0 else neg).append(r)
                 seen[r] = (h,)
             # eliminating x_k leaves rows with k + 1 variables eliminated
             bound = k + 2
-            if r[k] > 0:
+            if k == last - 1:
+                # each combination bounds x_{d-1} alone: form its two
+                # entries, |q_k| r + |r_k| q on x_{d-1} and the constant
+                b = abs(r[k])
+                for q in (neg if r[k] > 0 else pos):
+                    if any((g | h).bit_count() <= bound for g in seen[q]):
+                        a = abs(q[k])
+                        if not self._last_bound(a * r[last] + b * q[last],
+                                                a * r[dim] + b * q[dim]):
+                            return False
+            elif r[k] > 0:
                 for q in neg:
                     c = None
                     for g in seen[q]:
@@ -233,4 +243,38 @@ class IncrementalFM:
                             if c is None:
                                 c = _combine(p, r, k)
                             stack.append((c, k + 1, g))
+        return True
+
+    def _last_bound(self, coef, const, row=None) -> bool:
+        """Take ``coef x_{d-1} + const >= 0`` into the last level.
+
+        It replaces the kept bound of its sign if it is tighter, and only
+        then is its row built (``row`` if given); False, with the system
+        dead, if it contradicts the opposite bound or is a negative
+        constant.
+        """
+        if coef == 0:
+            if const < 0:
+                self.alive = False
+            return self.alive
+        dim = self.dim
+        pos, neg = self.levels[-1]
+        if coef > 0:
+            if pos and pos[0][dim] * coef <= const * pos[0][dim - 1]:
+                return True
+            if neg and coef * neg[0][dim] < neg[0][dim - 1] * const:
+                self.alive = False
+                return False
+            side = pos
+        else:
+            if neg and neg[0][dim] * coef >= const * neg[0][dim - 1]:
+                return True
+            if pos and pos[0][dim - 1] * const < coef * pos[0][dim]:
+                self.alive = False
+                return False
+            side = neg
+        if row is None:
+            g = gcd(coef, const)
+            row = (0,) * (dim - 1) + (coef // g, const // g)
+        side[:] = [row]
         return True

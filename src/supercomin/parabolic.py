@@ -26,9 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from . import kernel
-from .feasible import IncrementalFM, clear_denominators, feasible_witness
+from .feasible import IncrementalFM, feasible_witness
 from .rootsys import RootSystem
 
 
@@ -211,7 +212,9 @@ def principality_witness(subset: RootSubset):
     time, in ``RootTable.implied_rows`` order, while a pair of rows still
     present implies them through a root sum, so the kept rows cut out the
     same polyhedron and give the same witness; ``feasible_witness``
-    eliminates only those and checks every row.
+    eliminates only those, one per direction, and checks every row.  Its
+    point X / D is returned as the coprime integers X / gcd(X), a positive
+    multiple of it.
     """
     rs, bits = subset.rs, subset.bits
     table = rs.table
@@ -230,10 +233,12 @@ def principality_witness(subset: RootSubset):
         row = inside if (bits >> i) & 1 else outside
         (rows if (kept >> i) & 1 else implied).append(row)
     rows.extend(table.fm_constraints)
-    x = feasible_witness(rows, len(rs.basis), implied)
-    if x is None:
+    point = feasible_witness(rows, len(rs.basis), implied)
+    if point is None:
         return None
-    return tuple(clear_denominators(x))
+    X = point[0]
+    g = gcd(*X) or 1
+    return tuple(v // g for v in X)
 
 
 # ---------------------------------------------------------------------------

@@ -184,9 +184,20 @@ def test_negative_cap_rejected(option, capsys):
 @pytest.mark.parametrize("name", ["SUBSET", "LIFT", "ORBIT"])
 def test_env_cap_negative(name, monkeypatch, capsys):
     monkeypatch.setenv(f"SUPERCOMIN_{name}_CAP", "-1")
-    assert main(["oracle", "--family", "osp1", "--n", "1"]) == 2
+    command = "classify" if name == "ORBIT" else "oracle"
+    assert main([command, "--family", "osp1", "--n", "1"]) == 2
     assert capsys.readouterr().err == \
         f"error: SUPERCOMIN_{name}_CAP must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("argv", [["oracle", "--family", "osp1", "--n", "1"],
+                                  ["verify", "--only", "G3"]])
+def test_env_cap_of_another_subcommand_ignored(argv, monkeypatch, capsys):
+    """Only ``classify`` takes an orbit cap, so a bad
+    ``SUPERCOMIN_ORBIT_CAP`` does not stop ``oracle`` or ``verify``."""
+    monkeypatch.setenv("SUPERCOMIN_ORBIT_CAP", "-1")
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_oracle_lift_cap(capsys):

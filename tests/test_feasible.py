@@ -7,9 +7,19 @@ from itertools import combinations, product
 from math import gcd
 from pathlib import Path
 
-from supercomin.feasible import IncrementalFM, clear_denominators, feasible_witness
+import pytest
+
+from supercomin.feasible import IncrementalFM, feasible_witness
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def point(witness):
+    """The rational point ``X / D`` of a ``feasible_witness`` result."""
+    if witness is None:
+        return None
+    X, D = witness
+    return [Fraction(v, D) for v in X]
 
 
 def brute_feasible(rows, dim, box=4):
@@ -38,7 +48,7 @@ def test_fm_matches_grid_oracle():
     for _ in range(120):
         dim = rng.randint(1, 3)
         rows = random_rows(rng, dim, rng.randint(1, 6))
-        got = feasible_witness(rows, dim)
+        got = point(feasible_witness(rows, dim))
         grid = brute_feasible(rows, dim)
         if grid is not None:
             assert got is not None
@@ -60,7 +70,7 @@ def test_infeasible_detected():
 def test_witness_extraction_bounds():
     # 1 <= x <= 2, y >= x, y <= 3
     rows = [(1, 0, -1), (-1, 0, 2), (-1, 1, 0), (0, -1, 3)]
-    w = feasible_witness(rows, 2)
+    w = point(feasible_witness(rows, 2))
     assert w is not None and 1 <= w[0] <= 2 and w[1] >= w[0]
 
 
@@ -202,13 +212,13 @@ def test_pruned_witness_equals_plain_elimination():
     """Chernikov's rule and the one-bound last level leave every projection
     unchanged, so the back-substituted point is the same Fractions."""
     for rows in FIRST_HISTORY_COUNTEREXAMPLES:
-        assert feasible_witness(rows, 6) == plain_witness(rows, 6)
+        assert point(feasible_witness(rows, 6)) == plain_witness(rows, 6)
     rng = random.Random(11)
     witnesses = 0
     for _ in range(400):
         dim = rng.randint(1, 6)
         rows = random_system(rng, dim, rng.randint(2, 10))
-        got = feasible_witness(rows, dim)
+        got = point(feasible_witness(rows, dim))
         assert got == plain_witness(rows, dim), rows
         witnesses += got is not None
     assert witnesses > 100
@@ -226,13 +236,65 @@ def test_witness_with_growing_denominators():
         rows = [tuple(0 if rng.random() < 0.3 else rng.randint(-40, 40)
                       for _ in range(dim)) + (rng.randint(-40, 40),)
                 for _ in range(rng.randint(dim - 1, dim + 1))]
-        got = feasible_witness(rows, dim)
+        got = point(feasible_witness(rows, dim))
         assert got == plain_witness(rows, dim), rows
         if got is not None:
             witnesses += 1
             widest = max(widest, *(v.denominator for v in got))
     assert witnesses >= 100
     assert widest > 10 ** 6
+
+
+def with_parallel_rows(rng, rows, dim):
+    """``rows`` with exact duplicates, positive multiples of a row's
+    coefficients with other constants (tighter or looser) and constant-only
+    rows mixed in, in random order."""
+    out = list(rows)
+    for _ in range(rng.randint(1, 4)):
+        r = rng.choice(rows)
+        t = rng.random()
+        if t < 0.3:
+            out.append(r)
+        elif t < 0.8:
+            m = rng.randint(1, 3)
+            out.append(tuple(m * c for c in r[:dim]) + (rng.randint(-4, 2),))
+        else:
+            out.append((0,) * dim + (rng.choice((0, 0, 1, 2, -1)),))
+    rng.shuffle(out)
+    return out
+
+
+def test_one_row_per_direction_matches_plain_elimination():
+    """Only the tightest of rows along one direction is eliminated; the
+    point is still the one plain elimination of every row gives."""
+    rng = random.Random(17)
+    witnesses = 0
+    for _ in range(400):
+        dim = rng.randint(1, 6)
+        rows = with_parallel_rows(
+            rng, random_system(rng, dim, rng.randint(2, 8)), dim)
+        got = point(feasible_witness(rows, dim))
+        assert got == plain_witness(rows, dim), rows
+        witnesses += got is not None
+    assert witnesses > 100
+
+
+def test_dropped_parallel_row_is_still_checked(monkeypatch):
+    """x >= 3 is dropped beside 2x >= 8 and never eliminated, but the
+    closing check reads it: an engine that loses 2x >= 8 yields x = 0,
+    which the check rejects on x >= 3, the first row given."""
+    added = []
+    add = IncrementalFM.add
+
+    def losing(self, row):
+        added.append(row)
+        return self.alive if row == (2, -8) else add(self, row)
+
+    monkeypatch.setattr(IncrementalFM, "add", losing)
+    with pytest.raises(AssertionError,
+                       match=r"witness \[0\]/1 violates row \(1, -3\)"):
+        feasible_witness([(1, -3), (2, -8), (-1, 0)], 1)
+    assert added == [(2, -8), (-1, 0)]
 
 
 EMPTY_RANGE = """
@@ -295,7 +357,3 @@ def test_incremental_clone_isolation():
     assert not child.add((-1, -1))  # x <= -1: dead
     assert inc.alive and inc.add((1, -1))  # parent unaffected
 
-
-def test_clear_denominators():
-    assert clear_denominators([Fraction(1, 2), Fraction(-3, 4)]) == [2, -3]
-    assert clear_denominators([Fraction(0), Fraction(0)]) == [0, 0]

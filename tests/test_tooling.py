@@ -8,14 +8,21 @@ import importlib.util
 from pathlib import Path
 
 from supercomin import classify, parabolic
+from supercomin.parabolic import RootSubset
+from supercomin.rootsys import build_root_system
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_benchmark_tracer_installs_and_restores():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_installs_and_restores():
+    tracer = load_tracer()
     original = parabolic.levi_decompositions
     tr = tracer.Tracer()
     try:
@@ -26,3 +33,22 @@ def test_benchmark_tracer_installs_and_restores():
         tr.uninstall()
     assert parabolic.levi_decompositions is original
     assert classify.levi_decompositions is original
+
+
+def test_benchmark_tracer_counts_witness_layers():
+    """The tracer counts the witness path through the names it wraps: a
+    witness that reached Fourier-Motzkin by another route than the
+    module-level ``feasible_witness`` and ``IncrementalFM.add`` would read
+    0 in the benchmark's ``feasible.*`` counters."""
+    rs = build_root_system("sl", (2, 1))
+    tr = load_tracer().Tracer()
+    try:
+        tr.install()
+        witness = parabolic.principality_witness(RootSubset(rs, 0x7))
+    finally:
+        tr.uninstall()
+    assert witness is not None
+    assert tr.counts["parabolic.witness_calls"] == 1
+    assert tr.counts["feasible.witness_calls"] == 1
+    assert tr.counts["feasible.witness_rows"] > 0
+    assert tr.counts["feasible.fm_add_calls"] > 0
