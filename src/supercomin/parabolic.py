@@ -30,7 +30,7 @@ from math import gcd
 
 from . import kernel
 from .feasible import IncrementalFM, feasible_witness
-from .rootsys import RootSystem
+from .rootsys import CapExceeded, RootSystem
 
 
 DEFAULT_SUBSET_CAP = 26
@@ -39,10 +39,6 @@ DEFAULT_LIFT_CAP = 22
 
 class ImproperSubsetError(ValueError):
     """The whole root set is not a parabolic subset; callers must keep P proper."""
-
-
-class CapExceeded(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)

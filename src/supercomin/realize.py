@@ -5,10 +5,10 @@ sl(m|n) and psl(n|n) are one shape, ``_gl_type``: E_ab on each gl root
 e_a - e_b, one space per class of roots.  psl(n|n) is served by gl(n|n),
 one space per class of gl lifts, with brackets that land in the span of the
 identity counting as zero.  q(n) (serving psq(n)) and p(n) state sparse
-matrices, W(n), S(n), S'(n) and H(n) sparse superderivations.  A torus
-element's ``lin`` is read off its diagonal (the matrix diagonal, or the
-coefficients of x_k d/dx_k for W and S); only H(n), whose torus is not
-diagonal in x, states it.  osp, D(2,1;a), F(4) and G(3) are intentionally
+matrices, W(n), S(n), S'(n) and H(n) sparse superderivations.  Every torus
+is diagonal, and its ``lin`` is read off the diagonal (the matrix diagonal,
+or the coefficients of x_k d/dx_k) by ``_torus``; every coefficient is an
+``int`` or a ``Fraction``.  osp, D(2,1;a), F(4) and G(3) are intentionally
 not realized: for them root-level sum rules are authoritative.
 
 Elements of both kinds are sparse and exact: a matrix stores its nonzero
@@ -26,8 +26,7 @@ from fractions import Fraction
 
 from .matrixrep import MatrixSuperElement
 from .rootsys import RootSystem, _gl_roots, build_root_system
-from .scalars import QI
-from .superder import SuperDerivation, merge_sign, partial, wedge
+from .superder import SuperDerivation, merge_sign, partial
 
 DEFAULT_DIM_CAP = 4096
 
@@ -310,64 +309,36 @@ def _realize_S(rs):
     return _bound(rs.family, rs, spaces, _torus(_euler(n), _steps(n), n), n - 1)
 
 
-def _d_of(n: int, f: dict) -> SuperDerivation:
-    """The Hamiltonian derivation D_f = sum (df/dx_i) d/dx_i of a
-    homogeneous ``{mask: coeff}``."""
-    terms = {}
-    for mask, c in f.items():
-        for i in range(n):
-            s = partial(mask, i)
-            if s:
-                terms[mask ^ 1 << i, i] = s * c
-    return SuperDerivation(n, terms, next(iter(f)).bit_count())
-
-
 def _realize_H(rs):
-    """H(n) on eta_k = x_k + i x_{k+l} and eta_{k+l} = x_k - i x_{k+l}.
-
-    These are sqrt(2) times the orthonormal pairing: a root vector rescaled
-    by a nonzero scalar keeps its weight and every bracket's vanishing, and
-    every coefficient stays a Gaussian integer.  The torus elements
-    D_{x_k x_{k+l}} are not diagonal in x, so their ``lin`` is stated.
+    """H(n) for the split form sum_k dx_k dx_{k+l}, l = n // 2, with
+    x_{n-1} paired to itself when n is odd: k* = k + l, (k + l)* = k and
+    D_f = sum_i df/dx_i d/dx_{i*}.  The root vector of weight w is D_f of one
+    monomial: x_k where w_k = 1, x_{k+l} where w_k = -1, any product of the
+    pairs x_k x_{k+l} over the zero coordinates and, for odd n, optionally
+    x_{n-1}.  The torus rows x_k d_k - x_{k+l} d_{k+l} are diagonal in x.
     """
     n = rs.params[0]
-    l = n // 2
-    odd = n % 2
+    l, odd = n // 2, n % 2
+    star = [(i + l) % (2 * l) for i in range(2 * l)] + [n - 1] * odd
 
-    def eta(a):  # a in [0, 2l): paired combinations of x_a, x_{a+l}
-        k = a % l
-        sign = QI.i() if a < l else -QI.i()
-        return {1 << k: 1, 1 << (k + l): sign}
+    def d_of(mask):  # D_f of the monomial f = x^mask
+        return SuperDerivation(n, {(mask ^ 1 << i, star[i]): partial(mask, i)
+                                   for i in range(n) if mask >> i & 1},
+                               mask.bit_count())
 
     spaces = []
     for r in rs.roots:
-        imask = sum(1 << k for k, c in enumerate(r.weight) if c == 1)
-        jmask = sum(1 << k for k, c in enumerate(r.weight) if c == -1)
-        rest = [k for k in range(l) if not ((imask | jmask) >> k) & 1]
+        base = sum(1 << (k if c == 1 else k + l)
+                   for k, c in enumerate(r.weight) if c)
+        pairs = [1 << k | 1 << (k + l) for k, c in enumerate(r.weight) if not c]
         vectors = []
-        for km in range(1 << len(rest)):
-            kset = [rest[t] for t in range(len(rest)) if km >> t & 1]
-            for b in range(2 if odd else 1):
-                f = {0: 1}
-                for k in range(l):
-                    if imask >> k & 1:
-                        f = wedge(f, eta(k))
-                    elif jmask >> k & 1:
-                        f = wedge(f, eta(k + l))
-                    elif k in kset:
-                        f = wedge(f, wedge(eta(k), eta(k + l)))
-                if b:
-                    f = wedge(f, {1 << (n - 1): 1})
-                vectors.append(_d_of(n, f))
+        for km in range(1 << len(pairs)):
+            mask = base | sum(p for t, p in enumerate(pairs) if km >> t & 1)
+            vectors += [d_of(mask | b << (n - 1)) for b in range(1 + odd)]
         spaces.append(_space(vectors))
-    torus = []
-    for k in range(l):
-        h = _d_of(n, {(1 << k) | (1 << (k + l)): 1})
-        lin = [0] * l
-        lin[k] = -QI.i()
-        torus.append((h, tuple(lin)))
-    zero_dim = (1 << l) * (2 if odd else 1) - 2
-    return _bound("H", rs, spaces, torus, zero_dim)
+    rows = [[int(j == k) - int(j == k + l) for j in range(n)] for k in range(l)]
+    zero_dim = (1 << l) * (1 + odd) - 2
+    return _bound("H", rs, spaces, _torus(_euler(n), rows, l), zero_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,17 @@ FAMILIES = ("sl", "psl", "osp", "D21a", "F4", "G3", "psq", "p", "W", "S", "Sprim
 _OSP_ALIASES = {"osp_odd", "osp1", "osp_even", "osp2"}
 
 
+# the most roots a system may have: past it the O(|Delta|^2) sum tables
+# outgrow a run (W(8), 1278 roots: 17 s and 420 MB for the build and table)
+ROOT_CAP = 1024
+
+
 class ParameterError(ValueError):
     """Family parameters outside the validity range; message names the bound."""
+
+
+class CapExceeded(RuntimeError):
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +839,8 @@ _SYSTEMS = {}  # normalized (family, params) -> RootSystem
 
 def build_root_system(family, params=()) -> RootSystem:
     """The root system of family(params), one shared object per normalized
-    (family, params); aliases resolve to the canonical system."""
+    (family, params); aliases resolve to the canonical system.  A system of
+    more than ``ROOT_CAP`` roots raises ``CapExceeded`` before it is built."""
     key = normalize_family(family, params)
     if key == ("p", (2,)):
         warnings.warn("p(2) is not simple; accepted for oracle runs only",
@@ -838,7 +848,10 @@ def build_root_system(family, params=()) -> RootSystem:
     rs = _SYSTEMS.get(key)
     if rs is None:
         fam, par = key
-        root_count(fam, par)  # checks the parameters
+        count = root_count(fam, par)  # checks the parameters
+        if count > ROOT_CAP:
+            raise CapExceeded(f"{fam}({','.join(map(str, par))}) has "
+                              f"|Delta| = {count}, over the root cap {ROOT_CAP}")
         rs = _SYSTEMS[key] = _BUILDERS[fam](*par)
     return rs
 

@@ -14,9 +14,7 @@ x^I d_i and x^J d_j is then closed-form,
     [x^I d_i, x^J d_j] = x^I d_i(x^J) d_j - (-1)^{|X||Y|} x^J d_j(x^I) d_i,
 
 with x^I d_i(x^J) = partial(J, i) merge_sign(I, J \\ i) x^{I u J \\ i}, or
-zero when I meets J \\ i.  Coefficients may be ``int``, ``Fraction`` or any
-field object with ``+``, ``*``, unary ``-`` and truthiness (see
-:class:`supercomin.scalars.QI`).
+zero when I meets J \\ i.  Coefficients are ``int`` or ``Fraction``.
 """
 
 from __future__ import annotations
@@ -47,17 +45,6 @@ def partial(mask: int, slot: int) -> int:
     if not mask & bit:
         return 0
     return -1 if (mask & (bit - 1)).bit_count() & 1 else 1
-
-
-def wedge(a: dict, b: dict) -> dict:
-    """The product of two Grassmann elements given as ``{mask: coeff}``."""
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            if not m1 & m2:  # a repeated generator squares to zero
-                m = m1 | m2
-                out[m] = out.get(m, 0) + merge_sign(m1, m2) * c1 * c2
-    return {m: c for m, c in out.items() if c}
 
 
 def _act(I: int, i: int, J: int):

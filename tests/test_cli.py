@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,26 @@ def test_cap_refusal_builds_nothing(monkeypatch, capsys):
     ]:
         assert main(argv + ["--family", "p", "--n", "99"]) == 2
         assert capsys.readouterr() == ("", err)
+    assert built == []
+
+
+@pytest.mark.parametrize("family,n,count", [("W", 40, 23089744183294),
+                                            ("H", 30, 14348906)])
+def test_root_cap_refuses_before_building(family, n, count, monkeypatch,
+                                          capsys):
+    """The principal method has no subset cap, so the root cap is what stops
+    W(40) and H(30), of 10^13 and 10^7 roots: exit 2 at once, with nothing
+    built."""
+    from supercomin import rootsys
+
+    built = []
+    monkeypatch.setitem(rootsys._BUILDERS, family, built.append)
+    start = time.perf_counter()
+    assert main(["classify", "--family", family, "--n", str(n)]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == (
+        "", f"cap exceeded: {family}({n}) has |Delta| = {count}, "
+            f"over the root cap {rootsys.ROOT_CAP}\n")
     assert built == []
 
 
@@ -249,6 +270,7 @@ def test_oracle_rejects_orbit_cap(capsys):
 
 SELF_CHECKS = """
 import sys
+import time
 from supercomin import feasible, verify
 from supercomin.parabolic import RootSubset, principality_witness
 from supercomin.rootsys import build_root_system

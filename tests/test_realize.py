@@ -9,8 +9,7 @@ from supercomin.realize import (DEFAULT_DIM_CAP, DimCapExceeded, Realization,
                                 UnsupportedFamilyError, divergence, jacobi_defect,
                                 realize, realize_for)
 from supercomin.matrixrep import MatrixSuperElement
-from supercomin.rootsys import build_root_system
-from supercomin.scalars import QI
+from supercomin.rootsys import build_root_system, wadd
 from supercomin.superder import SuperDerivation, partial
 from supercomin.verify import REALIZED_AUDITS
 
@@ -26,7 +25,25 @@ def rsys(fam, par):
 ALL_REALIZED = [("sl", (2, 1)), ("psl", (2,)), ("psl", (3,)), ("psq", (3,)),
                 ("p", (2,)), ("p", (3,)), ("W", (2,)), ("W", (3,)),
                 ("S", (3,)), ("S", (4,)), ("Sprime", (4,)), ("H", (5,)),
-                ("H", (6,))]
+                ("H", (6,)), ("H", (7,)), ("H", (8,))]
+
+
+def _rank(rows):
+    """Exact rank of sparse rows ``{column: Fraction}``, by elimination."""
+    pivots = {}
+    for vec in rows:
+        vec = dict(vec)
+        while vec:
+            k = min(vec)
+            if k not in pivots:
+                pivots[k] = vec
+                break
+            pivot = pivots[k]
+            factor = vec[k] / pivot[k]
+            for kk, vv in pivot.items():
+                vec[kk] = vec.get(kk, F(0)) - factor * vv
+            vec = {kk: vv for kk, vv in vec.items() if vv}
+    return len(pivots)
 
 
 @pytest.mark.parametrize("fam,par", ALL_REALIZED)
@@ -118,12 +135,34 @@ def test_key_bracket_facts():
 
 
 def test_bracket_nonzero_symmetric():
-    for fam, par in [("W", (3,)), ("psq", (3,)), ("p", (2,)), ("H", (5,))]:
+    for fam, par in [("W", (3,)), ("psq", (3,)), ("p", (2,)), ("H", (5,)),
+                     ("H", (6,))]:
         rs = rsys(fam, par)
         rz = realize_for(rs)
         for a in range(len(rs)):
             for b in range(a, len(rs)):
                 assert rz.bracket_nonzero(a, b) == rz.bracket_nonzero(b, a)
+
+
+@pytest.mark.parametrize("fam,par", [("W", (3,)), ("S", (3,)), ("H", (5,)),
+                                     ("H", (6,))])
+def test_root_spaces_close_under_bracket(fam, par):
+    """[g^a, g^b] lies in the span of g^{a+b} whenever a + b is a root, by
+    exact rank in Fractions."""
+    rs = rsys(fam, par)
+    rz = realize_for(rs)
+    basis = [ev + od for ev, od in rz.spaces]
+    rows = [[{k: F(c) for k, c in v.terms.items()} for v in vs] for vs in basis]
+    for a, ra in enumerate(rs.roots):
+        for b, rb in enumerate(rs.roots):
+            t = rs.index_of(wadd(ra.weight, rb.weight))
+            if t is None:
+                continue
+            rank = _rank(rows[t])
+            for x in basis[a]:
+                for y in basis[b]:
+                    br = {k: F(c) for k, c in x.bracket(y).terms.items()}
+                    assert _rank(rows[t] + [br]) == rank, (a, b)
 
 
 def test_divergence_free_bases():
@@ -145,16 +184,6 @@ def test_s_span_equals_divergence_kernel():
     # the spanning description {df/dx_i d_j + df/dx_j d_i} generates exactly
     # the divergence kernel: compare dimensions by exact row reduction
     for n in (3, 4):
-        full = n * 2 ** n
-        # enumerate the spanning set in coordinates over the W(n) basis
-        basis_index = {}
-
-        def coords(d):
-            vec = {}
-            for key, c in d.terms.items():
-                vec[basis_index.setdefault(key, len(basis_index))] = c
-            return vec
-
         rows = []
         for fmask in range(1 << n):
             for i in range(n):
@@ -165,27 +194,9 @@ def test_s_span_equals_divergence_kernel():
                         if s:
                             key = (fmask ^ 1 << a, b)
                             terms[key] = terms.get(key, 0) + F(s)
-                    d = SuperDerivation(n, terms, fmask.bit_count())
-                    if not d.is_zero():
-                        rows.append(coords(d))
-        # exact rank by elimination over the sparse rows
-        pivots = {}
-        rank = 0
-        for vec in rows:
-            vec = dict(vec)
-            while vec:
-                k = min(vec)
-                if k in pivots:
-                    pivot = pivots[k]
-                    factor = vec[k] / pivot[k]
-                    for kk, vv in pivot.items():
-                        vec[kk] = vec.get(kk, F(0)) - factor * vv
-                    vec = {kk: vv for kk, vv in vec.items() if vv}
-                else:
-                    pivots[k] = vec
-                    rank += 1
-                    break
-        assert rank == (n - 1) * 2 ** n + 1  # the divergence-kernel dimension
+                    rows.append(SuperDerivation(n, terms, fmask.bit_count()).terms)
+        # the divergence-kernel dimension
+        assert _rank(rows) == (n - 1) * 2 ** n + 1
 
 
 @pytest.mark.parametrize("fam,par", [("W", (3,)), ("S", (3,)), ("p", (3,)),
@@ -247,10 +258,8 @@ REALIZATION_GRID = (
 
 
 def _coeff(c):
-    """A coefficient with its exact type: ``int`` 1, ``Fraction`` 1 and
-    ``QI(1, 0)`` are three different strings."""
-    if isinstance(c, QI):
-        return f"QI({_coeff(c.re)}, {_coeff(c.im)})"
+    """A coefficient with its exact type: ``int`` 1 and ``Fraction`` 1 are
+    two different strings."""
     return f"{type(c).__name__}:{c!r}"
 
 
@@ -286,6 +295,30 @@ def test_realizations_golden(check_golden):
         tag = ",".join(str(x) for x in par)
         lines.append(f"{fam}({tag}) {rz.dim} {realization_digest(rz)}")
     check_golden("realizations.txt", "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("fam,par", REALIZATION_GRID)
+def test_exact_coefficients_and_diagonal_torus(fam, par):
+    """Every coefficient and every ``lin`` entry is an ``int`` or a
+    ``Fraction``; every torus element is diagonal (only x_k d/dx_k terms, or
+    only entries (k, k)), and its ``lin`` is its diagonal's first slots."""
+    rz = realize(fam, par) if fam == "gl" else realize_for(rsys(fam, par))
+    elements = [v for ev, od in rz.spaces for v in ev + od]
+    elements += [h for h, _ in rz.torus]
+    for x in elements:
+        items = x.entries if isinstance(x, MatrixSuperElement) else x.terms
+        assert all(type(c) in (int, F) for c in items.values())
+    width = len(rz.weights[0])
+    for h, lin in rz.torus:
+        assert all(type(c) in (int, F) for c in lin)
+        if isinstance(h, MatrixSuperElement):
+            keys = [(k, k) for k in range(h.m + h.n)]
+            items = h.entries
+        else:
+            keys = [(1 << k, k) for k in range(h.n)]
+            items = h.terms
+        assert set(items) <= set(keys)
+        assert lin == tuple(items.get(key, 0) for key in keys[:width])
 
 
 @pytest.mark.parametrize("par", [p for f, p in REALIZATION_GRID if f == "sl"])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from supercomin.superder import SuperDerivation, merge_sign, partial, wedge
+from supercomin.superder import SuperDerivation, merge_sign, partial
 
 F = Fraction
 N = 4
@@ -18,6 +18,17 @@ def d(a, slot):
     """The left odd derivative d/dx_{slot+1} of ``{mask: coeff}``."""
     return {m ^ 1 << slot: partial(m, slot) * c for m, c in a.items()
             if partial(m, slot)}
+
+
+def wedge(a, b):
+    """The product of two Grassmann elements given as ``{mask: coeff}``."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            if not m1 & m2:  # a repeated generator squares to zero
+                m = m1 | m2
+                out[m] = out.get(m, 0) + merge_sign(m1, m2) * c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 def plus(a, b, k=1):
