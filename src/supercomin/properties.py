@@ -23,14 +23,14 @@ def sums_laws_hold(dec: LeviDecomposition) -> bool:
     Nm = ((1 << n) - 1) & ~P
     if L | Np != P or L & Np:
         return False
-    targets = rs.table.targets
+    rows = rs.table.closure_rows
 
     def reach(i, side):
         """Roots forced by i together with some root of ``side``."""
         acc = 0
-        for j in range(n):
+        for j, targets in rows[i]:
             if (side >> j) & 1:
-                acc |= targets[i][j]
+                acc |= targets
         return acc
 
     for i in range(n):
@@ -107,12 +107,12 @@ def restriction_compatible(dec: LeviDecomposition, indices) -> bool:
         if not (Pa >> i) & 1 and not (Pa >> j) & 1:
             return False
     # closure inside the subsystem
-    targets = rs.table.targets
+    rows = rs.table.closure_rows
     for i in indices:
         if not (Pa >> i) & 1:
             continue
-        for j in indices:
-            if (Pa >> j) & 1 and targets[i][j] & mask & ~Pa:
+        for j, targets in rows[i]:
+            if (Pa >> j) & 1 and targets & mask & ~Pa:
                 return False
     # the induced decomposition must be the symmetric one
     La = 0

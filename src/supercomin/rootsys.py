@@ -44,11 +44,13 @@ Every family but H(n) is built from two root shapes, ``_differences``
 choice of signs), and the Cartan series W(n), S(n), S'(n) by one rule,
 ``_build_cartan``.
 
-Every root-sum question is answered from ``RootSystem.table``, a
-``RootTable`` of integer sums, closure rows and forbidden-pair masks that
-is built once, on first use.  ``build_root_system`` returns one shared
-system per normalized (family, params), so the table is built once per
-system and process.
+The searches read root sums from ``RootSystem.table``, a ``RootTable`` of
+sparse closure rows and forbidden-pair masks, built on first use in one
+pass over the root pairs; the point queries ``ambient_sum``,
+``pair_targets`` and ``SymmetrizedSystem.sum_target`` answer from the
+weights and those rows.  ``build_root_system`` returns one shared system
+per normalized (family, params), so the table is built once per system
+and process.
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ FAMILIES = ("sl", "psl", "osp", "D21a", "F4", "G3", "psq", "p", "W", "S", "Sprim
 _OSP_ALIASES = {"osp_odd", "osp1", "osp_even", "osp2"}
 
 
-# the most roots a system may have: past it the O(|Delta|^2) sum tables
-# outgrow a run (W(8), 1278 roots: 17 s and 420 MB for the build and table)
+# the most roots a system may have; the table's pair pass is quadratic in
+# |Delta| (W(8), 1278 roots: 7 s and 128 MB for the build and table)
 ROOT_CAP = 1024
 
 
@@ -205,7 +207,13 @@ class RootSystem:
         gl(n|n), every member of which is identified with a stored root, so
         the outcome is never ``ambient_only`` there.
         """
-        return self.table.outcomes[a][b]
+        w = wadd(self.roots[a].weight, self.roots[b].weight)
+        t = self.class_of(w)
+        if t is not None:
+            return SumOutcome.in_delta(t)
+        if w in self.ambient_extra:
+            return SumOutcome.ambient_only(w)
+        return SumOutcome.not_root()
 
     def pair_targets(self, a: int, b: int):
         """Root indices forced by closure when a and b both lie in a subset.
@@ -213,7 +221,7 @@ class RootSystem:
         For psl this runs over all lift pairs (one gl-root sum per pair can
         land in the gl root set); elsewhere it is the plain ambient sum.
         """
-        mask = self.table.targets[a][b]
+        mask = dict(self.table.closure_rows[a]).get(b, 0)
         return tuple(t for t in range(len(self.roots)) if (mask >> t) & 1)
 
     def functional_constraints(self):
@@ -252,8 +260,7 @@ class RootSystem:
         return weight_str(self.roots[i].weight, self.basis)
 
     def parse_root(self, s: str) -> int:
-        w = parse_weight(s, self.basis)
-        idx = self._index.get(w)
+        idx = self.class_of(parse_weight(s, self.basis))
         if idx is None:
             raise ValueError(f"{s!r} is not a root of this system")
         return idx
@@ -267,14 +274,13 @@ class SymmetrizedSystem:
     """The set Delta union (-Delta) with literal weight arithmetic.
 
     For symmetric systems this is Delta itself.  Weights are listed with all
-    Delta representatives first (in root order), then the extra negations in
-    lexicographic order; ``in_delta[k]`` holds the root index or None.
+    Delta representatives first (in root order), so weight k < len(rs) is
+    root k, then the extra negations in lexicographic order.
     """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         weights = [r.weight for r in rs.roots]
-        in_delta = list(range(len(rs.roots)))
         if rs.symmetric:
             extra = []
         else:
@@ -282,9 +288,7 @@ class SymmetrizedSystem:
                 {wneg(r.weight) for r in rs.roots if rs.index_of(wneg(r.weight)) is None}
             )
         weights.extend(extra)
-        in_delta.extend([None] * len(extra))
         self.weights = tuple(weights)
-        self.in_delta = tuple(in_delta)
         self._index = {w: k for k, w in enumerate(self.weights)}
         if rs.symmetric:
             self.neg = rs.neg
@@ -299,7 +303,37 @@ class SymmetrizedSystem:
 
     def sum_target(self, i: int, j: int):
         """Index of weights[i] + weights[j] in the symmetrized set, or None."""
-        return self.rs.table.sym_targets[i][j]
+        return self._index.get(wadd(self.weights[i], self.weights[j]))
+
+
+def _pair_rows(lifts, index, extra=()):
+    """One pass over the pairs a <= b of integer lift lists: ``rows[a]``
+    holds the pairs (b, mask), b ascending, whose mask is nonzero, with bit
+    ``index[s]`` set for each lift-pair sum s in ``index``; ``hits[a]`` masks
+    the b with some lift-pair sum in ``index`` or ``extra``.  Each single-bit
+    mask is one int shared by all its entries."""
+    bits = [1 << t for t in range(len(lifts))]
+    rows = [[] for _ in lifts]
+    hits = [0] * len(lifts)
+    for a, la in enumerate(lifts):
+        for b in range(a, len(lifts)):
+            mask, hit = 0, False
+            for x in la:
+                for y in lifts[b]:
+                    s = tuple(u + v for u, v in zip(x, y))
+                    t = index.get(s)
+                    if t is not None:
+                        mask = mask | bits[t] if mask else bits[t]
+                    elif s in extra:
+                        hit = True
+            if mask:
+                rows[a].append((b, mask))
+                if b != a:
+                    rows[b].append((a, mask))
+            if mask or hit:
+                hits[a] |= bits[b]
+                hits[b] |= bits[a]
+    return tuple(map(tuple, rows)), hits
 
 
 class RootTable:
@@ -307,22 +341,22 @@ class RootTable:
 
     Weights are scaled to integers by one common denominator ``denom`` (2
     for the half-integral F(4), G(3) and D(2,1;a) weights, 1 elsewhere), so
-    every sum below is formed once, in integers.  Tables over root pairs are
-    indexed [a][b] and symmetric; a mask has bit t set for root index t.
+    every sum below is formed once, in integers, in one pass over the pairs
+    a <= b.  Only the pairs whose sum is a root are stored, per root; a mask
+    has bit t set for root index t.
 
-    * ``targets[a][b]``: the roots forced by closure when a and b lie in a
-      subset (``RootSystem.pair_targets``; for psl one per gl lift-pair sum
-      that is a gl root);
-    * ``outcomes[a][b]``: the ``SumOutcome`` of ``RootSystem.ambient_sum``;
-    * ``closure_rows[r]``: the pairs (m, targets[r][m]) with a nonzero mask,
-      m ascending;
+    * ``closure_rows[a]``: the pairs (b, mask), b ascending, where mask
+      holds the roots forced by closure when a and b lie in a subset: for
+      psl one per gl lift-pair sum that is a gl root, elsewhere the root
+      a + b (``RootSystem.pair_targets``);
     * ``forbidden[literal][a]``: the roots b such that a and b never both
       lie in an abelian nilradical.  The pair is forbidden when some lift
       pair sums to an ambient root: a root of Delta, a gl(n|n) root for
       psl, a W(n) root for S/S'.  S'(n) also forbids every pair of roots of
       the shape -e_i, the diagonal pairs included unless ``literal``;
-    * ``sym_targets[i][j]``: ``SymmetrizedSystem.sum_target``, and
-      ``sym_rows[i]`` its pairs (j, 1 << target);
+    * ``sym_rows[i]``: the pairs (j, 1 << k) of the symmetrized weights
+      with weights[i] + weights[j] == weights[k]
+      (``SymmetrizedSystem.sum_target``);
     * ``fm_weights``, ``fm_constraints``: the Fourier-Motzkin data, each
       root weight with its own denominators cleared and each functional
       constraint v as the rows v.lam >= 0 and -v.lam >= 0;
@@ -351,39 +385,11 @@ class RootTable:
         def scale(w):
             return tuple(int(c * denom) for c in w)
 
-        def add(u, v):
-            return tuple(x + y for x, y in zip(u, v))
-
         self.weights = tuple(scale(r.weight) for r in rs.roots)
         ambient = {scale(w): i for i, ls in enumerate(rs.lifts) for w in ls}
-        extra = {scale(w): w for w in rs.ambient_extra}
-        lifts = [[scale(w) for w in ls] for ls in rs.lifts]
-        in_delta = [SumOutcome.in_delta(i) for i in range(n)]
-        not_root = SumOutcome.not_root()
-        targets = [[0] * n for _ in range(n)]
-        outcomes = [[not_root] * n for _ in range(n)]
-        forbidden = [0] * n
-        for a in range(n):
-            for b in range(a, n):
-                mask = 0
-                for la in lifts[a]:
-                    for lb in lifts[b]:
-                        t = ambient.get(add(la, lb))
-                        if t is not None:
-                            mask |= 1 << t
-                w = add(self.weights[a], self.weights[b])
-                t = ambient.get(w)
-                if t is not None:
-                    out = in_delta[t]
-                elif w in extra:
-                    out = SumOutcome.ambient_only(extra[w])
-                else:
-                    out = not_root
-                targets[a][b] = targets[b][a] = mask
-                outcomes[a][b] = outcomes[b][a] = out
-                if mask or out.kind == "ambient_only":
-                    forbidden[a] |= 1 << b
-                    forbidden[b] |= 1 << a
+        extra = {scale(w) for w in rs.ambient_extra}
+        self.closure_rows, forbidden = _pair_rows(
+            [[scale(w) for w in ls] for ls in rs.lifts], ambient, extra)
         literal = list(forbidden)
         if rs.family == "Sprime":
             minus_eps = 0
@@ -394,19 +400,11 @@ class RootTable:
                 if (minus_eps >> i) & 1:
                     forbidden[i] |= minus_eps
                     literal[i] |= minus_eps & ~(1 << i)
-        self.targets = tuple(tuple(row) for row in targets)
-        self.outcomes = tuple(tuple(row) for row in outcomes)
         self.forbidden = (tuple(forbidden), tuple(literal))
-        self.closure_rows = tuple(
-            tuple((m, t) for m, t in enumerate(row) if t) for row in self.targets)
 
-        sym = rs.symmetrized()
-        sw = [scale(w) for w in sym.weights]
-        sidx = {w: k for k, w in enumerate(sw)}
-        self.sym_targets = tuple(tuple(sidx.get(add(x, y)) for y in sw) for x in sw)
-        self.sym_rows = tuple(
-            tuple((j, 1 << t) for j, t in enumerate(row) if t is not None)
-            for row in self.sym_targets)
+        sw = [scale(w) for w in rs.symmetrized().weights]
+        self.sym_rows, _ = _pair_rows([[w] for w in sw],
+                                      {w: k for k, w in enumerate(sw)})
 
         fm_weights = []
         for r in rs.roots:

@@ -1,10 +1,12 @@
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import pytest
 
-from supercomin.rootsys import (ParameterError, SumOutcome, build_root_system,
-                                parse_weight, root_count, weight_str, wneg)
+from supercomin.rootsys import (ParameterError, RootTable, SumOutcome,
+                                build_root_system, parse_weight, root_count,
+                                weight_str, wneg)
 from supercomin.verify import EXPECTED_ORBITS
 
 F = Fraction
@@ -135,7 +137,9 @@ def test_p2_examples():
     names = {rs.root_str(i) for i in range(len(rs))}
     assert names == {"e1-e2", "-e1+e2", "e1+e2", "-e1-e2", "2e1", "2e2"}
     sym = rs.symmetrized()
-    assert len(sym) == 8 and sum(1 for k in sym.in_delta if k is not None) == 6
+    assert len(sym) == 8
+    assert sym.weights[:6] == tuple(r.weight for r in rs.roots)
+    assert all(rs.index_of(w) is None for w in sym.weights[6:])
 
 
 def test_ambient_sum_examples():
@@ -160,13 +164,20 @@ def test_ambient_sum_examples():
 
 def test_psl22_quotient_example():
     rs = rsys("psl", (2,))
-    # e1-d1 and e2-d2 lift to the same class; psl(2|2) carries (0|2) spaces
-    k = rs._ambient_class[(F(1), F(0), F(-1), F(0))]
-    assert k == rs._ambient_class[(F(0), F(-1), F(0), F(1))]
+    # e1-d1 and -e2+d2 lift to the same class; psl(2|2) carries (0|2) spaces
+    k = rs.parse_root("e1-d1")
+    assert k == rs.parse_root("-e2+d2")
     assert rs.roots[k].odd_dim == 2
     assert rs.parse_root("e1-e2") != k
     a = rs.parse_root("e1-e2")
     assert rs.projected_sum_in_delta(a, k) in (True, False)
+    # every gl lift parses to its class, a weight in no class is refused
+    assert sum(len(ls) == 2 for ls in rs.lifts) == 4
+    for i, lifts in enumerate(rs.lifts):
+        for w in lifts:
+            assert rs.parse_root(weight_str(w, rs.basis)) == i
+    with pytest.raises(ValueError, match="is not a root"):
+        rs.parse_root("e1+d1")
 
 
 def test_ambient_sum_commutative():
@@ -226,13 +237,20 @@ def _bit(mask, i):
     return bool((mask >> i) & 1)
 
 
-@pytest.mark.parametrize("fam,par", [(f, p) for f, p, _ in EXPECTED_ORBITS],
-                         ids=[f"{f}{p}" for f, p, _ in EXPECTED_ORBITS])
+# the paper's table, then systems past it: S(5) has ambient-only sums, and
+# W(5) and S(5) many extra negations in their symmetrized sets
+TABLE_SYSTEMS = ([(f, p) for f, p, _ in EXPECTED_ORBITS]
+                 + [("W", (5,)), ("S", (5,)), ("H", (7,)), ("psl", (4,))])
+
+
+@pytest.mark.parametrize("fam,par", TABLE_SYSTEMS,
+                         ids=[f"{f}{p}" for f, p in TABLE_SYSTEMS])
 def test_table_matches_fraction_weights(fam, par):
-    """Every entry of the integer table, recomputed here from the Fraction
-    weights: integer scaling, pair targets over all lift pairs, ambient
-    sums (S/S' ambient-only included), closure rows, forbidden masks under
-    both readings of the S' rule, and the symmetrized sums."""
+    """Every pair of the sparse table and every point query, recomputed
+    here from the Fraction weights: integer scaling, pair targets over all
+    lift pairs, ambient sums (S/S' ambient-only included), closure rows,
+    forbidden masks under both readings of the S' rule, and the
+    symmetrized sums."""
     rs = rsys(fam, par)
     t = rs.table
     n = len(rs)
@@ -256,7 +274,6 @@ def test_table_matches_fraction_weights(fam, par):
                     k = cls.get(add(la, lb))
                     if k is not None:
                         targets[a][b] |= 1 << k
-            assert t.targets[a][b] == targets[a][b]
             assert rs.pair_targets(a, b) == tuple(
                 k for k in range(n) if _bit(targets[a][b], k))
             w = add(rs.roots[a].weight, rs.roots[b].weight)
@@ -268,7 +285,7 @@ def test_table_matches_fraction_weights(fam, par):
             else:
                 want = SumOutcome.not_root()
                 lift_only += bool(targets[a][b])
-            assert t.outcomes[a][b] == rs.ambient_sum(a, b) == want
+            assert rs.ambient_sum(a, b) == want
             base = bool(targets[a][b]) or want.kind == "ambient_only"
             both = minus_eps[a] and minus_eps[b]
             assert _bit(t.forbidden[False][a], b) == (base or both)
@@ -284,10 +301,25 @@ def test_table_matches_fraction_weights(fam, par):
     index = {w: k for k, w in enumerate(sym.weights)}
     for i, x in enumerate(sym.weights):
         row = [index.get(add(x, y)) for y in sym.weights]
-        assert list(t.sym_targets[i]) == row
         assert [sym.sum_target(i, j) for j in range(len(sym))] == row
         assert t.sym_rows[i] == tuple(
             (j, 1 << k) for j, k in enumerate(row) if k is not None)
+
+
+def test_table_memory_stays_sparse():
+    """A fresh W(6) table (254 roots, 64,516 pairs) stores only the pairs
+    whose sum is a root.  Its traced peak was 11.9 MB with the dense pair
+    tables and is 5.5 MB with the sparse rows alone; the bound lies
+    between, so a quadratic table of Python objects fails here."""
+    rs = rsys("W", (6,))
+    rs.symmetrized()  # cached on the system, not part of the table
+    tracemalloc.start()
+    try:
+        RootTable(rs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, f"RootTable(W(6)) traced peak {peak} bytes"
 
 
 def _span_coefficients(x, y, z):
