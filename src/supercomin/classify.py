@@ -464,12 +464,17 @@ def choose_method(family, params, subset_cap=DEFAULT_SUBSET_CAP) -> str:
 
 def cominuscule_subsets(rs: RootSystem, method="auto",
                         subset_cap=DEFAULT_SUBSET_CAP, lift_cap=DEFAULT_LIFT_CAP):
-    """All cominuscule parabolic subsets, plus the method actually used."""
+    """All cominuscule parabolic subsets, plus the method actually used.
+
+    Either stream is pruned by the forbidden nilradical pairs
+    (``enumerate_parabolics``), so only subsets that can still be
+    cominuscule get a verdict; the lift cap is checked on those alone.
+    """
     if method == "auto":
         method = choose_method(rs.family, rs.params, subset_cap)
-    prune = rs.table.forbidden[False] if method == "principal" else None
     out = [s for s in enumerate_parabolics(rs, method, subset_cap=subset_cap,
-                                           lift_cap=lift_cap, prune_masks=prune)
+                                           lift_cap=lift_cap,
+                                           prune_masks=rs.table.forbidden[False])
            if is_cominuscule(s, lift_cap=lift_cap).is_cominuscule]
     return out, method
 

@@ -14,6 +14,14 @@ searches the symmetrized list Delta u (-Delta): once per system with
 nothing fixed for the exhaustive stream, whose results are the lifts of
 every parabolic subset, and once per other subset with the Delta-part fixed
 to P (``inside`` = P, ``outside`` = Delta \\ P), for the lifts of P.
+
+An optional ``prune`` drops the subsets in which two roots that stand
+alone in their pairs (r in the subset, -r not) are marked as partners.
+It is checked on the "i only" and "-i only" branches of a pair, so a
+dropped subset's whole subtree is never searched.  The cominuscule
+classification passes its forbidden nilradical pairs here when it runs
+the exhaustive stream (a root of P whose negation is a root outside P
+lies in the nilradical of every lift of P); point searches pass none.
 """
 
 from __future__ import annotations
@@ -42,7 +50,21 @@ def _units(neg, rows, inside, outside):
     return units
 
 
-def enumerate_closed(neg, rows, inside=0, outside=0):
+def _clear(pmask, in_mask, out_mask, neg):
+    """Whether no root of ``pmask`` (None: no root) lies in ``in_mask``
+    with its negation in ``out_mask``."""
+    if pmask is None:
+        return True
+    hit = pmask & in_mask
+    while hit:
+        low = hit & -hit
+        if (out_mask >> neg[low.bit_length() - 1]) & 1:
+            return False
+        hit ^= low
+    return True
+
+
+def enumerate_closed(neg, rows, inside=0, outside=0, prune=None):
     """All subset masks satisfying covering and closure (including Delta)
     that contain every root of ``inside`` and no root of ``outside``.
 
@@ -50,7 +72,18 @@ def enumerate_closed(neg, rows, inside=0, outside=0):
     ``rows[r]`` lists pairs (m, target_mask): the targets are forced when r
     and m both lie in the subset.  Rows must be symmetric: (m, t) in rows[r]
     exactly when (r, t) in rows[m].
+
+    ``prune[r]`` (optional) is None or the mask of root r's partners.
+    Only paired roots may have masks, a partner must have one too, and the
+    masks must be symmetric.  A subset is dropped when two partners (one
+    root with itself included) both lie in it without their negations.
     """
+    if prune is not None:
+        # the roots with masks that the fixed roots leave alone in their pairs
+        alone = sum(1 << r for r, p in enumerate(prune) if p is not None
+                    and (inside >> r) & (outside >> neg[r]) & 1)
+        if any(prune[r] & alone for r in range(len(neg)) if (alone >> r) & 1):
+            return []
     units = _units(neg, rows, inside, outside)
     if units is None:
         return []
@@ -86,13 +119,17 @@ def enumerate_closed(neg, rows, inside=0, outside=0):
             return
         # pair (i, j = -i): i only / j only / both
         if not (req >> j) & 1:
-            m_in, nreq = add_root(i, in_mask, out_mask | (1 << j), req)
-            if m_in is not None:
-                rec(u + 1, m_in, out_mask | (1 << j), nreq)
+            o_mask = out_mask | (1 << j)
+            m_in, nreq = add_root(i, in_mask, o_mask, req)
+            if m_in is not None and (
+                    prune is None or _clear(prune[i], m_in, o_mask, neg)):
+                rec(u + 1, m_in, o_mask, nreq)
         if not (req >> i) & 1:
-            m_in, nreq = add_root(j, in_mask, out_mask | (1 << i), req)
-            if m_in is not None:
-                rec(u + 1, m_in, out_mask | (1 << i), nreq)
+            o_mask = out_mask | (1 << i)
+            m_in, nreq = add_root(j, in_mask, o_mask, req)
+            if m_in is not None and (
+                    prune is None or _clear(prune[j], m_in, o_mask, neg)):
+                rec(u + 1, m_in, o_mask, nreq)
         m_in, nreq = add_root(i, in_mask, out_mask, req)
         if m_in is not None:
             m_in, nreq = add_root(j, m_in, out_mask, nreq)

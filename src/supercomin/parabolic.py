@@ -141,17 +141,31 @@ def _check_lift_cap(rs: RootSystem, bits: int, lift_cap):
         raise CapExceeded(f"lift search needs {free} free bits, cap is {lift_cap}")
 
 
-def _levi_groups(rs: RootSystem, inside=0, outside=0):
+def _levi_groups(rs: RootSystem, inside=0, outside=0, prune_masks=None):
     """{P: sorted Levi bits} over the lifts that one kernel search finds,
     ascending in P: L = {i in P : -i in the lift}.  ``inside`` and
     ``outside`` fix roots as ``kernel.enumerate_closed`` does.  A symmetric
     system's only possible lift is P, and its closure rows keep the psl
-    lift-pair closure."""
+    lift-pair closure.
+
+    ``prune_masks`` (optional, as for ``_face_masks``) drops every P with
+    a forbidden pair among its roots whose negations are roots of Delta
+    outside P, one root with itself included.  Those roots depend on P
+    alone, so either every lift of P is dropped or none, and a kept P has
+    all its Levi bits."""
     full = (1 << len(rs)) - 1
     neg = rs.symmetrized().neg
     rows = closure_rows(rs) if rs.symmetric else rs.table.sym_rows
+    prune = None
+    if prune_masks is not None:
+        # masks only between roots paired in Delta; an extra weight and a
+        # root whose negation is one get none
+        immovable = sum(1 << i for i, j in enumerate(rs.neg) if j is not None)
+        prune = [prune_masks[i] & immovable if (immovable >> i) & 1 else None
+                 for i in range(len(neg))]
     groups = {}
-    for lift in kernel.enumerate_closed(neg, rows, inside=inside, outside=outside):
+    for lift in kernel.enumerate_closed(neg, rows, inside=inside,
+                                        outside=outside, prune=prune):
         bits = lift & full
         groups.setdefault(bits, set()).add(
             sum(1 << i for i in range(len(rs))
@@ -241,11 +255,12 @@ def principality_witness(subset: RootSubset):
 # enumeration
 
 
-def _exhaustive_masks(rs: RootSystem, subset_cap, lift_cap):
+def _exhaustive_masks(rs: RootSystem, subset_cap, lift_cap, prune_masks=None):
     """{P: sorted Levi bits} over the proper parabolic subsets, ascending,
-    from one lift search with nothing fixed."""
+    from one lift search with nothing fixed, pruned as ``_levi_groups``
+    prunes; the lift cap is checked on the subsets kept."""
     check_subset_cap(len(rs), subset_cap)
-    groups = _levi_groups(rs)
+    groups = _levi_groups(rs, prune_masks=prune_masks)
     groups.pop((1 << len(rs)) - 1, None)
     for bits in groups:
         _check_lift_cap(rs, bits, lift_cap)
@@ -266,7 +281,9 @@ def _face_masks(rs: RootSystem, prune_masks=None):
     in the strictly-positive part, itself included.  Since the masks are
     symmetric, that is exactly the set of pairs a root-by-root test would
     reject, so the prune keeps every face that can still produce a set with
-    an abelian nilradical, and only those; it is used for the largest runs.
+    an abelian nilradical, and only those.  ``_levi_groups`` prunes the
+    exhaustive stream by the same rule; the cominuscule classification
+    passes the masks to both.
 
     A hyperplane whose sign two earlier ones force takes that one branch,
     with the prune, and no Fourier-Motzkin clone or row: every other branch
@@ -351,9 +368,17 @@ def enumerate_parabolics(rs: RootSystem, method="exhaustive",
     search with closure propagation), seeded with their Levi bits;
     ``principal`` enumerates hyperplane-arrangement faces and emits P(lam)
     per face, deduplicated.
+
+    ``prune_masks`` (optional; bit b of entry a set when roots a, b are a
+    forbidden nilradical pair) prunes either stream by one rule: a subset
+    goes when two of its roots whose negations are roots outside it form a
+    forbidden pair, one root alone included.  Those roots lie in the
+    nilradical of every decomposition, so no dropped subset is cominuscule;
+    the stream then yields a superset of the cominuscule subsets.
     """
     if method == "exhaustive":
-        for bits, levis in _exhaustive_masks(rs, subset_cap, lift_cap).items():
+        for bits, levis in _exhaustive_masks(rs, subset_cap, lift_cap,
+                                             prune_masks).items():
             yield RootSubset(rs, bits, levis)
         return
     if method != "principal":

@@ -256,8 +256,13 @@ class RootSystem:
         return self._sym
 
     # -- serialization ------------------------------------------------------
+    @cached_property
+    def labels(self) -> tuple:
+        """``weight_str`` of each root, in root order, formatted once."""
+        return tuple(weight_str(r.weight, self.basis) for r in self.roots)
+
     def root_str(self, i: int) -> str:
-        return weight_str(self.roots[i].weight, self.basis)
+        return self.labels[i]
 
     def parse_root(self, s: str) -> int:
         idx = self.class_of(parse_weight(s, self.basis))
@@ -369,9 +374,11 @@ class RootTable:
       are positive and negative multiples of it;
     * ``perms``: root permutations of group elements, filled by
       ``weyl.root_permutation``;
-    * ``implied_rows`` and ``plane_relations``, built on first use: the
-      witness rows that root sums imply, and the hyperplanes whose sign two
-      earlier ones can force (see their docstrings).
+    * ``sym_rows``, ``implied_rows`` and ``plane_relations``, built on
+      first use: the symmetrized pair sums above, which only the lift
+      search of a nonsymmetric system reads, the witness rows that root
+      sums imply, and the hyperplanes whose sign two earlier ones can force
+      (see their docstrings).
     """
 
     def __init__(self, rs: RootSystem):
@@ -402,9 +409,9 @@ class RootTable:
                     literal[i] |= minus_eps & ~(1 << i)
         self.forbidden = (tuple(forbidden), tuple(literal))
 
-        sw = [scale(w) for w in rs.symmetrized().weights]
-        self.sym_rows, _ = _pair_rows([[w] for w in sw],
-                                      {w: k for k, w in enumerate(sw)})
+        # the extra weights of Delta u (-Delta), for ``sym_rows``
+        self._extra_weights = tuple(scale(w)
+                                    for w in rs.symmetrized().weights[n:])
 
         fm_weights = []
         for r in rs.roots:
@@ -431,6 +438,13 @@ class RootTable:
             constraints.append(tuple(-c for c in ints) + (0,))
         self.fm_constraints = tuple(constraints)
         self.perms = {}
+
+    @cached_property
+    def sym_rows(self):
+        """The symmetrized pair sums (see the class docstring)."""
+        sw = self.weights + self._extra_weights
+        rows, _ = _pair_rows([[w] for w in sw], {w: k for k, w in enumerate(sw)})
+        return rows
 
     @cached_property
     def implied_rows(self):

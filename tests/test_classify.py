@@ -33,8 +33,9 @@ from itertools import product
 import pytest
 
 from supercomin import classify, kernel, weyl
-from supercomin.classify import (enumerate_cominuscule_orbits, expected_entries,
-                                 nilradical_multiset, restriction_extension_check)
+from supercomin.classify import (cominuscule_subsets, enumerate_cominuscule_orbits,
+                                 expected_entries, nilradical_multiset,
+                                 restriction_extension_check)
 from supercomin.cominuscule import bracket_cominuscule, is_cominuscule
 from supercomin.parabolic import (RootSubset, enumerate_parabolics, evaluate,
                                   levi_decompositions, parabolic_status,
@@ -436,6 +437,18 @@ def test_pruned_principal_finds_all_cominuscule(fam, par):
         rs, "principal", prune_masks=rs.table.forbidden[False])
         if is_cominuscule(s).is_cominuscule}
     assert ex == pr
+
+
+@pytest.mark.parametrize("fam,par", [("S", (4,)), ("Sprime", (4,)), ("W", (4,)),
+                                     ("psl", (3,)), ("F4", ())])
+def test_pruned_generators_agree_past_the_subset_cap(fam, par):
+    """The two independent generators, each pruned by the forbidden pairs,
+    give the same cominuscule subsets.  The exhaustive one runs past its
+    default caps here, which the prune makes cheap."""
+    rs = build_root_system(fam, par)
+    ex, _ = cominuscule_subsets(rs, "exhaustive", subset_cap=100, lift_cap=100)
+    pr, _ = cominuscule_subsets(rs, "principal")
+    assert ex and [s.bits for s in ex] == [s.bits for s in pr]
 
 
 def test_suite_classifies_each_instance_once(count_calls):

@@ -229,6 +229,25 @@ def test_oracle_lift_cap(capsys):
     assert main(["oracle", "--family", "W", "--n", "3", "--lift-cap", "6"]) == 0
 
 
+@pytest.mark.parametrize("argv,code,err", [
+    (["W", "--n", "3", "--lift-cap", "5"], 0, ""),
+    (["W", "--n", "3", "--lift-cap", "3"], 2,
+     "cap exceeded: lift search needs 5 free bits, cap is 3\n"),
+    (["S", "--n", "3", "--lift-cap", "2"], 0, ""),
+])
+def test_classify_lift_cap_counts_kept_subsets(argv, code, err, capsys):
+    """``classify`` checks the lift cap only on the subsets its pruned
+    stream keeps, so it can pass at a cap ``oracle`` refuses (see
+    ``test_oracle_lift_cap``), and a run that passes prints the report of
+    the default caps."""
+    assert main(["classify", "--family"] + argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    if code == 0:
+        assert main(["classify", "--family"] + argv[:3]) == 0
+        assert capsys.readouterr().out == captured.out
+
+
 def test_verify_agreement_instance_past_cap_exits_2(capsys):
     """An exhaustive==principal instance past the exhaustive cap stops the
     suite with exit 2, as the crosscheck and law instances do, instead of

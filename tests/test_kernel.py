@@ -82,3 +82,68 @@ def test_fixed_roots_match_brute_force(inputs, data):
     expected = [m for m in closed_covering_masks(neg, rows)
                 if m & inside == inside and not m & outside]
     assert sorted(kernel.enumerate_closed(neg, rows, inside, outside)) == expected
+
+
+@st.composite
+def prune_inputs(draw, neg):
+    """Prune masks for the paired roots of ``neg``: a symmetric partner
+    relation among some of them (a root may be its own partner), with a
+    mask on each of those roots and None on the rest."""
+    paired = [r for r, j in enumerate(neg) if j is not None]
+    tracked = sorted(draw(st.sets(st.sampled_from(paired)))) if paired else []
+    masks = dict.fromkeys(tracked, 0)
+    if tracked:
+        roots = st.sampled_from(tracked)
+        for a, b in draw(st.lists(st.tuples(roots, roots), max_size=10)):
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+    return [masks.get(r) for r in range(len(neg))]
+
+
+def pruned_by_rule(masks, neg, prune):
+    """The masks with no two partners that lie in them without their
+    negations."""
+    def kept(m):
+        alone = sum(1 << r for r, p in enumerate(prune)
+                    if p is not None and (m >> r) & 1 and not (m >> neg[r]) & 1)
+        return not any(prune[r] & alone
+                       for r in range(len(neg)) if (alone >> r) & 1)
+
+    return [m for m in masks if kept(m)]
+
+
+@given(search_inputs(), st.data())
+def test_prune_matches_brute_force(inputs, data):
+    neg, rows = inputs
+    prune = data.draw(prune_inputs(neg))
+    assert sorted(kernel.enumerate_closed(neg, rows, prune=prune)) == \
+        pruned_by_rule(closed_covering_masks(neg, rows), neg, prune)
+
+
+@given(search_inputs(), st.data())
+def test_prune_with_fixed_roots_matches_brute_force(inputs, data):
+    """Roots fixed inside with their negations fixed outside take part in
+    the rule from the start."""
+    neg, rows = inputs
+    prune = data.draw(prune_inputs(neg))
+    inside = outside = 0
+    for i in range(len(neg)):
+        state = data.draw(st.sampled_from("ffio"))
+        if state == "i":
+            inside |= 1 << i
+        elif state == "o":
+            outside |= 1 << i
+    expected = [m for m in closed_covering_masks(neg, rows)
+                if m & inside == inside and not m & outside]
+    assert sorted(kernel.enumerate_closed(neg, rows, inside, outside, prune)) == \
+        pruned_by_rule(expected, neg, prune)
+
+
+def test_prune_example():
+    # one pair (0, 1) and one pair (2, 3); 0 and 2 are partners, 1 its own
+    prune = [0b0100, 0b0010, 0b0001, None]
+    out = sorted(kernel.enumerate_closed([1, 0, 3, 2], [()] * 4, prune=prune))
+    full = [m for m in range(16) if (m & 0b11) and (m & 0b1100)]
+    # dropped: 0 and 2 alone together; 1 alone (its own partner)
+    assert out == [m for m in full if m & 0b11 != 0b10
+                   and not (m & 0b11 == 0b01 and m & 0b1100 == 0b0100)]

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from supercomin import kernel, parabolic, weyl
-from supercomin.classify import enumerate_cominuscule_orbits
+from supercomin.classify import choose_method, enumerate_cominuscule_orbits
 from supercomin.cominuscule import is_cominuscule
 from supercomin.feasible import IncrementalFM, feasible_witness
 from supercomin.parabolic import (CapExceeded, ImproperSubsetError, RootSubset,
@@ -274,6 +274,67 @@ def test_streamed_levis_equal_point_search(fam, par):
         assert P.levis is not None and fresh.levis is None and fresh == P
         assert levi_decompositions(P) == levi_decompositions(fresh), P
         assert is_cominuscule(P) == is_cominuscule(fresh), P
+
+
+def immovable_pair_rule(rs, bits):
+    """Whether P keeps no forbidden pair among its roots i with -i a root
+    of Delta outside P, one root alone included: the rule the pruned
+    stream applies, read off the negation map and the forbidden pairs."""
+    forb = rs.table.forbidden[False]
+    alone = [i for i, j in enumerate(rs.neg)
+             if j is not None and (bits >> i) & 1 and not (bits >> j) & 1]
+    return not any((forb[a] >> b) & 1 for a in alone for b in alone)
+
+
+@pytest.mark.parametrize("fam,par", [
+    (f, p) for f, p, _ in EXPECTED_ORBITS
+    if choose_method(f, p) == "exhaustive"] + [("p", (4,)), ("W", (4,))])
+def test_pruned_stream_equals_filtered_full_stream(fam, par):
+    """The stream pruned by the forbidden pairs is the full stream filtered
+    by the rule, each subset with the same Levi bits, and it keeps every
+    cominuscule subset.  p(4) and W(4) run past the default caps."""
+    rs = rsys(fam, par)
+    caps = {"subset_cap": 100, "lift_cap": 100}
+    full = list(enumerate_parabolics(rs, "exhaustive", **caps))
+    pruned = list(enumerate_parabolics(rs, "exhaustive", **caps,
+                                       prune_masks=rs.table.forbidden[False]))
+    kept = [P for P in full if immovable_pair_rule(rs, P.bits)]
+    assert [(P.bits, P.levis) for P in pruned] == \
+        [(P.bits, P.levis) for P in kept]
+    def cominuscule(stream):
+        return [P for P in stream
+                if is_cominuscule(P, lift_cap=100).is_cominuscule]
+
+    assert cominuscule(pruned) == cominuscule(full)
+
+
+@pytest.mark.parametrize("fam,par", [("p", (3,)), ("W", (3,)), ("S", (3,)),
+                                     ("H", (5,)), ("psl", (3,))])
+def test_levi_groups_give_the_kernel_contract_masks(fam, par, monkeypatch):
+    """The prune masks ``_levi_groups`` hands ``kernel.enumerate_closed``
+    keep its contract: only roots paired within Delta carry masks, every
+    partner carries one, and the masks are symmetric.  On p(3), W(3),
+    S(3), p(4) and W(4) the search decides each root whose negation is no
+    root of Delta after its forbidden partners, so the pruned streams
+    alone would not notice a mask that names such a root."""
+    rs = rsys(fam, par)
+    seen = []
+    search = kernel.enumerate_closed
+
+    def spy(neg, rows, inside=0, outside=0, prune=None):
+        seen.append((neg, prune))
+        return search(neg, rows, inside, outside, prune)
+
+    monkeypatch.setattr(kernel, "enumerate_closed", spy)
+    parabolic._levi_groups(rs, prune_masks=rs.table.forbidden[False])
+    (neg, prune), = seen
+    masked = sum(1 << r for r, m in enumerate(prune) if m is not None)
+    assert masked
+    for r, m in enumerate(prune):
+        if m is not None:
+            assert r < len(rs) and neg[r] < len(rs)
+            assert not m & ~masked
+            assert all((prune[b] >> r) & 1 for b in range(len(neg)) if (m >> b) & 1)
 
 
 def test_kernel_calls_are_pinned(count_calls):
