@@ -3,13 +3,14 @@
 Constraints are rows ``(c_0, ..., c_{d-1}, k)`` of integers meaning
 ``sum c_i x_i + k >= 0``.  Strict homogeneous inequalities are scaled to
 ``>= 1`` / ``<= -1`` by the caller (valid by homogeneity of the systems this
-package produces).  One engine, ``IncrementalFM``, eliminates exactly; face
-enumeration drives it row by row, and ``feasible_witness`` recovers a
-rational point from its per-variable levels by back substitution.  The
-point is integer numerators X over one positive common denominator D, in
-lowest terms, and ``feasible_witness`` returns it as ``(X, D)``: back
-substitution and the closing check of every row are integer-exact, and no
-``Fraction`` is built.
+package produces).  One engine, ``IncrementalFM``, eliminates exactly, and
+``IncrementalFM.point`` recovers a rational point from its per-variable
+levels by back substitution.  Face enumeration drives the engine row by
+row and takes one point at each leaf; ``feasible_witness`` builds one
+engine per system and checks its point against every row.  The point is
+integer numerators X over one positive common denominator D, in lowest
+terms, returned as ``(X, D)``: back substitution and the closing check of
+every row are integer-exact, and no ``Fraction`` is built.
 
 The engine keeps only rows that can still bound a face.  Each row carries
 its history, the set of original rows it was combined from, and a row
@@ -88,42 +89,7 @@ def feasible_witness(rows, dim, implied=()):
     for r, _ in tightest.values():
         if not fm.add(r):
             return None
-    # X[j] is 0 until x_j is set, and a row of level k has r[j] == 0 for
-    # j < k, so sum(map(mul, r, X)) sums over the variables already set.
-    # A bound -(r.X + r[dim] D) / (r[k] D) on x_k is kept as (num, den)
-    # with den = |r[k]| > 0, over the common factor D.
-    X = [0] * dim
-    D = 1
-    for k in reversed(range(dim)):
-        pos, neg = fm.levels[k]
-        lo = hi = None
-        for r in pos:
-            num, den = -sum(map(mul, r, X)) - r[dim] * D, r[k]
-            if lo is None or num * lo[1] > lo[0] * den:
-                lo = (num, den)
-        for r in neg:
-            num, den = sum(map(mul, r, X)) + r[dim] * D, -r[k]
-            if hi is None or num * hi[1] < hi[0] * den:
-                hi = (num, den)
-        if lo is not None and hi is not None:
-            (a, b), (c, d) = lo, hi
-            if a * d > c * b:
-                raise AssertionError(
-                    f"back substitution: empty range "
-                    f"[{a}/{b * D}, {c}/{d * D}] for x{k}")
-            p, q = a * d + c * b, 2 * b * d
-        elif lo is not None or hi is not None:
-            p, q = lo or hi
-        else:
-            continue
-        # x_k = p / (q D): rescale to the denominator q D, then reduce
-        D *= q
-        X = [v * q for v in X]
-        X[k] = p
-        g = gcd(D, *X)
-        if g > 1:
-            D //= g
-            X = [v // g for v in X]
+    X, D = fm.point()
     for r in chain(rows, implied):
         if sum(map(mul, r, X)) + r[dim] * D < 0:
             raise AssertionError(f"witness {X}/{D} violates row {r}")
@@ -137,9 +103,9 @@ class IncrementalFM:
     and all its eliminations, and ``alive`` reports feasibility so far;
     ``levels[k] = (pos, neg)`` holds the kept rows whose first nonzero
     coefficient is that of variable k, positive or negative, which is what
-    back substitution in ``feasible_witness`` reads.  The last level holds
-    at most one row of each sign, the tightest bound on x_{d-1}; a new bound
-    there only has to be checked against the one opposite bound.
+    back substitution in ``point`` reads.  The last level holds at most
+    one row of each sign, the tightest bound on x_{d-1}; a new bound there
+    only has to be checked against the one opposite bound.
     ``_last_bound`` makes that comparison for every bound that reaches the
     last level, a row that lands there and a combination made while
     eliminating x_{d-2} alike.  Such a combination is two entries, the
@@ -183,6 +149,54 @@ class IncrementalFM:
         out.alive = self.alive
         out.count = self.count
         return out
+
+    def point(self):
+        """A point of the rows added so far, as ``(X, D)``, by back
+        substitution over ``levels``; the state must be alive.
+
+        x_k is the midpoint of its interval over the coordinates already
+        set, or the one finite end, or 0.  The point is X / D, integer
+        numerators over one positive denominator, in lowest terms.  An
+        empty interval raises ``AssertionError``.  The state is only read.
+        """
+        dim = self.dim
+        # X[j] is 0 until x_j is set, and a row of level k has r[j] == 0 for
+        # j < k, so sum(map(mul, r, X)) sums over the variables already set.
+        # A bound -(r.X + r[dim] D) / (r[k] D) on x_k is kept as (num, den)
+        # with den = |r[k]| > 0, over the common factor D.
+        X = [0] * dim
+        D = 1
+        for k in reversed(range(dim)):
+            pos, neg = self.levels[k]
+            lo = hi = None
+            for r in pos:
+                num, den = -sum(map(mul, r, X)) - r[dim] * D, r[k]
+                if lo is None or num * lo[1] > lo[0] * den:
+                    lo = (num, den)
+            for r in neg:
+                num, den = sum(map(mul, r, X)) + r[dim] * D, -r[k]
+                if hi is None or num * hi[1] < hi[0] * den:
+                    hi = (num, den)
+            if lo is not None and hi is not None:
+                (a, b), (c, d) = lo, hi
+                if a * d > c * b:
+                    raise AssertionError(
+                        f"back substitution: empty range "
+                        f"[{a}/{b * D}, {c}/{d * D}] for x{k}")
+                p, q = a * d + c * b, 2 * b * d
+            elif lo is not None or hi is not None:
+                p, q = lo or hi
+            else:
+                continue
+            # x_k = p / (q D): rescale to the denominator q D, then reduce
+            D *= q
+            X = [v * q for v in X]
+            X[k] = p
+            g = gcd(D, *X)
+            if g > 1:
+                D //= g
+                X = [v // g for v in X]
+        return X, D
 
     def add(self, row) -> bool:
         """Insert a constraint; returns the updated feasibility flag."""

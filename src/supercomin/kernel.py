@@ -146,4 +146,5 @@ def enumerate_closed(neg, rows, inside=0, outside=0, prune=None):
             if req & outside:
                 return []
     rec(0, inside, outside, req)
+    del rec  # rec's closure refers to rec: drop the cycle, not leave it to gc
     return out

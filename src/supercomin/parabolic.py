@@ -268,7 +268,16 @@ def _exhaustive_masks(rs: RootSystem, subset_cap, lift_cap, prune_masks=None):
 
 
 def _face_masks(rs: RootSystem, prune_masks=None):
-    """Values P(lam) over all faces of the root hyperplane arrangement.
+    """{P(lam): (X, D)} over all faces of the root hyperplane arrangement,
+    ascending in P, Delta itself left out.
+
+    X / D is a point lam of a face with value P, integer numerators over a
+    positive denominator: ``IncrementalFM.point`` of the first leaf that
+    reaches P, taken there, so only the integers are kept.  The engine
+    state at a leaf holds the rows of every hyperplane whose sign was not
+    forced, scaled, and ``fm_constraints``; a forced sign holds at the point
+    strictly, as it follows from the signs of two earlier hyperplanes
+    there.  So P(X) == P, and ``verify.oracle_counts`` checks it.
 
     Sign vectors over the distinct root hyperplanes (``RootTable.hyperplanes``)
     are extended one hyperplane at a time with Fourier-Motzkin pruning: lam
@@ -305,7 +314,8 @@ def _face_masks(rs: RootSystem, prune_masks=None):
     base_fm = IncrementalFM(dim)
     for row in table.fm_constraints:
         base_fm.add(row)
-    found = set()
+    full = (1 << len(rs)) - 1
+    found = {}  # P: the point of the first leaf that reaches P
     signs = [0] * len(planes)
 
     def allowed(new, plus):
@@ -339,7 +349,8 @@ def _face_masks(rs: RootSystem, prune_masks=None):
     def rec(h, fm, ge_mask, plus):
         # plus: the immovable roots of the strictly positive part
         if h == len(planes):
-            found.add(ge_mask)
+            if ge_mask != full and ge_mask not in found:
+                found[ge_mask] = fm.point()
             return
         sign = forced(h)
         for s, side, rows in branches[h] if sign is None else (branches[h][sign],):
@@ -355,8 +366,8 @@ def _face_masks(rs: RootSystem, prune_masks=None):
             rec(h + 1, branch, ge_mask | side, plus | new)
 
     rec(0, base_fm, 0, 0)
-    full = (1 << len(rs)) - 1
-    return sorted(m for m in found if m != full)
+    del rec  # rec's closure refers to rec: drop the cycle, not leave it to gc
+    return dict(sorted(found.items()))
 
 
 def enumerate_parabolics(rs: RootSystem, method="exhaustive",

@@ -31,8 +31,9 @@ from .classify import (enumerate_cominuscule_orbits, expected_entries,
                        restriction_extension_check)
 from .cominuscule import crosscheck_bracket, is_cominuscule, pair_forbidden
 from .parabolic import (DEFAULT_LIFT_CAP, DEFAULT_SUBSET_CAP,
-                        LeviDecomposition, RootSubset, check_subset_cap,
-                        enumerate_parabolics, levi_decompositions,
+                        LeviDecomposition, RootSubset, _face_masks,
+                        check_subset_cap, enumerate_parabolics,
+                        levi_decompositions, parabolic_status,
                         principality_witness)
 from .properties import (even_factor_index_sets, restriction_compatible,
                          sums_laws_hold, weyl_invariance_holds)
@@ -314,30 +315,65 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP,
     }
 
 
+def _check_face_point(rs, bits, point):
+    """Raise ``AssertionError`` unless the face point (X, D) is a witness
+    of P = ``bits``: P(X) == P over ``fm_weights`` and every
+    ``fm_constraints`` row holds, all in integers."""
+    X, D = point
+    induced = sum(1 << i for i, w in enumerate(rs.table.fm_weights)
+                  if sum(c * x for c, x in zip(w, X)) >= 0)
+    if induced != bits:
+        raise AssertionError(f"face point {X}/{D} of {RootSubset(rs, bits)} "
+                             f"induces {RootSubset(rs, induced)}")
+    dim = len(X)
+    for r in rs.table.fm_constraints:
+        if sum(c * x for c, x in zip(r, X)) + r[dim] * D < 0:
+            raise AssertionError(f"face point {X}/{D} of "
+                                 f"{RootSubset(rs, bits)} violates row {r}")
+
+
 def oracle_counts(family, params, subset_cap=DEFAULT_SUBSET_CAP,
                   lift_cap=DEFAULT_LIFT_CAP):
-    """Exhaustive parabolic/cominuscule/principal counts for one instance."""
+    """Exhaustive parabolic/cominuscule/principal counts for one instance.
+
+    The principal subsets are the exhaustive ones that are face values,
+    and the face search proves it: each such P has a face point X / D,
+    checked to induce P and to satisfy the functional constraints, and
+    each other exhaustive P must have no ``principality_witness``.  A face
+    value outside the exhaustive stream must not be parabolic (psl lift
+    pairs make some face values fail closure).  Any failure raises
+    ``AssertionError`` naming the subset's roots.
+    """
     check_subset_cap(root_count(family, params), subset_cap)
     rs = build_root_system(family, params)
     subsets = list(enumerate_parabolics(rs, "exhaustive", subset_cap=subset_cap,
                                         lift_cap=lift_cap))
-    principal = {s.bits for s in enumerate_parabolics(rs, "principal")}
+    faces = _face_masks(rs)
     n_com = sum(1 for s in subsets
                 if is_cominuscule(s, lift_cap=lift_cap).is_cominuscule)
-    n_wit = sum(1 for s in subsets if principality_witness(s) is not None)
-    if not principal <= {s.bits for s in subsets}:
-        raise AssertionError(f"{family}{tuple(params)}: principal subsets "
-                             "missing from the exhaustive stream")
-    if n_wit != len(principal):
-        raise AssertionError(f"{family}{tuple(params)}: {n_wit} witnesses "
-                             f"for {len(principal)} principal subsets")
+    n_principal = 0
+    for s in subsets:
+        point = faces.get(s.bits)
+        if point is not None:
+            _check_face_point(rs, s.bits, point)
+            n_principal += 1
+        elif principality_witness(s) is not None:
+            raise AssertionError(f"{family}{tuple(params)}: principal {s} "
+                                 "has no face point")
+    exhaustive = {s.bits for s in subsets}
+    for bits in faces:
+        if bits not in exhaustive and parabolic_status(
+                RootSubset(rs, bits), lift_cap) == "parabolic":
+            raise AssertionError(f"{family}{tuple(params)}: principal "
+                                 f"{RootSubset(rs, bits)} missing from the "
+                                 "exhaustive stream")
     return {
         "schema_version": SCHEMA_VERSION,
         "family": family,
         "params": list(params),
         "roots": len(rs),
         "parabolic": len(subsets),
-        "principal": len(principal),
-        "non_principal": len(subsets) - len(principal),
+        "principal": n_principal,
+        "non_principal": len(subsets) - n_principal,
         "cominuscule": n_com,
     }

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,32 @@ def test_incremental_matches_vertex_oracle():
         assert (feasible_witness(rows, dim) is not None) == oracle, rows
         infeasible += not oracle
     assert infeasible > 50
+
+
+def test_point_satisfies_every_row_added():
+    """``IncrementalFM.point`` of an alive state, read after every ``add``
+    and on clones, satisfies each row added so far: the point the face
+    search takes at a leaf is a point of the leaf's system."""
+    rng = random.Random(19)
+    points = 0
+    for trial in range(500):
+        dim = rng.randint(1, 6)
+        if trial % 2:
+            rows = random_rows(rng, dim, rng.randint(1, 9))
+        else:
+            rows = random_system(rng, dim, rng.randint(2, 9))
+        fm = IncrementalFM(dim)
+        for n, r in enumerate(rows, 1):
+            if rng.random() < 0.3:
+                fm = fm.clone()
+            if not fm.add(r):
+                break
+            X, D = fm.point()
+            assert D > 0 and gcd(D, *X) == 1
+            assert all(sum(map(mul, q, X)) + q[dim] * D >= 0
+                       for q in rows[:n]), rows[:n]
+            points += 1
+    assert points > 1000
 
 
 def plain_witness(rows, dim):

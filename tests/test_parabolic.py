@@ -1,3 +1,4 @@
+import gc
 import itertools
 import warnings
 from fractions import Fraction
@@ -10,7 +11,7 @@ from supercomin.classify import choose_method, enumerate_cominuscule_orbits
 from supercomin.cominuscule import is_cominuscule
 from supercomin.feasible import IncrementalFM, feasible_witness
 from supercomin.parabolic import (CapExceeded, ImproperSubsetError, RootSubset,
-                                  _face_masks, enumerate_parabolics,
+                                  _face_masks, enumerate_parabolics, evaluate,
                                   is_parabolic, levi_decompositions,
                                   parabolic_status, principal_parabolic,
                                   principality_witness)
@@ -432,7 +433,7 @@ def test_face_masks_match_per_root_reference(fam, par, unpruned):
     but S'(4)."""
     rs = rsys(fam, par)
     for prune in (None,) * unpruned + rs.table.forbidden:
-        assert _face_masks(rs, prune) == face_masks_per_root(rs, prune)
+        assert list(_face_masks(rs, prune)) == face_masks_per_root(rs, prune)
 
 
 def test_face_masks_work_is_pinned(count_calls):
@@ -449,6 +450,55 @@ def test_face_masks_work_is_pinned(count_calls):
         counts[fam, prune] = dict(calls)
     assert counts == {("F4", True): {"clone": 249, "add": 377},
                       ("osp", False): {"clone": 2130, "add": 2758}}
+
+
+# the oracle instances of the benchmark's ``sweep`` workload, psl(2|2) with
+# its functional constraints among them
+SWEEP_ORACLES = [("osp", (1, 2)), ("sl", (2, 1)), ("p", (2,)), ("psl", (2,)),
+                 ("W", (3,)), ("S", (3,)), ("H", (5,)), ("H", (6,)),
+                 ("osp", (6, 2)), ("sl", (3, 2)), ("p", (3,))]
+
+
+@pytest.mark.parametrize("fam,par", SWEEP_ORACLES)
+def test_face_points_are_the_principal_subsets(fam, par):
+    """The face points against ``principality_witness``, which solves a
+    system of its own per subset: the masks with a point are exactly the
+    exhaustive parabolics with a witness, and each point X / D induces its
+    mask, over the rational weights, and satisfies the functional
+    constraints."""
+    rs = rsys(fam, par)
+    faces = _face_masks(rs)
+    principal = {P.bits for P in enumerate_parabolics(rs, "exhaustive")
+                 if principality_witness(P) is not None}
+    assert set(faces) == principal
+    for bits, (X, D) in faces.items():
+        lam = [F(x, D) for x in X]
+        assert D > 0
+        assert bits == sum(1 << i for i, r in enumerate(rs.roots)
+                           if evaluate(lam, r.weight) >= 0)
+        assert all(evaluate(lam, v) == 0 for v in rs.functional_constraints())
+
+
+def test_searches_leave_no_cycles():
+    """A lift search (``kernel.enumerate_closed``) and a face search free
+    everything they build when they return: with the collector off, none
+    leaves an object that only ``gc.collect`` would reclaim."""
+    rs = rsys("W", (3,))
+    subsets = [RootSubset(rs, P.bits)
+               for P in enumerate_parabolics(rs, "exhaustive")][:20]
+    _face_masks(rs)  # build the tables the searches read
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for P in subsets:
+            assert P.levi_masks()
+            assert gc.collect() == 0
+        _face_masks(rs)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 WITNESS_GOLDEN_SYSTEMS = [("H", (6,)), ("osp", (6, 2)), ("sl", (3, 2)),

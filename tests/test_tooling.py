@@ -7,7 +7,7 @@ test loads the tracer file as it is and installs it."""
 import importlib.util
 from pathlib import Path
 
-from supercomin import classify, parabolic
+from supercomin import classify, parabolic, verify
 from supercomin.parabolic import RootSubset
 from supercomin.rootsys import build_root_system
 
@@ -52,3 +52,18 @@ def test_benchmark_tracer_counts_witness_layers():
     assert tr.counts["feasible.witness_calls"] == 1
     assert tr.counts["feasible.witness_rows"] > 0
     assert tr.counts["feasible.fm_add_calls"] > 0
+
+
+def test_oracle_certifies_faces_without_witnesses():
+    """``oracle_counts`` on W(3) certifies its 152 principal subsets with
+    the points of one face search: no subset needs a
+    ``principality_witness`` of its own."""
+    tr = load_tracer().Tracer()
+    try:
+        tr.install()
+        counts = verify.oracle_counts("W", (3,))
+    finally:
+        tr.uninstall()
+    assert counts["principal"] == counts["parabolic"] == 152
+    assert tr.counts["parabolic.face_subsets"] == 152
+    assert tr.counts["parabolic.witness_calls"] == 0
