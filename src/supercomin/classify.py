@@ -27,9 +27,9 @@ from fractions import Fraction
 
 from . import weyl
 from .cominuscule import is_cominuscule
-from .parabolic import (DEFAULT_LIFT_CAP, DEFAULT_SUBSET_CAP, RootSubset,
-                        check_subset_cap, enumerate_parabolics,
-                        levi_decompositions, principality_witness)
+from .parabolic import (DEFAULT_SUBSET_CAP, RootSubset, check_subset_cap,
+                        enumerate_parabolics, levi_decompositions,
+                        principality_witness)
 from .properties import even_factor_index_sets
 from .rootsys import (RootSystem, _unit, build_root_system, normalize_family,
                       root_count, wadd, wneg)
@@ -463,19 +463,20 @@ def choose_method(family, params, subset_cap=DEFAULT_SUBSET_CAP) -> str:
 
 
 def cominuscule_subsets(rs: RootSystem, method="auto",
-                        subset_cap=DEFAULT_SUBSET_CAP, lift_cap=DEFAULT_LIFT_CAP):
+                        subset_cap=DEFAULT_SUBSET_CAP):
     """All cominuscule parabolic subsets, plus the method actually used.
 
     Either stream is pruned by the forbidden nilradical pairs
     (``enumerate_parabolics``), so only subsets that can still be
-    cominuscule get a verdict; the lift cap is checked on those alone.
+    cominuscule get a verdict.  Each lift search, the exhaustive stream's
+    and each kept subset's, is refused past the node budget
+    ``kernel.NODE_CAP``.
     """
     if method == "auto":
         method = choose_method(rs.family, rs.params, subset_cap)
     out = [s for s in enumerate_parabolics(rs, method, subset_cap=subset_cap,
-                                           lift_cap=lift_cap,
                                            prune_masks=rs.table.forbidden[False])
-           if is_cominuscule(s, lift_cap=lift_cap).is_cominuscule]
+           if is_cominuscule(s).is_cominuscule]
     return out, method
 
 
@@ -492,7 +493,6 @@ def module_verdict(rs, entry: ExpectedEntry):
 
 def enumerate_cominuscule_orbits(family, params, method="auto", group="auto",
                                  subset_cap=DEFAULT_SUBSET_CAP,
-                                 lift_cap=DEFAULT_LIFT_CAP,
                                  orbit_cap=weyl.DEFAULT_ORBIT_CAP) -> ClassificationReport:
     if method == "auto":
         method = choose_method(family, params, subset_cap)
@@ -501,7 +501,7 @@ def enumerate_cominuscule_orbits(family, params, method="auto", group="auto",
     rs = build_root_system(family, params)
     gens = weyl.generators(rs, group)
     group_used = weyl.classification_group(rs) if group == "auto" else group
-    found, method_used = cominuscule_subsets(rs, method, subset_cap, lift_cap)
+    found, method_used = cominuscule_subsets(rs, method, subset_cap)
     partition = weyl.orbit_partition(rs, [s.bits for s in found], gens,
                                      cap=orbit_cap)
 
@@ -519,15 +519,14 @@ def enumerate_cominuscule_orbits(family, params, method="auto", group="auto",
         entry = expected_by_canonical.get(can)
         rep = found_by_bits[can]
         wit = principality_witness(rep)
-        verdict = is_cominuscule(rep, lift_cap=lift_cap)
+        verdict = is_cominuscule(rep)
         if wit is None:
             all_principal = False
         # uniqueness over every member of the orbit that the run found
         ndec = len(verdict.decompositions)
         for b in partition[can]:
             if b != can:
-                ndec = max(ndec, len(levi_decompositions(found_by_bits[b],
-                                                         lift_cap=lift_cap)))
+                ndec = max(ndec, len(levi_decompositions(found_by_bits[b])))
         if ndec != 1:
             all_unique = False
         orbit_results.append(OrbitResult(
@@ -596,14 +595,13 @@ def _gl_sets(rs_w, n, n0):
     return _bits_of(rs_w, levi + nil)
 
 
-def restriction_extension_check(n, subset_cap=DEFAULT_SUBSET_CAP,
-                                lift_cap=DEFAULT_LIFT_CAP):
+def restriction_extension_check(n, subset_cap=DEFAULT_SUBSET_CAP):
     """Verify the extension pattern of cominuscule subsets from sl(1|n) and
     from the even gl-part up to W(n), by inverting restriction over all
     cominuscule parabolic subsets of W(n)."""
     rs = build_root_system("W", (n,))
     gens = weyl.generators(rs, "auto")
-    found, _ = cominuscule_subsets(rs, "auto", subset_cap, lift_cap)
+    found, _ = cominuscule_subsets(rs, "auto", subset_cap)
     s_mask = sum(1 << i for i in _s_subsystem_indices(rs))
     gl_mask = sum(1 << i for i in even_factor_index_sets(rs)["gl"])
 

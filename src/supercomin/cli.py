@@ -15,15 +15,16 @@ import sys
 import warnings
 
 from .classify import enumerate_cominuscule_orbits
-from .parabolic import DEFAULT_LIFT_CAP, DEFAULT_SUBSET_CAP, CapExceeded
-from .rootsys import ParameterError, build_root_system
+from .parabolic import DEFAULT_SUBSET_CAP, CapExceeded
+from .rootsys import FAMILIES, _OSP_ALIASES, ParameterError, build_root_system
 from .verify import SUITE_FAMILIES, oracle_counts, run_paper_suite
 from .weyl import DEFAULT_ORBIT_CAP
 
 SCHEMA_VERSION = "1"
 
-FAMILY_CHOICES = ["sl", "psl", "osp", "osp_odd", "osp1", "osp_even", "osp2",
-                  "D21a", "F4", "G3", "psq", "p", "W", "S", "Sprime", "H"]
+# the families, each osp alias right after osp
+FAMILY_CHOICES = [name for f in FAMILIES
+                  for name in ((f,) + _OSP_ALIASES if f == "osp" else (f,))]
 
 
 def _cap(text):
@@ -171,8 +172,7 @@ def cmd_classify(args) -> int:
     params = _params_from_args(args.family, args)
     rep = enumerate_cominuscule_orbits(
         args.family, params, method=args.method, group=args.group,
-        subset_cap=args.subset_cap, lift_cap=args.lift_cap,
-        orbit_cap=args.orbit_cap)
+        subset_cap=args.subset_cap, orbit_cap=args.orbit_cap)
     _emit(_report_json(rep), args)
     ok = rep.matches_expected and rep.all_principal and rep.all_unique_levi
     return 0 if ok else 1
@@ -180,8 +180,7 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     only = set(args.only) if args.only else None
-    rep = run_paper_suite(only=only, subset_cap=args.subset_cap,
-                          lift_cap=args.lift_cap)
+    rep = run_paper_suite(only=only, subset_cap=args.subset_cap)
     _emit(rep, args)
     if rep["failed"]:
         sys.stderr.write(f"{rep['failed']} checks failed: "
@@ -191,8 +190,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     params = _params_from_args(args.family, args)
-    counts = oracle_counts(args.family, params, subset_cap=args.subset_cap,
-                           lift_cap=args.lift_cap)
+    counts = oracle_counts(args.family, params, subset_cap=args.subset_cap)
     _emit(counts, args)
     return 0
 
@@ -211,9 +209,6 @@ def build_parser():
         p.add_argument("--subset-cap", type=_cap,
                        default=_EnvCap("SUPERCOMIN_SUBSET_CAP",
                                        DEFAULT_SUBSET_CAP))
-        p.add_argument("--lift-cap", type=_cap,
-                       default=_EnvCap("SUPERCOMIN_LIFT_CAP",
-                                       DEFAULT_LIFT_CAP))
 
     def instance(p):
         p.add_argument("--family", required=True, choices=FAMILY_CHOICES)

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .parabolic import (DEFAULT_LIFT_CAP, LeviDecomposition, RootSubset,
-                        levi_decompositions)
+from .parabolic import LeviDecomposition, RootSubset, levi_decompositions
 from .rootsys import RootSystem
 
 
@@ -40,17 +39,16 @@ class CominusculeVerdict:
     abelian_flags: tuple = ()
 
 
-def _abelian_scan(subset: RootSubset, nonzero, lift_cap):
+def _abelian_scan(subset: RootSubset, nonzero):
     """Each Levi decomposition of P, in order of its Levi bits, with whether
     its nilradical is abelian: no roots a <= b in it with nonzero(a, b)."""
-    for d in levi_decompositions(subset, lift_cap=lift_cap):
+    for d in levi_decompositions(subset):
         idx = d.nilradical.indices()
         yield d, not any(nonzero(a, b) for x, a in enumerate(idx)
                          for b in idx[x:])
 
 
-def is_cominuscule(subset: RootSubset,
-                   lift_cap=DEFAULT_LIFT_CAP) -> CominusculeVerdict:
+def is_cominuscule(subset: RootSubset) -> CominusculeVerdict:
     """First Levi decomposition with an abelian nilradical, if any.
 
     Decompositions are scanned in order of their Levi bits; all of them and
@@ -58,21 +56,18 @@ def is_cominuscule(subset: RootSubset,
     existential over decompositions.
     """
     forb = subset.rs.table.forbidden[False]
-    scan = tuple(_abelian_scan(subset, lambda a, b: (forb[a] >> b) & 1, lift_cap))
+    scan = tuple(_abelian_scan(subset, lambda a, b: (forb[a] >> b) & 1))
     witness = next((d for d, ok in scan if ok), None)
     return CominusculeVerdict(witness is not None, witness,
                               tuple(d for d, _ in scan), tuple(ok for _, ok in scan))
 
 
-def bracket_cominuscule(subset: RootSubset, rz,
-                        lift_cap=DEFAULT_LIFT_CAP) -> bool:
+def bracket_cominuscule(subset: RootSubset, rz) -> bool:
     """The same existential verdict, decided by the realized superbracket."""
-    return any(ok for _, ok in _abelian_scan(subset, rz.bracket_nonzero,
-                                             lift_cap))
+    return any(ok for _, ok in _abelian_scan(subset, rz.bracket_nonzero))
 
 
-def crosscheck_bracket(subset: RootSubset, rz,
-                       lift_cap=DEFAULT_LIFT_CAP) -> bool:
+def crosscheck_bracket(subset: RootSubset, rz) -> bool:
     """Does the root-level verdict agree with the bracket oracle on P?"""
-    rule = is_cominuscule(subset, lift_cap=lift_cap).is_cominuscule
-    return rule == bracket_cominuscule(subset, rz, lift_cap=lift_cap)
+    rule = is_cominuscule(subset).is_cominuscule
+    return rule == bracket_cominuscule(subset, rz)

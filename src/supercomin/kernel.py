@@ -22,9 +22,21 @@ dropped subset's whole subtree is never searched.  The cominuscule
 classification passes its forbidden nilradical pairs here when it runs
 the exhaustive stream (a root of P whose negation is a root outside P
 lies in the nilradical of every lift of P); point searches pass none.
+
+Every search, exhaustive or point, is refused with ``CapExceeded`` once it
+visits more than ``NODE_CAP`` nodes (calls of its recursive step), checked
+as it runs.  The budget is fixed, as ``rootsys.ROOT_CAP`` is: the largest
+search of the paper suite visits about 6,000 nodes and the unpruned
+exhaustive stream of W(4) about 180,000, at a few microseconds each, so
+10^6 nodes bounds one search to seconds.
 """
 
 from __future__ import annotations
+
+from .rootsys import CapExceeded
+
+# the most nodes one search may visit; no option or variable sets it
+NODE_CAP = 10 ** 6
 
 
 def _units(neg, rows, inside, outside):
@@ -77,6 +89,9 @@ def enumerate_closed(neg, rows, inside=0, outside=0, prune=None):
     Only paired roots may have masks, a partner must have one too, and the
     masks must be symmetric.  A subset is dropped when two partners (one
     root with itself included) both lie in it without their negations.
+
+    Raises ``CapExceeded`` when the search visits more than ``NODE_CAP``
+    nodes.
     """
     if prune is not None:
         # the roots with masks that the fixed roots leave alone in their pairs
@@ -89,6 +104,7 @@ def enumerate_closed(neg, rows, inside=0, outside=0, prune=None):
         return []
     out = []
     nu = len(units)
+    left = NODE_CAP  # nodes the search may still visit
 
     def add_root(r, in_mask, out_mask, req):
         if (out_mask >> r) & 1:
@@ -105,6 +121,10 @@ def enumerate_closed(neg, rows, inside=0, outside=0, prune=None):
         return m_in, req | acc
 
     def rec(u, in_mask, out_mask, req):
+        nonlocal left
+        left -= 1
+        if left < 0:
+            raise CapExceeded(f"lift search visits more than {NODE_CAP} nodes")
         if u == nu:
             if not (req & ~in_mask):
                 out.append(in_mask)

@@ -34,7 +34,6 @@ from .rootsys import CapExceeded, RootSystem
 
 
 DEFAULT_SUBSET_CAP = 26
-DEFAULT_LIFT_CAP = 22
 
 
 class ImproperSubsetError(ValueError):
@@ -49,12 +48,12 @@ class RootSubset:
     # first ``levi_masks`` read
     levis: tuple | None = field(default=None, compare=False, repr=False)
 
-    def levi_masks(self, lift_cap=DEFAULT_LIFT_CAP) -> tuple:
+    def levi_masks(self) -> tuple:
         """The sorted Levi bits over the lifts of P, () when P is not
-        parabolic; searched at most once per subset, capped on every read."""
-        rs, bits = self.rs, self.bits
-        _check_lift_cap(rs, bits, lift_cap)
+        parabolic; searched at most once per subset, within the kernel's
+        node budget."""
         if self.levis is None:
+            rs, bits = self.rs, self.bits
             groups = _levi_groups(rs, inside=bits,
                                   outside=((1 << len(rs)) - 1) & ~bits)
             object.__setattr__(self, "levis", groups.get(bits, ()))
@@ -105,7 +104,7 @@ def closure_rows(rs: RootSystem):
 # parabolicity
 
 
-def parabolic_status(subset: RootSubset, lift_cap=DEFAULT_LIFT_CAP) -> str:
+def parabolic_status(subset: RootSubset) -> str:
     """One of "improper", "parabolic", "not_parabolic".
 
     A proper P is parabolic exactly when it has a lift; for a symmetric
@@ -113,11 +112,11 @@ def parabolic_status(subset: RootSubset, lift_cap=DEFAULT_LIFT_CAP) -> str:
     """
     if subset.bits == (1 << len(subset.rs)) - 1:
         return "improper"
-    return "parabolic" if subset.levi_masks(lift_cap) else "not_parabolic"
+    return "parabolic" if subset.levi_masks() else "not_parabolic"
 
 
-def is_parabolic(subset: RootSubset, lift_cap=DEFAULT_LIFT_CAP) -> bool:
-    status = parabolic_status(subset, lift_cap=lift_cap)
+def is_parabolic(subset: RootSubset) -> bool:
+    status = parabolic_status(subset)
     if status == "improper":
         raise ImproperSubsetError("P = Delta is not a proper subset")
     return status == "parabolic"
@@ -131,14 +130,6 @@ def check_subset_cap(count: int, subset_cap):
     """Raise unless an exhaustive search over ``count`` roots is within the cap."""
     if count > subset_cap:
         raise CapExceeded(f"|Delta| = {count} exceeds the exhaustive cap {subset_cap}")
-
-
-def _check_lift_cap(rs: RootSystem, bits: int, lift_cap):
-    """Raise unless the lifts of P have at most ``lift_cap`` free bits: the
-    extra weights -i for the roots i of P whose negation is no root."""
-    free = sum(1 for i, j in enumerate(rs.neg) if j is None and (bits >> i) & 1)
-    if free > lift_cap:
-        raise CapExceeded(f"lift search needs {free} free bits, cap is {lift_cap}")
 
 
 def _levi_groups(rs: RootSystem, inside=0, outside=0, prune_masks=None):
@@ -173,7 +164,7 @@ def _levi_groups(rs: RootSystem, inside=0, outside=0, prune_masks=None):
     return {bits: tuple(sorted(groups[bits])) for bits in sorted(groups)}
 
 
-def levi_decompositions(subset: RootSubset, lift_cap=DEFAULT_LIFT_CAP):
+def levi_decompositions(subset: RootSubset):
     """All Levi decompositions of a parabolic subset, deduplicated.
 
     One per distinct (L, N+) pair over all parabolic lifts, ordered by the
@@ -181,7 +172,7 @@ def levi_decompositions(subset: RootSubset, lift_cap=DEFAULT_LIFT_CAP):
     system has exactly one, and a subset that is not parabolic none.
     """
     return [LeviDecomposition(subset, levi, subset.bits & ~levi)
-            for levi in subset.levi_masks(lift_cap)]
+            for levi in subset.levi_masks()]
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +246,13 @@ def principality_witness(subset: RootSubset):
 # enumeration
 
 
-def _exhaustive_masks(rs: RootSystem, subset_cap, lift_cap, prune_masks=None):
+def _exhaustive_masks(rs: RootSystem, subset_cap, prune_masks=None):
     """{P: sorted Levi bits} over the proper parabolic subsets, ascending,
     from one lift search with nothing fixed, pruned as ``_levi_groups``
-    prunes; the lift cap is checked on the subsets kept."""
+    prunes; the search is refused past the kernel's node budget."""
     check_subset_cap(len(rs), subset_cap)
     groups = _levi_groups(rs, prune_masks=prune_masks)
     groups.pop((1 << len(rs)) - 1, None)
-    for bits in groups:
-        _check_lift_cap(rs, bits, lift_cap)
     return groups
 
 
@@ -371,8 +360,7 @@ def _face_masks(rs: RootSystem, prune_masks=None):
 
 
 def enumerate_parabolics(rs: RootSystem, method="exhaustive",
-                         subset_cap=DEFAULT_SUBSET_CAP, lift_cap=DEFAULT_LIFT_CAP,
-                         prune_masks=None):
+                         subset_cap=DEFAULT_SUBSET_CAP, prune_masks=None):
     """Stream of parabolic subsets in canonical bitmask order.
 
     ``exhaustive`` yields the subsets of one lift search (3^pairs state
@@ -386,9 +374,13 @@ def enumerate_parabolics(rs: RootSystem, method="exhaustive",
     forbidden pair, one root alone included.  Those roots lie in the
     nilradical of every decomposition, so no dropped subset is cominuscule;
     the stream then yields a superset of the cominuscule subsets.
+
+    Every lift search either stream makes, the exhaustive one and the
+    psl parabolicity filter's, raises ``CapExceeded`` past the node budget
+    ``kernel.NODE_CAP``.
     """
     if method == "exhaustive":
-        for bits, levis in _exhaustive_masks(rs, subset_cap, lift_cap,
+        for bits, levis in _exhaustive_masks(rs, subset_cap,
                                              prune_masks).items():
             yield RootSubset(rs, bits, levis)
         return
@@ -399,5 +391,5 @@ def enumerate_parabolics(rs: RootSystem, method="exhaustive",
         # lift-pair closure is stronger than closure of representative
         # sums, so face values need a parabolicity filter here
         subsets = (s for s in subsets
-                   if parabolic_status(s, lift_cap) == "parabolic")
+                   if parabolic_status(s) == "parabolic")
     yield from subsets

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from . import weyl
 from .cominuscule import is_cominuscule
-from .parabolic import (DEFAULT_LIFT_CAP, LeviDecomposition, RootSubset,
-                        principality_witness)
+from .parabolic import LeviDecomposition, RootSubset, principality_witness
 from .rootsys import RootSystem
 
 
@@ -122,8 +121,7 @@ def restriction_compatible(dec: LeviDecomposition, indices) -> bool:
     return La == dec.levi_bits & mask and (Pa & ~La) == dec.nilradical_bits & mask
 
 
-def weyl_invariance_holds(rs: RootSystem, subset, gens,
-                          lift_cap=DEFAULT_LIFT_CAP) -> bool:
+def weyl_invariance_holds(rs: RootSystem, subset, gens) -> bool:
     """Parabolicity, principality, and the cominuscule verdict are constant
     along the orbit of a subset under the given generators.  ``subset`` is
     a ``RootSubset`` or its bits."""
@@ -131,7 +129,7 @@ def weyl_invariance_holds(rs: RootSystem, subset, gens,
         subset = RootSubset(rs, subset)
 
     def verdicts(s):
-        v = is_cominuscule(s, lift_cap=lift_cap)
+        v = is_cominuscule(s)
         if not v.decompositions:  # not parabolic
             return None
         return v.is_cominuscule, principality_witness(s) is not None

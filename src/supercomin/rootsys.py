@@ -67,7 +67,7 @@ HALF = Fraction(1, 2)
 
 FAMILIES = ("sl", "psl", "osp", "D21a", "F4", "G3", "psq", "p", "W", "S", "Sprime", "H")
 
-_OSP_ALIASES = {"osp_odd", "osp1", "osp_even", "osp2"}
+_OSP_ALIASES = ("osp_odd", "osp1", "osp_even", "osp2")
 
 
 # the most roots a system may have; the table's pair pass is quadratic in

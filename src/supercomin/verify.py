@@ -30,9 +30,8 @@ from . import weyl
 from .classify import (enumerate_cominuscule_orbits, expected_entries,
                        restriction_extension_check)
 from .cominuscule import crosscheck_bracket, is_cominuscule, pair_forbidden
-from .parabolic import (DEFAULT_LIFT_CAP, DEFAULT_SUBSET_CAP,
-                        LeviDecomposition, RootSubset, _face_masks,
-                        check_subset_cap, enumerate_parabolics,
+from .parabolic import (DEFAULT_SUBSET_CAP, LeviDecomposition, RootSubset,
+                        _face_masks, check_subset_cap, enumerate_parabolics,
                         levi_decompositions, parabolic_status,
                         principality_witness)
 from .properties import (even_factor_index_sets, restriction_compatible,
@@ -112,8 +111,7 @@ def bracket_rule_disagreements(rs, rz):
     return bad
 
 
-def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP,
-                    lift_cap=DEFAULT_LIFT_CAP):
+def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP):
     """Execute the full suite; returns a deterministic report dict."""
     checks = []
 
@@ -130,8 +128,7 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP,
         if not want(family):
             continue
         rep = enumerate_cominuscule_orbits(family, params,
-                                           subset_cap=subset_cap,
-                                           lift_cap=lift_cap)
+                                           subset_cap=subset_cap)
         reports[(family, params)] = rep
         t = _tag(family, params)
         chk(f"orbit-count {t} == {expected}", rep.orbit_count == expected,
@@ -151,7 +148,7 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP,
     if want("p"):
         rs = build_root_system("p", (2,))
         bits = sum(1 << rs.parse_root(s) for s in ("e1-e2", "e1+e2", "2e1", "2e2"))
-        verdict = is_cominuscule(RootSubset(rs, bits), lift_cap=lift_cap)
+        verdict = is_cominuscule(RootSubset(rs, bits))
         levis = sorted(sorted(d.levi.root_strings())
                        for d in verdict.decompositions)
         chk("nonuniqueness p(2): two decompositions of a non-cominuscule set",
@@ -210,10 +207,9 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP,
             continue
         rs = build_root_system(family, params)
         rz = realize_for(rs)
-        subsets = list(enumerate_parabolics(rs, "exhaustive", subset_cap=subset_cap,
-                                            lift_cap=lift_cap))
-        bad = sum(not crosscheck_bracket(s, rz, lift_cap=lift_cap)
-                  for s in subsets)
+        subsets = list(enumerate_parabolics(rs, "exhaustive",
+                                            subset_cap=subset_cap))
+        bad = sum(not crosscheck_bracket(s, rz) for s in subsets)
         chk(f"verdict-crosscheck {_tag(family, params)}", bad == 0,
             f"{bad} of {len(subsets)} parabolic subsets disagree")
 
@@ -230,8 +226,7 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP,
         sample = {bits: RootSubset(rs, bits) for bits in table}
         sample.update((s.bits, s) for s in reports[(family, params)].subsets)
         # a subset that is not parabolic is cominuscule by neither verdict
-        bad = sum(not crosscheck_bracket(s, rz, lift_cap=lift_cap)
-                  for s in sample.values())
+        bad = sum(not crosscheck_bracket(s, rz) for s in sample.values())
         chk(f"verdict-crosscheck-representatives {_tag(family, params)}",
             bad == 0, f"{bad} of {len(sample)} sampled sets disagree")
 
@@ -255,14 +250,12 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP,
         gens = weyl.generators(rs, "auto")
         factors = even_factor_index_sets(rs)
         laws = restr = winv = True
-        for s in enumerate_parabolics(rs, "exhaustive", subset_cap=subset_cap,
-                                      lift_cap=lift_cap):
-            for d in levi_decompositions(s, lift_cap=lift_cap):
+        for s in enumerate_parabolics(rs, "exhaustive", subset_cap=subset_cap):
+            for d in levi_decompositions(s):
                 laws = laws and sums_laws_hold(d)
                 for idx in factors.values():
                     restr = restr and restriction_compatible(d, idx)
-            winv = winv and weyl_invariance_holds(rs, s, gens,
-                                                  lift_cap=lift_cap)
+            winv = winv and weyl_invariance_holds(rs, s, gens)
         t = _tag(family, params)
         chk(f"decomposition-laws {t}", laws)
         chk(f"restriction-compatibility {t}", restr)
@@ -282,8 +275,7 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP,
     # W(n) extension pattern
     if want("W"):
         for n in (3, 4):
-            for r in restriction_extension_check(n, subset_cap=subset_cap,
-                                                 lift_cap=lift_cap):
+            for r in restriction_extension_check(n, subset_cap=subset_cap):
                 chk(f"W({n}) {r['check']}", r["ok"], r["detail"])
 
     # realization audits
@@ -332,8 +324,7 @@ def _check_face_point(rs, bits, point):
                                  f"{RootSubset(rs, bits)} violates row {r}")
 
 
-def oracle_counts(family, params, subset_cap=DEFAULT_SUBSET_CAP,
-                  lift_cap=DEFAULT_LIFT_CAP):
+def oracle_counts(family, params, subset_cap=DEFAULT_SUBSET_CAP):
     """Exhaustive parabolic/cominuscule/principal counts for one instance.
 
     The principal subsets are the exhaustive ones that are face values,
@@ -346,11 +337,9 @@ def oracle_counts(family, params, subset_cap=DEFAULT_SUBSET_CAP,
     """
     check_subset_cap(root_count(family, params), subset_cap)
     rs = build_root_system(family, params)
-    subsets = list(enumerate_parabolics(rs, "exhaustive", subset_cap=subset_cap,
-                                        lift_cap=lift_cap))
+    subsets = list(enumerate_parabolics(rs, "exhaustive", subset_cap=subset_cap))
     faces = _face_masks(rs)
-    n_com = sum(1 for s in subsets
-                if is_cominuscule(s, lift_cap=lift_cap).is_cominuscule)
+    n_com = sum(1 for s in subsets if is_cominuscule(s).is_cominuscule)
     n_principal = 0
     for s in subsets:
         point = faces.get(s.bits)
@@ -363,7 +352,7 @@ def oracle_counts(family, params, subset_cap=DEFAULT_SUBSET_CAP,
     exhaustive = {s.bits for s in subsets}
     for bits in faces:
         if bits not in exhaustive and parabolic_status(
-                RootSubset(rs, bits), lift_cap) == "parabolic":
+                RootSubset(rs, bits)) == "parabolic":
             raise AssertionError(f"{family}{tuple(params)}: principal "
                                  f"{RootSubset(rs, bits)} missing from the "
                                  "exhaustive stream")

@@ -313,12 +313,12 @@ def test_psl22_borel_meets_odd_classes_in_lines():
             assert len(inside) in (0, 1)
 
 
-# ranks past the paper's table, which no golden report pins (S(5) and W(5)
-# need 29 free lift bits, above the default lift cap)
+# ranks past the paper's table, which no golden report pins
 UNPINNED_RANKS = [("sl", (4, 3)), ("sl", (5, 2)), ("psl", (4,)),
                   ("osp", (8, 2)), ("osp", (7, 4)), ("osp", (8, 4)),
                   ("osp", (3, 6)), ("osp", (2, 6)), ("psq", (5,)), ("p", (4,)),
-                  ("p", (5,)), ("W", (4,)), ("H", (7,)), ("H", (8,))]
+                  ("p", (5,)), ("W", (4,)), ("W", (5,)), ("W", (6,)),
+                  ("S", (5,)), ("S", (6,)), ("H", (7,)), ("H", (8,))]
 
 
 def test_expected_tables_are_parabolic_and_cominuscule():
@@ -444,9 +444,9 @@ def test_pruned_principal_finds_all_cominuscule(fam, par):
 def test_pruned_generators_agree_past_the_subset_cap(fam, par):
     """The two independent generators, each pruned by the forbidden pairs,
     give the same cominuscule subsets.  The exhaustive one runs past its
-    default caps here, which the prune makes cheap."""
+    default subset cap here, which the prune makes cheap."""
     rs = build_root_system(fam, par)
-    ex, _ = cominuscule_subsets(rs, "exhaustive", subset_cap=100, lift_cap=100)
+    ex, _ = cominuscule_subsets(rs, "exhaustive", subset_cap=100)
     pr, _ = cominuscule_subsets(rs, "principal")
     assert ex and [s.bits for s in ex] == [s.bits for s in pr]
 

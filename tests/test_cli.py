@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from supercomin.cli import build_parser, main
-from supercomin.parabolic import DEFAULT_LIFT_CAP, DEFAULT_SUBSET_CAP
+from supercomin.parabolic import DEFAULT_SUBSET_CAP
 from supercomin.verify import EXPECTED_ORBITS
 from supercomin.weyl import DEFAULT_ORBIT_CAP
 
@@ -192,7 +193,7 @@ def test_env_cap_not_an_integer(monkeypatch, capsys):
         "error: SUPERCOMIN_SUBSET_CAP must be an integer, got 'abc'\n"
 
 
-@pytest.mark.parametrize("option", ["--subset-cap", "--lift-cap", "--orbit-cap"])
+@pytest.mark.parametrize("option", ["--subset-cap", "--orbit-cap"])
 def test_negative_cap_rejected(option, capsys):
     command = "classify" if option == "--orbit-cap" else "oracle"
     with pytest.raises(SystemExit) as exc:
@@ -202,7 +203,7 @@ def test_negative_cap_rejected(option, capsys):
         capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["SUBSET", "LIFT", "ORBIT"])
+@pytest.mark.parametrize("name", ["SUBSET", "ORBIT"])
 def test_env_cap_negative(name, monkeypatch, capsys):
     monkeypatch.setenv(f"SUPERCOMIN_{name}_CAP", "-1")
     command = "classify" if name == "ORBIT" else "oracle"
@@ -221,31 +222,45 @@ def test_env_cap_of_another_subcommand_ignored(argv, monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_oracle_lift_cap(capsys):
-    assert main(["oracle", "--family", "p", "--n", "3", "--lift-cap", "2"]) == 2
-    assert capsys.readouterr().err == \
-        "cap exceeded: lift search needs 3 free bits, cap is 2\n"
-    assert main(["oracle", "--family", "W", "--n", "3", "--lift-cap", "5"]) == 2
-    assert main(["oracle", "--family", "W", "--n", "3", "--lift-cap", "6"]) == 0
-
-
-@pytest.mark.parametrize("argv,code,err", [
-    (["W", "--n", "3", "--lift-cap", "5"], 0, ""),
-    (["W", "--n", "3", "--lift-cap", "3"], 2,
-     "cap exceeded: lift search needs 5 free bits, cap is 3\n"),
-    (["S", "--n", "3", "--lift-cap", "2"], 0, ""),
+@pytest.mark.parametrize("argv,nodes", [
+    (["oracle", "--family", "W", "--n", "3"], 1247),
+    (["oracle", "--family", "H", "--n", "6"], 1546),
+    (["classify", "--family", "H", "--n", "6"], 86),
 ])
-def test_classify_lift_cap_counts_kept_subsets(argv, code, err, capsys):
-    """``classify`` checks the lift cap only on the subsets its pruned
-    stream keeps, so it can pass at a cap ``oracle`` refuses (see
-    ``test_oracle_lift_cap``), and a run that passes prints the report of
-    the default caps."""
-    assert main(["classify", "--family"] + argv) == code
-    captured = capsys.readouterr()
-    assert captured.err == err
-    if code == 0:
-        assert main(["classify", "--family"] + argv[:3]) == 0
-        assert capsys.readouterr().out == captured.out
+def test_largest_search_size(argv, nodes, monkeypatch, capsys):
+    """The largest lift search of a run visits exactly ``nodes`` nodes: the
+    run passes at that budget, with the bytes of the fixed budget, and one
+    node below it exits 2 with the budget message and nothing on stdout."""
+    from supercomin import kernel
+
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    monkeypatch.setattr(kernel, "NODE_CAP", nodes)
+    assert main(argv) == 0
+    assert capsys.readouterr() == (out, "")
+    monkeypatch.setattr(kernel, "NODE_CAP", nodes - 1)
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"cap exceeded: lift search visits more than {nodes - 1} nodes\n")
+
+
+def test_classify_s5_within_default_budget(capsys):
+    """S(5), past the paper's table, classifies at the default options and
+    matches its table."""
+    code, out = run(["classify", "--family", "S", "--n", "5"], capsys)
+    assert code == 0
+    assert json.loads(out)["checks"]["matches_expected_table"] is True
+
+
+@pytest.mark.parametrize("command", ["classify", "oracle", "verify"])
+def test_no_lift_cap_option(command, capsys):
+    """The node budget is fixed, so no subcommand takes a lift cap."""
+    argv = [command] + (["--family", "H", "--n", "5"] if command != "verify"
+                        else []) + ["--lift-cap", "5"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --lift-cap 5" in capsys.readouterr().err
 
 
 def test_verify_agreement_instance_past_cap_exits_2(capsys):
@@ -260,14 +275,13 @@ def test_verify_agreement_instance_past_cap_exits_2(capsys):
 
 
 def test_parser_cap_defaults(monkeypatch):
-    for name in ("SUBSET", "LIFT", "ORBIT"):
+    for name in ("SUBSET", "ORBIT"):
         monkeypatch.delenv(f"SUPERCOMIN_{name}_CAP", raising=False)
     parser = build_parser()
     for argv in (["classify", "--family", "F4"], ["oracle", "--family", "F4"],
                  ["verify"]):
         args = parser.parse_args(argv)
         assert args.subset_cap == DEFAULT_SUBSET_CAP
-        assert args.lift_cap == DEFAULT_LIFT_CAP
         if argv[0] == "classify":
             assert args.orbit_cap == DEFAULT_ORBIT_CAP
 
@@ -285,6 +299,25 @@ def test_oracle_rejects_orbit_cap(capsys):
         main(["oracle", "--family", "H", "--n", "5", "--orbit-cap", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --orbit-cap 5" in capsys.readouterr().err
+
+
+def readme_commands():
+    """The ``supercomin`` lines of README's "Command line" block, split as a
+    shell would, comments dropped."""
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("supercomin ")]
+
+
+def test_readme_commands_parse():
+    """Every command README shows parses, so the docs name no removed
+    option or family."""
+    commands = readme_commands()
+    assert len(commands) >= 5
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 SELF_CHECKS = """

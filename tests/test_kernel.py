@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from supercomin import kernel
@@ -9,6 +10,17 @@ def test_covering_enforced():
     assert sorted(out) == [0b01, 0b10, 0b11]
     # with both roots fixed outside nothing covers the pair
     assert kernel.enumerate_closed([1, 0], [(), ()], outside=0b11) == []
+
+
+def test_node_budget(monkeypatch):
+    """Each call of the search step counts against ``NODE_CAP``: one free
+    pair is the root node and its three covering states."""
+    monkeypatch.setattr(kernel, "NODE_CAP", 4)
+    assert sorted(kernel.enumerate_closed([1, 0], [(), ()])) == [1, 2, 3]
+    monkeypatch.setattr(kernel, "NODE_CAP", 3)
+    with pytest.raises(kernel.CapExceeded,
+                       match="^lift search visits more than 3 nodes$"):
+        kernel.enumerate_closed([1, 0], [(), ()])
 
 
 def test_closure_propagation():

@@ -238,15 +238,18 @@ def test_witness_examples():
         assert (v >= 0) == (i in P)
 
 
-def test_lift_cap():
+def test_point_search_node_budget(monkeypatch):
+    """A point search past the node budget raises, checked as it runs; P(0)
+    of p(3), which keeps all three 2e_i, searches 4 nodes."""
     rs = rsys("p", (3,))
-    # P(0) keeps all three 2e_i, so three free lift bits
-    P = RootSubset(rs, bits_of(rs, ["e1-e2", "-e1+e2", "e1-e3", "-e1+e3",
-                                    "e2-e3", "-e2+e3", "e1+e2", "e1+e3",
-                                    "e2+e3", "2e1", "2e2", "2e3"]))
-    assert len(levi_decompositions(P)) == 1
-    with pytest.raises(CapExceeded):
-        levi_decompositions(P, lift_cap=1)
+    P = bits_of(rs, ["e1-e2", "-e1+e2", "e1-e3", "-e1+e3", "e2-e3", "-e2+e3",
+                     "e1+e2", "e1+e3", "e2+e3", "2e1", "2e2", "2e3"])
+    monkeypatch.setattr(kernel, "NODE_CAP", 3)
+    with pytest.raises(CapExceeded,
+                       match="^lift search visits more than 3 nodes$"):
+        levi_decompositions(RootSubset(rs, P))
+    monkeypatch.setattr(kernel, "NODE_CAP", 4)
+    assert len(levi_decompositions(RootSubset(rs, P))) == 1
 
 
 def test_exhaustive_cap():
@@ -255,13 +258,15 @@ def test_exhaustive_cap():
         list(enumerate_parabolics(rs, "exhaustive"))
 
 
-def test_exhaustive_lift_cap():
-    """The stream's one search still honours the lift cap: P(0) of p(3)
-    (see ``test_lift_cap``) needs three free bits."""
+def test_exhaustive_search_node_budget(monkeypatch):
+    """The stream's one search keeps the same budget: p(3)'s visits 624
+    nodes and yields 110 subsets."""
     rs = rsys("p", (3,))
-    with pytest.raises(CapExceeded, match="needs 3 free bits, cap is 2"):
-        list(enumerate_parabolics(rs, "exhaustive", lift_cap=2))
-    assert len(list(enumerate_parabolics(rs, "exhaustive", lift_cap=3))) == 110
+    monkeypatch.setattr(kernel, "NODE_CAP", 623)
+    with pytest.raises(CapExceeded, match="visits more than 623 nodes"):
+        list(enumerate_parabolics(rs, "exhaustive"))
+    monkeypatch.setattr(kernel, "NODE_CAP", 624)
+    assert len(list(enumerate_parabolics(rs, "exhaustive"))) == 110
 
 
 @pytest.mark.parametrize("fam,par", [("p", (3,)), ("W", (3,)), ("S", (3,)),
@@ -293,18 +298,16 @@ def immovable_pair_rule(rs, bits):
 def test_pruned_stream_equals_filtered_full_stream(fam, par):
     """The stream pruned by the forbidden pairs is the full stream filtered
     by the rule, each subset with the same Levi bits, and it keeps every
-    cominuscule subset.  p(4) and W(4) run past the default caps."""
+    cominuscule subset.  p(4) and W(4) run past the default subset cap."""
     rs = rsys(fam, par)
-    caps = {"subset_cap": 100, "lift_cap": 100}
-    full = list(enumerate_parabolics(rs, "exhaustive", **caps))
-    pruned = list(enumerate_parabolics(rs, "exhaustive", **caps,
+    full = list(enumerate_parabolics(rs, "exhaustive", subset_cap=100))
+    pruned = list(enumerate_parabolics(rs, "exhaustive", subset_cap=100,
                                        prune_masks=rs.table.forbidden[False]))
     kept = [P for P in full if immovable_pair_rule(rs, P.bits)]
     assert [(P.bits, P.levis) for P in pruned] == \
         [(P.bits, P.levis) for P in kept]
     def cominuscule(stream):
-        return [P for P in stream
-                if is_cominuscule(P, lift_cap=100).is_cominuscule]
+        return [P for P in stream if is_cominuscule(P).is_cominuscule]
 
     assert cominuscule(pruned) == cominuscule(full)
 
