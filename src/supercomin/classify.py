@@ -27,8 +27,7 @@ from fractions import Fraction
 
 from . import weyl
 from .cominuscule import is_cominuscule
-from .parabolic import (DEFAULT_SUBSET_CAP, RootSubset, check_subset_cap,
-                        enumerate_parabolics, levi_decompositions,
+from .parabolic import (RootSubset, enumerate_parabolics, levi_decompositions,
                         principality_witness)
 from .properties import even_factor_index_sets
 from .rootsys import (RootSystem, _unit, build_root_system, normalize_family,
@@ -416,6 +415,9 @@ def expected_entries(rs: RootSystem):
 # representatives)
 PRINCIPAL_COMPLETE = {"sl", "psl", "osp", "D21a", "F4", "G3", "W", "S", "Sprime", "H"}
 
+# the most roots for which "auto" takes the exhaustive method in every family
+EXHAUSTIVE_ROOTS = 26
+
 
 @dataclass
 class OrbitResult:
@@ -447,23 +449,20 @@ class ClassificationReport:
     subsets: list  # every cominuscule parabolic subset found, in stream order
 
 
-def choose_method(family, params, subset_cap=DEFAULT_SUBSET_CAP) -> str:
-    """Exhaustive within the subset cap, else principal where that reaches
-    every cominuscule subset; |Delta| comes from the parameters, so a
-    refused instance is never built."""
-    count = root_count(family, params)
-    if count <= subset_cap:
+def choose_method(family, params) -> str:
+    """The method ``"auto"`` stands for: exhaustive up to
+    ``EXHAUSTIVE_ROOTS`` roots, principal past it where that reaches every
+    cominuscule subset (``PRINCIPAL_COMPLETE``), and exhaustive for every
+    other family.  |Delta| comes from the parameters, so choosing builds
+    nothing.  The split is no cap: the node budget ``kernel.NODE_CAP``
+    bounds the exhaustive search, and ``rootsys.ROOT_CAP`` every build."""
+    if root_count(family, params) <= EXHAUSTIVE_ROOTS:
         return "exhaustive"
     family = normalize_family(family, params)[0]
-    if family in PRINCIPAL_COMPLETE:
-        return "principal"
-    raise ValueError(
-        f"|Delta| = {count} needs the principal method, which does not "
-        f"cover every parabolic subset for family {family}")
+    return "principal" if family in PRINCIPAL_COMPLETE else "exhaustive"
 
 
-def cominuscule_subsets(rs: RootSystem, method="auto",
-                        subset_cap=DEFAULT_SUBSET_CAP):
+def cominuscule_subsets(rs: RootSystem, method="auto"):
     """All cominuscule parabolic subsets, plus the method actually used.
 
     Either stream is pruned by the forbidden nilradical pairs
@@ -473,8 +472,8 @@ def cominuscule_subsets(rs: RootSystem, method="auto",
     ``kernel.NODE_CAP``.
     """
     if method == "auto":
-        method = choose_method(rs.family, rs.params, subset_cap)
-    out = [s for s in enumerate_parabolics(rs, method, subset_cap=subset_cap,
+        method = choose_method(rs.family, rs.params)
+    out = [s for s in enumerate_parabolics(rs, method,
                                            prune_masks=rs.table.forbidden[False])
            if is_cominuscule(s).is_cominuscule]
     return out, method
@@ -491,24 +490,20 @@ def module_verdict(rs, entry: ExpectedEntry):
     return "match" if norm(actual) == norm(expected) else "mismatch"
 
 
-def enumerate_cominuscule_orbits(family, params, method="auto", group="auto",
-                                 subset_cap=DEFAULT_SUBSET_CAP,
-                                 orbit_cap=weyl.DEFAULT_ORBIT_CAP) -> ClassificationReport:
+def enumerate_cominuscule_orbits(family, params, method="auto",
+                                 group="auto") -> ClassificationReport:
     if method == "auto":
-        method = choose_method(family, params, subset_cap)
-    if method == "exhaustive":
-        check_subset_cap(root_count(family, params), subset_cap)
+        method = choose_method(family, params)
     rs = build_root_system(family, params)
     gens = weyl.generators(rs, group)
     group_used = weyl.classification_group(rs) if group == "auto" else group
-    found, method_used = cominuscule_subsets(rs, method, subset_cap)
-    partition = weyl.orbit_partition(rs, [s.bits for s in found], gens,
-                                     cap=orbit_cap)
+    found, method_used = cominuscule_subsets(rs, method)
+    partition = weyl.orbit_partition(rs, [s.bits for s in found], gens)
 
     entries = expected_entries(rs)
     expected_by_canonical = {}
     for e in entries:
-        can = weyl.canonical_rep(rs, e.bits, gens, cap=orbit_cap)
+        can = weyl.canonical_rep(rs, e.bits, gens)
         expected_by_canonical[can] = e
 
     found_by_bits = {s.bits: s for s in found}
@@ -595,13 +590,13 @@ def _gl_sets(rs_w, n, n0):
     return _bits_of(rs_w, levi + nil)
 
 
-def restriction_extension_check(n, subset_cap=DEFAULT_SUBSET_CAP):
+def restriction_extension_check(n):
     """Verify the extension pattern of cominuscule subsets from sl(1|n) and
     from the even gl-part up to W(n), by inverting restriction over all
     cominuscule parabolic subsets of W(n)."""
     rs = build_root_system("W", (n,))
     gens = weyl.generators(rs, "auto")
-    found, _ = cominuscule_subsets(rs, "auto", subset_cap)
+    found, _ = cominuscule_subsets(rs, "auto")
     s_mask = sum(1 << i for i in _s_subsystem_indices(rs))
     gl_mask = sum(1 << i for i in even_factor_index_sets(rs)["gl"])
 

@@ -10,59 +10,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 
 from .classify import enumerate_cominuscule_orbits
-from .parabolic import DEFAULT_SUBSET_CAP, CapExceeded
-from .rootsys import FAMILIES, _OSP_ALIASES, ParameterError, build_root_system
-from .verify import SUITE_FAMILIES, oracle_counts, run_paper_suite
-from .weyl import DEFAULT_ORBIT_CAP
-
-SCHEMA_VERSION = "1"
+from .rootsys import (FAMILIES, _OSP_ALIASES, CapExceeded, ParameterError,
+                      build_root_system)
+from .verify import (SCHEMA_VERSION, SUITE_FAMILIES, oracle_counts,
+                     run_paper_suite)
 
 # the families, each osp alias right after osp
 FAMILY_CHOICES = [name for f in FAMILIES
                   for name in ((f,) + _OSP_ALIASES if f == "osp" else (f,))]
-
-
-def _cap(text):
-    """A cap option's value: a non-negative integer."""
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {v}")
-    return v
-
-
-class _EnvCap:
-    """A cap's default: environment variable ``name`` if set, else
-    ``default``, read only when a subcommand that takes the cap parses."""
-
-    def __init__(self, name, default):
-        self.name, self.default = name, default
-
-    def read(self):
-        v = os.environ.get(self.name)
-        try:
-            return _cap(v) if v else self.default
-        except argparse.ArgumentTypeError as exc:
-            raise ValueError(f"{self.name} {exc}") from None
-
-
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser, which reads the environment defaults of its
-    own caps, so a bad variable stops only the subcommands that take it."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, rest = super().parse_known_args(args, namespace)
-        for key, value in vars(namespace).items():
-            if isinstance(value, _EnvCap):
-                setattr(namespace, key, value.read())
-        return namespace, rest
 
 
 def _params_from_args(family, args):
@@ -171,8 +130,7 @@ def _as_table(payload):
 def cmd_classify(args) -> int:
     params = _params_from_args(args.family, args)
     rep = enumerate_cominuscule_orbits(
-        args.family, params, method=args.method, group=args.group,
-        subset_cap=args.subset_cap, orbit_cap=args.orbit_cap)
+        args.family, params, method=args.method, group=args.group)
     _emit(_report_json(rep), args)
     ok = rep.matches_expected and rep.all_principal and rep.all_unique_levi
     return 0 if ok else 1
@@ -180,7 +138,7 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     only = set(args.only) if args.only else None
-    rep = run_paper_suite(only=only, subset_cap=args.subset_cap)
+    rep = run_paper_suite(only=only)
     _emit(rep, args)
     if rep["failed"]:
         sys.stderr.write(f"{rep['failed']} checks failed: "
@@ -190,7 +148,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     params = _params_from_args(args.family, args)
-    counts = oracle_counts(args.family, params, subset_cap=args.subset_cap)
+    counts = oracle_counts(args.family, params)
     _emit(counts, args)
     return 0
 
@@ -200,26 +158,20 @@ def build_parser():
         prog="supercomin",
         description="Root systems and the abelian-nilradical classification "
                     "of parabolic subsets for simple Lie superalgebras")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Subcommand)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    def output_and_caps(p):
+    def output(p):
         p.add_argument("--format", choices=["json", "table"], default="json")
         p.add_argument("--out")
-        p.add_argument("--subset-cap", type=_cap,
-                       default=_EnvCap("SUPERCOMIN_SUBSET_CAP",
-                                       DEFAULT_SUBSET_CAP))
 
     def instance(p):
         p.add_argument("--family", required=True, choices=FAMILY_CHOICES)
         p.add_argument("--m", type=int)
         p.add_argument("--n", type=int)
-        output_and_caps(p)
+        output(p)
 
     p = sub.add_parser("classify", help="classify cominuscule orbits of one instance")
     instance(p)
-    p.add_argument("--orbit-cap", type=_cap,
-                   default=_EnvCap("SUPERCOMIN_ORBIT_CAP", DEFAULT_ORBIT_CAP))
     p.add_argument("--method", choices=["exhaustive", "principal", "auto"],
                    default="auto")
     p.add_argument("--group", choices=["even_weyl", "levi_weyl", "extended", "auto"],
@@ -230,7 +182,7 @@ def build_parser():
     p.add_argument("--suite", choices=["paper"], default="paper")
     p.add_argument("--only", nargs="+", metavar="FAMILY",
                    choices=SUITE_FAMILIES)
-    output_and_caps(p)
+    output(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("oracle", help="exhaustive counts for one instance")

@@ -30,10 +30,7 @@ from math import gcd
 
 from . import kernel
 from .feasible import IncrementalFM, feasible_witness
-from .rootsys import CapExceeded, RootSystem
-
-
-DEFAULT_SUBSET_CAP = 26
+from .rootsys import RootSystem
 
 
 class ImproperSubsetError(ValueError):
@@ -124,12 +121,6 @@ def is_parabolic(subset: RootSubset) -> bool:
 
 # ---------------------------------------------------------------------------
 # lifts
-
-
-def check_subset_cap(count: int, subset_cap):
-    """Raise unless an exhaustive search over ``count`` roots is within the cap."""
-    if count > subset_cap:
-        raise CapExceeded(f"|Delta| = {count} exceeds the exhaustive cap {subset_cap}")
 
 
 def _levi_groups(rs: RootSystem, inside=0, outside=0, prune_masks=None):
@@ -246,11 +237,10 @@ def principality_witness(subset: RootSubset):
 # enumeration
 
 
-def _exhaustive_masks(rs: RootSystem, subset_cap, prune_masks=None):
+def _exhaustive_masks(rs: RootSystem, prune_masks=None):
     """{P: sorted Levi bits} over the proper parabolic subsets, ascending,
     from one lift search with nothing fixed, pruned as ``_levi_groups``
     prunes; the search is refused past the kernel's node budget."""
-    check_subset_cap(len(rs), subset_cap)
     groups = _levi_groups(rs, prune_masks=prune_masks)
     groups.pop((1 << len(rs)) - 1, None)
     return groups
@@ -359,8 +349,7 @@ def _face_masks(rs: RootSystem, prune_masks=None):
     return dict(sorted(found.items()))
 
 
-def enumerate_parabolics(rs: RootSystem, method="exhaustive",
-                         subset_cap=DEFAULT_SUBSET_CAP, prune_masks=None):
+def enumerate_parabolics(rs: RootSystem, method="exhaustive", prune_masks=None):
     """Stream of parabolic subsets in canonical bitmask order.
 
     ``exhaustive`` yields the subsets of one lift search (3^pairs state
@@ -377,11 +366,12 @@ def enumerate_parabolics(rs: RootSystem, method="exhaustive",
 
     Every lift search either stream makes, the exhaustive one and the
     psl parabolicity filter's, raises ``CapExceeded`` past the node budget
-    ``kernel.NODE_CAP``.
+    ``kernel.NODE_CAP``.  That budget, not |Delta|, is what bounds the
+    exhaustive stream: it runs on any system that ``rootsys.ROOT_CAP``
+    lets be built, and either finishes or stops at the budget.
     """
     if method == "exhaustive":
-        for bits, levis in _exhaustive_masks(rs, subset_cap,
-                                             prune_masks).items():
+        for bits, levis in _exhaustive_masks(rs, prune_masks).items():
             yield RootSubset(rs, bits, levis)
         return
     if method != "principal":

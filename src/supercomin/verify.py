@@ -30,14 +30,13 @@ from . import weyl
 from .classify import (enumerate_cominuscule_orbits, expected_entries,
                        restriction_extension_check)
 from .cominuscule import crosscheck_bracket, is_cominuscule, pair_forbidden
-from .parabolic import (DEFAULT_SUBSET_CAP, LeviDecomposition, RootSubset,
-                        _face_masks, check_subset_cap, enumerate_parabolics,
-                        levi_decompositions, parabolic_status,
-                        principality_witness)
+from .parabolic import (LeviDecomposition, RootSubset, _face_masks,
+                        enumerate_parabolics, levi_decompositions,
+                        parabolic_status, principality_witness)
 from .properties import (even_factor_index_sets, restriction_compatible,
                          sums_laws_hold, weyl_invariance_holds)
 from .realize import realize, realize_for
-from .rootsys import build_root_system, is_zero_weight, root_count, wadd
+from .rootsys import build_root_system, is_zero_weight, wadd
 
 SCHEMA_VERSION = "1"
 
@@ -111,7 +110,7 @@ def bracket_rule_disagreements(rs, rz):
     return bad
 
 
-def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP):
+def run_paper_suite(only=None):
     """Execute the full suite; returns a deterministic report dict."""
     checks = []
 
@@ -127,8 +126,7 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP):
     for family, params, expected in EXPECTED_ORBITS:
         if not want(family):
             continue
-        rep = enumerate_cominuscule_orbits(family, params,
-                                           subset_cap=subset_cap)
+        rep = enumerate_cominuscule_orbits(family, params)
         reports[(family, params)] = rep
         t = _tag(family, params)
         chk(f"orbit-count {t} == {expected}", rep.orbit_count == expected,
@@ -158,8 +156,7 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP):
     # psl(2|2): some parabolic subset admits no witness functional
     if want("psl"):
         rs = build_root_system("psl", (2,))
-        subsets = list(enumerate_parabolics(rs, "exhaustive",
-                                            subset_cap=subset_cap))
+        subsets = list(enumerate_parabolics(rs, "exhaustive"))
         nonprincipal = [s.bits for s in subsets
                         if principality_witness(s) is None]
         chk("nonprincipal parabolic subsets exist in psl(2|2)",
@@ -207,8 +204,7 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP):
             continue
         rs = build_root_system(family, params)
         rz = realize_for(rs)
-        subsets = list(enumerate_parabolics(rs, "exhaustive",
-                                            subset_cap=subset_cap))
+        subsets = list(enumerate_parabolics(rs, "exhaustive"))
         bad = sum(not crosscheck_bracket(s, rz) for s in subsets)
         chk(f"verdict-crosscheck {_tag(family, params)}", bad == 0,
             f"{bad} of {len(subsets)} parabolic subsets disagree")
@@ -234,10 +230,8 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP):
     for family, params in AGREEMENT_INSTANCES:
         if not want(family):
             continue
-        check_subset_cap(root_count(family, params), subset_cap)
         rs = build_root_system(family, params)
-        ex = [s.bits for s in enumerate_parabolics(rs, "exhaustive",
-                                                   subset_cap=subset_cap)]
+        ex = [s.bits for s in enumerate_parabolics(rs, "exhaustive")]
         pr = [s.bits for s in enumerate_parabolics(rs, "principal")]
         chk(f"exhaustive==principal {_tag(family, params)}", ex == pr,
             f"{len(ex)} vs {len(pr)}")
@@ -250,7 +244,7 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP):
         gens = weyl.generators(rs, "auto")
         factors = even_factor_index_sets(rs)
         laws = restr = winv = True
-        for s in enumerate_parabolics(rs, "exhaustive", subset_cap=subset_cap):
+        for s in enumerate_parabolics(rs, "exhaustive"):
             for d in levi_decompositions(s):
                 laws = laws and sums_laws_hold(d)
                 for idx in factors.values():
@@ -275,7 +269,7 @@ def run_paper_suite(only=None, subset_cap=DEFAULT_SUBSET_CAP):
     # W(n) extension pattern
     if want("W"):
         for n in (3, 4):
-            for r in restriction_extension_check(n, subset_cap=subset_cap):
+            for r in restriction_extension_check(n):
                 chk(f"W({n}) {r['check']}", r["ok"], r["detail"])
 
     # realization audits
@@ -324,7 +318,7 @@ def _check_face_point(rs, bits, point):
                                  f"{RootSubset(rs, bits)} violates row {r}")
 
 
-def oracle_counts(family, params, subset_cap=DEFAULT_SUBSET_CAP):
+def oracle_counts(family, params):
     """Exhaustive parabolic/cominuscule/principal counts for one instance.
 
     The principal subsets are the exhaustive ones that are face values,
@@ -334,10 +328,13 @@ def oracle_counts(family, params, subset_cap=DEFAULT_SUBSET_CAP):
     value outside the exhaustive stream must not be parabolic (psl lift
     pairs make some face values fail closure).  Any failure raises
     ``AssertionError`` naming the subset's roots.
+
+    The exhaustive stream is bounded by the node budget
+    ``kernel.NODE_CAP`` alone, as the system is by ``rootsys.ROOT_CAP``:
+    an instance either finishes or raises ``CapExceeded``.
     """
-    check_subset_cap(root_count(family, params), subset_cap)
     rs = build_root_system(family, params)
-    subsets = list(enumerate_parabolics(rs, "exhaustive", subset_cap=subset_cap))
+    subsets = list(enumerate_parabolics(rs, "exhaustive"))
     faces = _face_masks(rs)
     n_com = sum(1 for s in subsets if is_cominuscule(s).is_cominuscule)
     n_principal = 0

@@ -10,15 +10,15 @@ representative of an orbit is its minimal bitmask.
 
 from __future__ import annotations
 
-from .rootsys import RootSystem
-from .parabolic import CapExceeded
+from .rootsys import CapExceeded, RootSystem
 
 
 class RootEscapeError(RuntimeError):
     """A group element mapped a root outside the root set (generator bug)."""
 
 
-DEFAULT_ORBIT_CAP = 10 ** 6
+# the most subsets one orbit may hold; no option or variable sets it
+ORBIT_CAP = 10 ** 6
 
 
 def _identity(d):
@@ -162,8 +162,10 @@ def act(rs: RootSystem, m, bits: int) -> int:
     return out
 
 
-def orbit(rs: RootSystem, bits: int, gens, cap=DEFAULT_ORBIT_CAP):
-    """BFS closure of a subset under root permutations of the generators."""
+def orbit(rs: RootSystem, bits: int, gens):
+    """BFS closure of a subset under root permutations of the generators;
+    raises ``CapExceeded`` once it would hold more than ``ORBIT_CAP``
+    subsets."""
     perms = [root_permutation(rs, m) for m in gens]
     seen = {bits}
     frontier = [bits]
@@ -176,19 +178,19 @@ def orbit(rs: RootSystem, bits: int, gens, cap=DEFAULT_ORBIT_CAP):
                     if (b >> i) & 1:
                         img |= 1 << perm[i]
                 if img not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"orbit exceeds cap {cap}")
+                    if len(seen) >= ORBIT_CAP:
+                        raise CapExceeded(f"orbit exceeds cap {ORBIT_CAP}")
                     seen.add(img)
                     nxt.append(img)
         frontier = nxt
     return seen
 
 
-def canonical_rep(rs: RootSystem, bits: int, gens, cap=DEFAULT_ORBIT_CAP) -> int:
-    return min(orbit(rs, bits, gens, cap=cap))
+def canonical_rep(rs: RootSystem, bits: int, gens) -> int:
+    return min(orbit(rs, bits, gens))
 
 
-def orbit_partition(rs: RootSystem, subsets, gens, cap=DEFAULT_ORBIT_CAP):
+def orbit_partition(rs: RootSystem, subsets, gens):
     """Group bitmasks by orbit; returns {canonical_rep: sorted members found}."""
     out = {}
     done = {}
@@ -196,7 +198,7 @@ def orbit_partition(rs: RootSystem, subsets, gens, cap=DEFAULT_ORBIT_CAP):
         if b in done:
             out[done[b]].append(b)
             continue
-        orb = orbit(rs, b, gens, cap=cap)
+        orb = orbit(rs, b, gens)
         rep = min(orb)
         out.setdefault(rep, []).append(b)
         for x in orb:

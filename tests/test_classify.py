@@ -382,8 +382,8 @@ def test_group_choice():
 
 
 def test_method_validation():
-    with pytest.raises(ValueError):
-        enumerate_cominuscule_orbits("psq", (9,))  # too big, not licensed
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        enumerate_cominuscule_orbits("psq", (4,), method="bogus")
 
 
 def test_restriction_extension_pattern():
@@ -443,10 +443,11 @@ def test_pruned_principal_finds_all_cominuscule(fam, par):
                                      ("psl", (3,)), ("F4", ())])
 def test_pruned_generators_agree_past_the_subset_cap(fam, par):
     """The two independent generators, each pruned by the forbidden pairs,
-    give the same cominuscule subsets.  The exhaustive one runs past its
-    default subset cap here, which the prune makes cheap."""
+    give the same cominuscule subsets.  The exhaustive one runs here where
+    "auto" takes the principal one, on more than 26 roots; the prune makes
+    it cheap."""
     rs = build_root_system(fam, par)
-    ex, _ = cominuscule_subsets(rs, "exhaustive", subset_cap=100)
+    ex, _ = cominuscule_subsets(rs, "exhaustive")
     pr, _ = cominuscule_subsets(rs, "principal")
     assert ex and [s.bits for s in ex] == [s.bits for s in pr]
 

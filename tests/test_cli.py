@@ -9,9 +9,7 @@ from pathlib import Path
 import pytest
 
 from supercomin.cli import build_parser, main
-from supercomin.parabolic import DEFAULT_SUBSET_CAP
 from supercomin.verify import EXPECTED_ORBITS
-from supercomin.weyl import DEFAULT_ORBIT_CAP
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -73,23 +71,32 @@ def test_classify_exit_codes(capsys):
 
 
 def test_cap_refusal_builds_nothing(monkeypatch, capsys):
-    """An instance past the exhaustive cap is refused from its parameters,
-    with the same messages: p(99), 19,503 roots, is never built."""
+    """p(99), 19,503 roots, is refused by the root cap from its parameters,
+    with one message whatever the method, and is never built."""
     from supercomin import rootsys
 
     built = []
     monkeypatch.setitem(rootsys._BUILDERS, "p", built.append)
     monkeypatch.delitem(rootsys._SYSTEMS, ("p", (99,)), raising=False)
-    cap = "cap exceeded: |Delta| = 19503 exceeds the exhaustive cap 26\n"
-    for argv, err in [
-        (["classify", "--method", "exhaustive"], cap),
-        (["oracle"], cap),
-        (["classify"], "error: |Delta| = 19503 needs the principal method, "
-                       "which does not cover every parabolic subset for family p\n"),
-    ]:
+    for argv in (["classify"], ["classify", "--method", "exhaustive"],
+                 ["oracle"]):
         assert main(argv + ["--family", "p", "--n", "99"]) == 2
-        assert capsys.readouterr() == ("", err)
+        assert capsys.readouterr() == (
+            "", "cap exceeded: p(99) has |Delta| = 19503, over the root cap "
+                f"{rootsys.ROOT_CAP}\n")
     assert built == []
+
+
+@pytest.mark.parametrize("family,n", [("p", 4), ("psq", 6)])
+def test_classify_past_the_split_at_defaults(family, n, capsys):
+    """p(4) (28 roots) and psq(6) (60), past the 26 roots up to which every
+    family takes the exhaustive method, take it still, bounded by the node
+    budget alone, and match their tables."""
+    code, out = run(["classify", "--family", family, "--n", str(n)], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "exhaustive"
+    assert payload["checks"]["matches_expected_table"] is True
 
 
 @pytest.mark.parametrize("family,n,count", [("W", 40, 23089744183294),
@@ -185,38 +192,51 @@ def test_unused_parameter_rejected(command, argv, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
-def test_env_cap_not_an_integer(monkeypatch, capsys):
-    monkeypatch.setenv("SUPERCOMIN_SUBSET_CAP", "abc")
-    code = main(["oracle", "--family", "osp1", "--n", "1"])
-    assert code == 2
-    assert capsys.readouterr().err == \
-        "error: SUPERCOMIN_SUBSET_CAP must be an integer, got 'abc'\n"
-
-
 @pytest.mark.parametrize("option", ["--subset-cap", "--orbit-cap"])
 def test_negative_cap_rejected(option, capsys):
+    """The caps are fixed, so a cap option is no option at all."""
     command = "classify" if option == "--orbit-cap" else "oracle"
     with pytest.raises(SystemExit) as exc:
         main([command, "--family", "H", "--n", "5", option, "-1"])
     assert exc.value.code == 2
-    assert f"argument {option}: must be non-negative, got -1" in \
-        capsys.readouterr().err
+    assert f"unrecognized arguments: {option} -1" in capsys.readouterr().err
+
+
+def test_env_cap_not_an_integer(monkeypatch, capsys):
+    """``SUPERCOMIN_SUBSET_CAP`` is read by nothing, so a value that is not
+    an integer changes no byte of ``oracle``."""
+    argv = ["oracle", "--family", "osp1", "--n", "1"]
+    monkeypatch.delenv("SUPERCOMIN_SUBSET_CAP", raising=False)
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setenv("SUPERCOMIN_SUBSET_CAP", "abc")
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
+    assert expected.err == ""
 
 
 @pytest.mark.parametrize("name", ["SUBSET", "ORBIT"])
 def test_env_cap_negative(name, monkeypatch, capsys):
+    """The subset and orbit caps are read from no variable, so a negative
+    value changes no byte of the subcommand that once read it."""
+    argv = ["classify" if name == "ORBIT" else "oracle",
+            "--family", "osp1", "--n", "1"]
+    monkeypatch.delenv(f"SUPERCOMIN_{name}_CAP", raising=False)
+    assert main(argv) == 0
+    expected = capsys.readouterr()
     monkeypatch.setenv(f"SUPERCOMIN_{name}_CAP", "-1")
-    command = "classify" if name == "ORBIT" else "oracle"
-    assert main([command, "--family", "osp1", "--n", "1"]) == 2
-    assert capsys.readouterr().err == \
-        f"error: SUPERCOMIN_{name}_CAP must be non-negative, got -1\n"
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
+    assert expected.err == ""
 
 
 @pytest.mark.parametrize("argv", [["oracle", "--family", "osp1", "--n", "1"],
-                                  ["verify", "--only", "G3"]])
+                                  ["verify", "--only", "G3"],
+                                  ["classify", "--family", "osp1", "--n", "1"]])
 def test_env_cap_of_another_subcommand_ignored(argv, monkeypatch, capsys):
-    """Only ``classify`` takes an orbit cap, so a bad
-    ``SUPERCOMIN_ORBIT_CAP`` does not stop ``oracle`` or ``verify``."""
+    """No subcommand reads a cap from the environment, so bad values of the
+    variables that once set the subset and orbit caps stop none of them."""
+    monkeypatch.setenv("SUPERCOMIN_SUBSET_CAP", "abc")
     monkeypatch.setenv("SUPERCOMIN_ORBIT_CAP", "-1")
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
@@ -226,6 +246,7 @@ def test_env_cap_of_another_subcommand_ignored(argv, monkeypatch, capsys):
     (["oracle", "--family", "W", "--n", "3"], 1247),
     (["oracle", "--family", "H", "--n", "6"], 1546),
     (["classify", "--family", "H", "--n", "6"], 86),
+    (["oracle", "--family", "p", "--n", "4"], 10581),
 ])
 def test_largest_search_size(argv, nodes, monkeypatch, capsys):
     """The largest lift search of a run visits exactly ``nodes`` nodes: the
@@ -244,6 +265,23 @@ def test_largest_search_size(argv, nodes, monkeypatch, capsys):
         "", f"cap exceeded: lift search visits more than {nodes - 1} nodes\n")
 
 
+def test_largest_orbit_size(monkeypatch, capsys):
+    """The largest orbit of ``classify H 6`` holds 6 subsets: the run passes
+    with the orbit cap at 6, with the bytes of the fixed cap, and at 5 it
+    exits 2 with the orbit message and nothing on stdout."""
+    from supercomin import weyl
+
+    argv = ["classify", "--family", "H", "--n", "6"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    monkeypatch.setattr(weyl, "ORBIT_CAP", 6)
+    assert main(argv) == 0
+    assert capsys.readouterr() == (out, "")
+    monkeypatch.setattr(weyl, "ORBIT_CAP", 5)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "cap exceeded: orbit exceeds cap 5\n")
+
+
 def test_classify_s5_within_default_budget(capsys):
     """S(5), past the paper's table, classifies at the default options and
     matches its table."""
@@ -254,36 +292,15 @@ def test_classify_s5_within_default_budget(capsys):
 
 @pytest.mark.parametrize("command", ["classify", "oracle", "verify"])
 def test_no_lift_cap_option(command, capsys):
-    """The node budget is fixed, so no subcommand takes a lift cap."""
-    argv = [command] + (["--family", "H", "--n", "5"] if command != "verify"
-                        else []) + ["--lift-cap", "5"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --lift-cap 5" in capsys.readouterr().err
-
-
-def test_verify_agreement_instance_past_cap_exits_2(capsys):
-    """An exhaustive==principal instance past the exhaustive cap stops the
-    suite with exit 2, as the crosscheck and law instances do, instead of
-    dropping its check: sl(2|3) has 20 roots."""
-    assert main(["verify", "--only", "sl", "--subset-cap", "10"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == \
-        "cap exceeded: |Delta| = 20 exceeds the exhaustive cap 10\n"
-
-
-def test_parser_cap_defaults(monkeypatch):
-    for name in ("SUBSET", "ORBIT"):
-        monkeypatch.delenv(f"SUPERCOMIN_{name}_CAP", raising=False)
-    parser = build_parser()
-    for argv in (["classify", "--family", "F4"], ["oracle", "--family", "F4"],
-                 ["verify"]):
-        args = parser.parse_args(argv)
-        assert args.subset_cap == DEFAULT_SUBSET_CAP
-        if argv[0] == "classify":
-            assert args.orbit_cap == DEFAULT_ORBIT_CAP
+    """Every cap is fixed, so no subcommand takes a lift, subset or orbit
+    cap."""
+    for option in ("--lift-cap", "--subset-cap", "--orbit-cap"):
+        argv = [command] + (["--family", "H", "--n", "5"] if command != "verify"
+                            else []) + [option, "5"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 5" in capsys.readouterr().err
 
 
 def test_verify_rejects_orbit_cap(capsys):

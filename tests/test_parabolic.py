@@ -10,13 +10,12 @@ from supercomin import kernel, parabolic, weyl
 from supercomin.classify import choose_method, enumerate_cominuscule_orbits
 from supercomin.cominuscule import is_cominuscule
 from supercomin.feasible import IncrementalFM, feasible_witness
-from supercomin.parabolic import (CapExceeded, ImproperSubsetError, RootSubset,
-                                  _face_masks, enumerate_parabolics, evaluate,
-                                  is_parabolic, levi_decompositions,
-                                  parabolic_status, principal_parabolic,
-                                  principality_witness)
+from supercomin.parabolic import (ImproperSubsetError, RootSubset, _face_masks,
+                                  enumerate_parabolics, evaluate, is_parabolic,
+                                  levi_decompositions, parabolic_status,
+                                  principal_parabolic, principality_witness)
 from supercomin.properties import weyl_invariance_holds
-from supercomin.rootsys import build_root_system, wadd, wneg
+from supercomin.rootsys import CapExceeded, build_root_system, wadd, wneg
 from supercomin.verify import EXPECTED_ORBITS, oracle_counts
 
 F = Fraction
@@ -252,9 +251,13 @@ def test_point_search_node_budget(monkeypatch):
     assert len(levi_decompositions(RootSubset(rs, P))) == 1
 
 
-def test_exhaustive_cap():
+def test_exhaustive_cap(monkeypatch):
+    """The exhaustive stream has no cap on |Delta|: on W(4), 40 roots, only
+    the node budget stops it."""
     rs = rsys("W", (4,))
-    with pytest.raises(CapExceeded):
+    monkeypatch.setattr(kernel, "NODE_CAP", 10 ** 4)
+    with pytest.raises(CapExceeded, match="^lift search visits more than "
+                                          "10000 nodes$"):
         list(enumerate_parabolics(rs, "exhaustive"))
 
 
@@ -298,10 +301,10 @@ def immovable_pair_rule(rs, bits):
 def test_pruned_stream_equals_filtered_full_stream(fam, par):
     """The stream pruned by the forbidden pairs is the full stream filtered
     by the rule, each subset with the same Levi bits, and it keeps every
-    cominuscule subset.  p(4) and W(4) run past the default subset cap."""
+    cominuscule subset.  p(4) and W(4) have more than 26 roots."""
     rs = rsys(fam, par)
-    full = list(enumerate_parabolics(rs, "exhaustive", subset_cap=100))
-    pruned = list(enumerate_parabolics(rs, "exhaustive", subset_cap=100,
+    full = list(enumerate_parabolics(rs, "exhaustive"))
+    pruned = list(enumerate_parabolics(rs, "exhaustive",
                                        prune_masks=rs.table.forbidden[False]))
     kept = [P for P in full if immovable_pair_rule(rs, P.bits)]
     assert [(P.bits, P.levis) for P in pruned] == \

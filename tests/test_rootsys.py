@@ -78,7 +78,7 @@ ROOT_COUNT_GRID = (
 
 
 def test_root_count_matches_build():
-    # the count that the exhaustive cap is checked against before a build
+    # the count that the root cap and `choose_method` read before a build
     for fam, par in ROOT_COUNT_GRID:
         assert root_count(fam, par) == len(rsys(fam, par)), (fam, par)
 

@@ -4,7 +4,7 @@ import pytest
 
 from supercomin import weyl
 from supercomin.parabolic import enumerate_parabolics
-from supercomin.rootsys import build_root_system
+from supercomin.rootsys import CapExceeded, build_root_system
 
 
 def rsys(fam, par):
@@ -84,9 +84,11 @@ def test_orbit_partition_distinct_classes():
     assert len(part) == 2
 
 
-def test_orbit_cap():
+def test_orbit_cap(monkeypatch):
+    """The orbit cap is read when an orbit is formed."""
     rs = rsys("psl", (3,))
     gens = weyl.generators(rs, "auto")
     some = next(enumerate_parabolics(rs, "principal")).bits
-    with pytest.raises(RuntimeError):
-        weyl.orbit(rs, some, gens, cap=1)
+    monkeypatch.setattr(weyl, "ORBIT_CAP", 1)
+    with pytest.raises(CapExceeded, match="^orbit exceeds cap 1$"):
+        weyl.orbit(rs, some, gens)
