@@ -409,13 +409,17 @@ def expected_entries(rs: RootSystem):
 # classification runs
 
 
-# families where enumerating principal subsets only is known to reach every
-# cominuscule parabolic subset (regular Kac-Moody families; psl through its
-# gl(n|n) lifts; Cartan type through the principality of their classified
-# representatives)
+# The report's "method" field, which the classify goldens and the benchmark's
+# ``table`` digests pin, is read off these two constants; they select no
+# code, and every run reads the pruned lift stream.  Retiring the field
+# waits for a benchmark change (ROADMAP item 11).
+
+# families whose field reads "principal" past ``EXHAUSTIVE_ROOTS`` roots
+# (regular Kac-Moody families; psl through its gl(n|n) lifts; Cartan type
+# through the principality of their classified representatives)
 PRINCIPAL_COMPLETE = {"sl", "psl", "osp", "D21a", "F4", "G3", "W", "S", "Sprime", "H"}
 
-# the most roots for which "auto" takes the exhaustive method in every family
+# the most roots for which the field reads "exhaustive" in every family
 EXHAUSTIVE_ROOTS = 26
 
 
@@ -450,33 +454,29 @@ class ClassificationReport:
 
 
 def choose_method(family, params) -> str:
-    """The method ``"auto"`` stands for: exhaustive up to
-    ``EXHAUSTIVE_ROOTS`` roots, principal past it where that reaches every
-    cominuscule subset (``PRINCIPAL_COMPLETE``), and exhaustive for every
-    other family.  |Delta| comes from the parameters, so choosing builds
-    nothing.  The split is no cap: the node budget ``kernel.NODE_CAP``
-    bounds the exhaustive search, and ``rootsys.ROOT_CAP`` every build."""
+    """The report's ``"method"`` field: ``"exhaustive"`` up to
+    ``EXHAUSTIVE_ROOTS`` roots, ``"principal"`` past it in the
+    ``PRINCIPAL_COMPLETE`` families, and ``"exhaustive"`` in every other
+    family.  It selects no code: every run reads the pruned lift stream.
+    |Delta| comes from the parameters, so choosing builds nothing."""
     if root_count(family, params) <= EXHAUSTIVE_ROOTS:
         return "exhaustive"
     family = normalize_family(family, params)[0]
     return "principal" if family in PRINCIPAL_COMPLETE else "exhaustive"
 
 
-def cominuscule_subsets(rs: RootSystem, method="auto"):
-    """All cominuscule parabolic subsets, plus the method actually used.
+def cominuscule_subsets(rs: RootSystem):
+    """All cominuscule parabolic subsets, in canonical bitmask order.
 
-    Either stream is pruned by the forbidden nilradical pairs
-    (``enumerate_parabolics``), so only subsets that can still be
-    cominuscule get a verdict.  Each lift search, the exhaustive stream's
-    and each kept subset's, is refused past the node budget
+    They are read from the exhaustive lift stream pruned by the forbidden
+    nilradical pairs (``enumerate_parabolics``), so only subsets that can
+    still be cominuscule get a verdict, each from the Levi bits the stream
+    seeds it with.  The one lift search is refused past the node budget
     ``kernel.NODE_CAP``.
     """
-    if method == "auto":
-        method = choose_method(rs.family, rs.params)
-    out = [s for s in enumerate_parabolics(rs, method,
-                                           prune_masks=rs.table.forbidden[False])
-           if is_cominuscule(s).is_cominuscule]
-    return out, method
+    return [s for s in enumerate_parabolics(rs, "exhaustive",
+                                            prune_masks=rs.table.forbidden[False])
+            if is_cominuscule(s).is_cominuscule]
 
 
 def module_verdict(rs, entry: ExpectedEntry):
@@ -490,14 +490,15 @@ def module_verdict(rs, entry: ExpectedEntry):
     return "match" if norm(actual) == norm(expected) else "mismatch"
 
 
-def enumerate_cominuscule_orbits(family, params, method="auto",
-                                 group="auto") -> ClassificationReport:
-    if method == "auto":
-        method = choose_method(family, params)
+def enumerate_cominuscule_orbits(family, params) -> ClassificationReport:
+    """The cominuscule orbits of one instance under the group its
+    classification statement uses (``weyl.classification_group``), matched
+    against the transcribed table.  Principality is checked per orbit:
+    each representative gets a ``principality_witness``, and one without
+    is reported in ``all_principal``."""
     rs = build_root_system(family, params)
-    gens = weyl.generators(rs, group)
-    group_used = weyl.classification_group(rs) if group == "auto" else group
-    found, method_used = cominuscule_subsets(rs, method)
+    gens = weyl.generators(rs)
+    found = cominuscule_subsets(rs)
     partition = weyl.orbit_partition(rs, [s.bits for s in found], gens)
 
     entries = expected_entries(rs)
@@ -545,7 +546,9 @@ def enumerate_cominuscule_orbits(family, params, method="auto",
         for e in entries
     ]
     return ClassificationReport(
-        family=family, params=tuple(params), group=group_used, method=method_used,
+        family=family, params=tuple(params),
+        group=weyl.classification_group(rs),
+        method=choose_method(family, params),
         orbit_count=len(partition),
         orbits=orbit_results,
         expected_names=[e.name for e in entries],
@@ -595,8 +598,8 @@ def restriction_extension_check(n):
     from the even gl-part up to W(n), by inverting restriction over all
     cominuscule parabolic subsets of W(n)."""
     rs = build_root_system("W", (n,))
-    gens = weyl.generators(rs, "auto")
-    found, _ = cominuscule_subsets(rs, "auto")
+    gens = weyl.generators(rs)
+    found = cominuscule_subsets(rs)
     s_mask = sum(1 << i for i in _s_subsystem_indices(rs))
     gl_mask = sum(1 << i for i in even_factor_index_sets(rs)["gl"])
 

@@ -129,8 +129,7 @@ def _as_table(payload):
 
 def cmd_classify(args) -> int:
     params = _params_from_args(args.family, args)
-    rep = enumerate_cominuscule_orbits(
-        args.family, params, method=args.method, group=args.group)
+    rep = enumerate_cominuscule_orbits(args.family, params)
     _emit(_report_json(rep), args)
     ok = rep.matches_expected and rep.all_principal and rep.all_unique_levi
     return 0 if ok else 1
@@ -172,10 +171,6 @@ def build_parser():
 
     p = sub.add_parser("classify", help="classify cominuscule orbits of one instance")
     instance(p)
-    p.add_argument("--method", choices=["exhaustive", "principal", "auto"],
-                   default="auto")
-    p.add_argument("--group", choices=["even_weyl", "levi_weyl", "extended", "auto"],
-                   default="auto")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("verify", help="run the bundled verification suite")

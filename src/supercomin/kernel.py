@@ -19,8 +19,8 @@ An optional ``prune`` drops the subsets in which two roots that stand
 alone in their pairs (r in the subset, -r not) are marked as partners.
 It is checked on the "i only" and "-i only" branches of a pair, so a
 dropped subset's whole subtree is never searched.  The cominuscule
-classification passes its forbidden nilradical pairs here when it runs
-the exhaustive stream (a root of P whose negation is a root outside P
+classification passes its forbidden nilradical pairs here, to the
+exhaustive stream it reads (a root of P whose negation is a root outside P
 lies in the nilradical of every lift of P); point searches pass none.
 
 Every search, exhaustive or point, is refused with ``CapExceeded`` once it

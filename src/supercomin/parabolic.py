@@ -130,11 +130,11 @@ def _levi_groups(rs: RootSystem, inside=0, outside=0, prune_masks=None):
     system's only possible lift is P, and its closure rows keep the psl
     lift-pair closure.
 
-    ``prune_masks`` (optional, as for ``_face_masks``) drops every P with
-    a forbidden pair among its roots whose negations are roots of Delta
-    outside P, one root with itself included.  Those roots depend on P
-    alone, so either every lift of P is dropped or none, and a kept P has
-    all its Levi bits."""
+    ``prune_masks`` (optional; bit b of entry a set when roots a, b are a
+    forbidden nilradical pair) drops every P with a forbidden pair among
+    its roots whose negations are roots of Delta outside P, one root with
+    itself included.  Those roots depend on P alone, so either every lift
+    of P is dropped or none, and a kept P has all its Levi bits."""
     full = (1 << len(rs)) - 1
     neg = rs.symmetrized().neg
     rows = closure_rows(rs) if rs.symmetric else rs.table.sym_rows
@@ -246,7 +246,7 @@ def _exhaustive_masks(rs: RootSystem, prune_masks=None):
     return groups
 
 
-def _face_masks(rs: RootSystem, prune_masks=None):
+def _face_masks(rs: RootSystem):
     """{P(lam): (X, D)} over all faces of the root hyperplane arrangement,
     ascending in P, Delta itself left out.
 
@@ -262,20 +262,14 @@ def _face_masks(rs: RootSystem, prune_masks=None):
     are extended one hyperplane at a time with Fourier-Motzkin pruning: lam
     is zero on it, positive or negative.  A root, its negative and its
     collinear multiples (delta and 2 delta in osp) share one hyperplane, so
-    one choice fixes the sign of all of them.  ``prune_masks`` (optional)
-    has bit b of entry a set when roots a, b are forbidden as a nilradical
-    pair.  A branch is skipped when a root it makes strictly positive that
-    lies in the nilradical of every Levi decomposition has such a partner
-    in the strictly-positive part, itself included.  Since the masks are
-    symmetric, that is exactly the set of pairs a root-by-root test would
-    reject, so the prune keeps every face that can still produce a set with
-    an abelian nilradical, and only those.  ``_levi_groups`` prunes the
-    exhaustive stream by the same rule; the cominuscule classification
-    passes the masks to both.
+    one choice fixes the sign of all of them.  The search is unpruned: it
+    is the second engine that ``verify.oracle_counts`` and the
+    exhaustive==principal checks of ``verify.run_paper_suite`` hold the
+    lift search against, and no classification reads it.
 
     A hyperplane whose sign two earlier ones force takes that one branch,
-    with the prune, and no Fourier-Motzkin clone or row: every other branch
-    is empty.  The sign is forced when rep_h = a rep_i + b rep_j
+    and no Fourier-Motzkin clone or row: every other branch is empty.  The
+    sign is forced when rep_h = a rep_i + b rep_j
     (``RootTable.plane_relations``) and the terms a lam.rep_i, b lam.rep_j
     are not of opposite signs: it is 0 when both are 0, else the sign of a
     nonzero one.  The row left out is implied only up to scale ((1,0) =
@@ -289,25 +283,12 @@ def _face_masks(rs: RootSystem, prune_masks=None):
     table = rs.table
     planes = table.hyperplanes
     relations = table.plane_relations
-    immovable = sum(1 << i for i in range(len(rs)) if rs.neg[i] is not None)
     base_fm = IncrementalFM(dim)
     for row in table.fm_constraints:
         base_fm.add(row)
     full = (1 << len(rs)) - 1
     found = {}  # P: the point of the first leaf that reaches P
     signs = [0] * len(planes)
-
-    def allowed(new, plus):
-        # new: the immovable roots a branch makes strictly positive
-        if prune_masks is None:
-            return True
-        plus |= new
-        while new:
-            low = new & -new
-            if prune_masks[low.bit_length() - 1] & plus:
-                return False
-            new ^= low
-        return True
 
     def forced(h):
         # the sign of lam.rep_h that the signs of two earlier planes fix
@@ -325,61 +306,47 @@ def _face_masks(rs: RootSystem, prune_masks=None):
         branches.append(((0, pos | neg, (rep + (0,), minus + (0,))),
                          (1, pos, (rep + (-1,),)), (-1, neg, (minus + (-1,),))))
 
-    def rec(h, fm, ge_mask, plus):
-        # plus: the immovable roots of the strictly positive part
+    def rec(h, fm, ge_mask):
         if h == len(planes):
             if ge_mask != full and ge_mask not in found:
                 found[ge_mask] = fm.point()
             return
         sign = forced(h)
         for s, side, rows in branches[h] if sign is None else (branches[h][sign],):
-            new = side & immovable if s else 0
-            if not allowed(new, plus):
-                continue
             branch = fm
             if sign is None:
                 branch = fm.clone()
                 if not all(branch.add(row) for row in rows):
                     continue
             signs[h] = s
-            rec(h + 1, branch, ge_mask | side, plus | new)
+            rec(h + 1, branch, ge_mask | side)
 
-    rec(0, base_fm, 0, 0)
+    rec(0, base_fm, 0)
     del rec  # rec's closure refers to rec: drop the cycle, not leave it to gc
     return dict(sorted(found.items()))
 
 
 def enumerate_parabolics(rs: RootSystem, method="exhaustive", prune_masks=None):
-    """Stream of parabolic subsets in canonical bitmask order.
-
-    ``exhaustive`` yields the subsets of one lift search (3^pairs state
-    search with closure propagation), seeded with their Levi bits;
-    ``principal`` enumerates hyperplane-arrangement faces and emits P(lam)
-    per face, deduplicated.
+    """Stream of parabolic subsets in canonical bitmask order: the subsets
+    of one lift search (3^pairs state search with closure propagation),
+    each seeded with its Levi bits.  ``method`` names that search, the
+    only one; any other value raises ``ValueError``.
 
     ``prune_masks`` (optional; bit b of entry a set when roots a, b are a
-    forbidden nilradical pair) prunes either stream by one rule: a subset
-    goes when two of its roots whose negations are roots outside it form a
-    forbidden pair, one root alone included.  Those roots lie in the
-    nilradical of every decomposition, so no dropped subset is cominuscule;
-    the stream then yields a superset of the cominuscule subsets.
+    forbidden nilradical pair) prunes the stream: a subset goes when two
+    of its roots whose negations are roots outside it form a forbidden
+    pair, one root alone included.  Those roots lie in the nilradical of
+    every decomposition, so no dropped subset is cominuscule; the stream
+    then yields a superset of the cominuscule subsets.
 
-    Every lift search either stream makes, the exhaustive one and the
-    psl parabolicity filter's, raises ``CapExceeded`` past the node budget
+    The search raises ``CapExceeded`` past the node budget
     ``kernel.NODE_CAP``.  That budget, not |Delta|, is what bounds the
-    exhaustive stream: it runs on any system that ``rootsys.ROOT_CAP``
-    lets be built, and either finishes or stops at the budget.
+    stream: it runs on any system that ``rootsys.ROOT_CAP`` lets be built,
+    and either finishes or stops at the budget.  The face search
+    ``_face_masks`` is the independent second engine that ``verify``
+    checks this stream against.
     """
-    if method == "exhaustive":
-        for bits, levis in _exhaustive_masks(rs, prune_masks).items():
-            yield RootSubset(rs, bits, levis)
-        return
-    if method != "principal":
+    if method != "exhaustive":
         raise ValueError(f"unknown method {method!r}")
-    subsets = (RootSubset(rs, m) for m in _face_masks(rs, prune_masks=prune_masks))
-    if rs.family == "psl" and any(len(ls) > 1 for ls in rs.lifts):
-        # lift-pair closure is stronger than closure of representative
-        # sums, so face values need a parabolicity filter here
-        subsets = (s for s in subsets
-                   if parabolic_status(s) == "parabolic")
-    yield from subsets
+    for bits, levis in _exhaustive_masks(rs, prune_masks).items():
+        yield RootSubset(rs, bits, levis)

@@ -21,18 +21,6 @@ class RootEscapeError(RuntimeError):
 ORBIT_CAP = 10 ** 6
 
 
-def _identity(d):
-    return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-
-
-def _mat_mul(a, b):
-    d = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d))
-        for i in range(d)
-    )
-
-
 def _perm_swap(d, s, t):
     m = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
     m[s][s] = m[t][t] = 0
@@ -205,23 +193,3 @@ def orbit_partition(rs: RootSystem, subsets, gens):
             done[x] = rep
     return {rep: sorted(v) for rep, v in sorted(out.items())}
 
-
-def group_order(gens, cap=10 ** 7) -> int:
-    """Order of the generated matrix group (BFS closure)."""
-    if not gens:
-        return 1
-    d = len(gens[0])
-    els = {_identity(d)}
-    frontier = [_identity(d)]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                c = _mat_mul(g, a)
-                if c not in els:
-                    if len(els) >= cap:
-                        raise RuntimeError("group closure exceeds cap")
-                    els.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return len(els)

@@ -32,17 +32,17 @@ from itertools import product
 
 import pytest
 
-from supercomin import classify, kernel, weyl
+from supercomin import classify, kernel, parabolic, weyl
 from supercomin.classify import (cominuscule_subsets, enumerate_cominuscule_orbits,
                                  expected_entries, nilradical_multiset,
                                  restriction_extension_check)
 from supercomin.cominuscule import bracket_cominuscule, is_cominuscule
-from supercomin.parabolic import (RootSubset, enumerate_parabolics, evaluate,
-                                  levi_decompositions, parabolic_status,
-                                  principal_parabolic)
+from supercomin.parabolic import (RootSubset, _face_masks, enumerate_parabolics,
+                                  evaluate, levi_decompositions,
+                                  parabolic_status, principal_parabolic)
 from supercomin.realize import realize_for
 from supercomin.rootsys import build_root_system
-from supercomin.verify import run_paper_suite
+from supercomin.verify import EXPECTED_ORBITS, run_paper_suite
 
 warnings.filterwarnings("ignore", message="p\\(2\\)")
 
@@ -376,14 +376,17 @@ def test_group_choice():
     # under the plain even Weyl group D(2,1;a) splits into more orbits
     rs = build_root_system("D21a", ())
     gens = weyl.generators(rs, "even_weyl")
-    from supercomin.classify import cominuscule_subsets
-    found, _ = cominuscule_subsets(rs)
+    found = cominuscule_subsets(rs)
     assert len(weyl.orbit_partition(rs, [s.bits for s in found], gens)) > 1
 
 
 def test_method_validation():
-    with pytest.raises(ValueError, match="unknown method 'bogus'"):
-        enumerate_cominuscule_orbits("psq", (4,), method="bogus")
+    """The lift search is the one stream ``enumerate_parabolics`` yields:
+    it names it ``exhaustive`` and refuses any other method."""
+    rs = build_root_system("psq", (4,))
+    for method in ("principal", "bogus"):
+        with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+            next(enumerate_parabolics(rs, method))
 
 
 def test_restriction_extension_pattern():
@@ -415,8 +418,6 @@ def test_f4_unpruned_principal_sweep():
     """Independent confirmation of the F(4) orbit: enumerate every face of
     the arrangement with no cominuscule pruning (all parabolic subsets are
     principal for F(4)), filter, and count orbits."""
-    from supercomin.parabolic import _face_masks
-
     rs = build_root_system("F4", ())
     faces = _face_masks(rs)
     com = [m for m in faces
@@ -426,35 +427,40 @@ def test_f4_unpruned_principal_sweep():
     assert len(weyl.orbit_partition(rs, com, gens)) == 1
 
 
+def face_cominuscule(rs):
+    """The values of the unpruned face search that ``is_cominuscule``
+    accepts, ascending: the other engine's cominuscule principal subsets."""
+    return [m for m in _face_masks(rs)
+            if is_cominuscule(RootSubset(rs, m)).is_cominuscule]
+
+
 @pytest.mark.parametrize("fam,par", [("W", (3,)), ("S", (3,)), ("p", (3,)),
                                      ("H", (5,)), ("osp", (4, 2))])
 def test_pruned_principal_finds_all_cominuscule(fam, par):
-    # the fused cominuscule prune in the face enumeration loses nothing
+    """The pair-rule prune of the lift stream loses no cominuscule subset:
+    the pruned stream's cominuscule subsets are those of the unpruned
+    stream, and those of the unpruned face search."""
     rs = build_root_system(fam, par)
-    ex = {s.bits for s in enumerate_parabolics(rs, "exhaustive")
-          if is_cominuscule(s).is_cominuscule}
-    pr = {s.bits for s in enumerate_parabolics(
-        rs, "principal", prune_masks=rs.table.forbidden[False])
-        if is_cominuscule(s).is_cominuscule}
-    assert ex == pr
+    ex = [s.bits for s in enumerate_parabolics(rs, "exhaustive")
+          if is_cominuscule(s).is_cominuscule]
+    pruned = [s.bits for s in cominuscule_subsets(rs)]
+    assert ex == pruned == face_cominuscule(rs)
 
 
 @pytest.mark.parametrize("fam,par", [("S", (4,)), ("Sprime", (4,)), ("W", (4,)),
                                      ("psl", (3,)), ("F4", ())])
 def test_pruned_generators_agree_past_the_subset_cap(fam, par):
-    """The two independent generators, each pruned by the forbidden pairs,
-    give the same cominuscule subsets.  The exhaustive one runs here where
-    "auto" takes the principal one, on more than 26 roots; the prune makes
-    it cheap."""
+    """The two independent generators give the same cominuscule subsets on
+    more than 26 roots: the pruned lift stream that ``classify`` reads, and
+    the unpruned face search filtered by the verdict."""
     rs = build_root_system(fam, par)
-    ex, _ = cominuscule_subsets(rs, "exhaustive")
-    pr, _ = cominuscule_subsets(rs, "principal")
-    assert ex and [s.bits for s in ex] == [s.bits for s in pr]
+    ex = [s.bits for s in cominuscule_subsets(rs)]
+    assert ex and ex == face_cominuscule(rs)
 
 
 def test_suite_classifies_each_instance_once(count_calls):
     # the representatives cross-check reads the subsets that classification
-    # found: H(5) and H(6) each run one face enumeration
+    # found: H(5) and H(6) each read one pruned lift stream
     calls = count_calls(classify, "cominuscule_subsets", "enumerate_parabolics")
     run_paper_suite(only={"H"})
     assert calls == {"cominuscule_subsets": 2, "enumerate_parabolics": 2}
@@ -462,10 +468,34 @@ def test_suite_classifies_each_instance_once(count_calls):
 
 def test_orbit_loop_searches_no_lifts_again(count_calls):
     # the subsets cominuscule_subsets returns carry the Levi bits their
-    # verdicts read, so the orbit loop makes no second lift search: one
-    # kernel call for each of the 12 principal subsets of F(4)
+    # verdicts read, so the orbit loop makes no second lift search: the
+    # stream's one kernel call is all of F(4)'s
     calls = count_calls(kernel, "enumerate_closed")
     rep = enumerate_cominuscule_orbits("F4", ())
-    assert calls == {"enumerate_closed": 12}
+    assert calls == {"enumerate_closed": 1}
     assert len(rep.subsets) == 12
     assert all(s.levis is not None for s in rep.subsets)
+
+
+def test_s6_classifies_from_one_lift_search(count_calls):
+    """S(6), 248 roots, classifies at the default options from the pruned
+    lift stream: 7 orbits matching its table, with no face search, though
+    its report's method field reads "principal"."""
+    faces = count_calls(parabolic, "_face_masks")
+    rep = enumerate_cominuscule_orbits("S", (6,))
+    assert rep.orbit_count == 7 and rep.matches_expected
+    assert rep.method == "principal"
+    assert faces == {"_face_masks": 0}
+
+
+def test_table_instances_make_one_lift_search_each(count_calls):
+    """Each of the 26 table instances classifies from one kernel search,
+    the pruned stream's, and no face search."""
+    kernel_calls = count_calls(kernel, "enumerate_closed")
+    faces = count_calls(parabolic, "_face_masks")
+    for family, params, _ in EXPECTED_ORBITS:
+        kernel_calls["enumerate_closed"] = 0
+        enumerate_cominuscule_orbits(family, params)
+        assert kernel_calls == {"enumerate_closed": 1}, (family, params)
+    assert len(EXPECTED_ORBITS) == 26
+    assert faces == {"_face_masks": 0}

@@ -59,8 +59,7 @@ def test_classify_exit_codes(capsys):
     assert code == 1
     assert json.loads(out)["orbit_count"] == 1
     # cap exceeded
-    code, _ = run(["classify", "--family", "p", "--n", "99",
-                   "--method", "exhaustive"], capsys)
+    code, _ = run(["classify", "--family", "p", "--n", "99"], capsys)
     assert code == 2
     # missing parameters
     code, _ = run(["classify", "--family", "sl", "--m", "2"], capsys)
@@ -72,14 +71,13 @@ def test_classify_exit_codes(capsys):
 
 def test_cap_refusal_builds_nothing(monkeypatch, capsys):
     """p(99), 19,503 roots, is refused by the root cap from its parameters,
-    with one message whatever the method, and is never built."""
+    with one message by either subcommand, and is never built."""
     from supercomin import rootsys
 
     built = []
     monkeypatch.setitem(rootsys._BUILDERS, "p", built.append)
     monkeypatch.delitem(rootsys._SYSTEMS, ("p", (99,)), raising=False)
-    for argv in (["classify"], ["classify", "--method", "exhaustive"],
-                 ["oracle"]):
+    for argv in (["classify"], ["oracle"]):
         assert main(argv + ["--family", "p", "--n", "99"]) == 2
         assert capsys.readouterr() == (
             "", "cap exceeded: p(99) has |Delta| = 19503, over the root cap "
@@ -90,8 +88,8 @@ def test_cap_refusal_builds_nothing(monkeypatch, capsys):
 @pytest.mark.parametrize("family,n", [("p", 4), ("psq", 6)])
 def test_classify_past_the_split_at_defaults(family, n, capsys):
     """p(4) (28 roots) and psq(6) (60), past the 26 roots up to which every
-    family takes the exhaustive method, take it still, bounded by the node
-    budget alone, and match their tables."""
+    family's report reads the exhaustive method, read it still, bounded by
+    the node budget alone, and match their tables."""
     code, out = run(["classify", "--family", family, "--n", str(n)], capsys)
     assert code == 0
     payload = json.loads(out)
@@ -103,9 +101,8 @@ def test_classify_past_the_split_at_defaults(family, n, capsys):
                                             ("H", 30, 14348906)])
 def test_root_cap_refuses_before_building(family, n, count, monkeypatch,
                                           capsys):
-    """The principal method has no subset cap, so the root cap is what stops
-    W(40) and H(30), of 10^13 and 10^7 roots: exit 2 at once, with nothing
-    built."""
+    """The root cap is what stops W(40) and H(30), of 10^13 and 10^7 roots,
+    before the lift search starts: exit 2 at once, with nothing built."""
     from supercomin import rootsys
 
     built = []
@@ -303,6 +300,16 @@ def test_no_lift_cap_option(command, capsys):
         assert f"unrecognized arguments: {option} 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--method", "--group"])
+def test_classify_takes_no_method_or_group(option, capsys):
+    """``classify`` has one enumeration engine and takes its group from
+    the family, so it has no ``--method`` or ``--group``."""
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--family", "H", "--n", "5", option, "auto"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} auto" in capsys.readouterr().err
+
+
 def test_verify_rejects_orbit_cap(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--orbit-cap", "5"])
@@ -349,25 +356,25 @@ if not sys.flags.optimize:
 face_masks = verify._face_masks
 
 
-def swapped(rs, prune_masks=None):
+def swapped(rs):
     # the first two faces trade points
-    out = face_masks(rs, prune_masks)
+    out = face_masks(rs)
     a, b = list(out)[:2]
     out[a], out[b] = out[b], out[a]
     return out
 
 
-def dropped(rs, prune_masks=None):
+def dropped(rs):
     # the first face goes, though principality_witness finds a witness
-    out = face_masks(rs, prune_masks)
+    out = face_masks(rs)
     del out[next(iter(out))]
     return out
 
 
-def shifted(rs, prune_masks=None):
+def shifted(rs):
     # every root of psl(2|2) is a difference of coordinates, so adding 1 to
     # each keeps the induced subset and breaks the trace constraints
-    out = face_masks(rs, prune_masks)
+    out = face_masks(rs)
     P = next(iter(out))
     X, D = out[P]
     out[P] = ([x + D for x in X], D)

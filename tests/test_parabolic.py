@@ -87,38 +87,32 @@ def naive_parabolic_lifted(rs, bits, _cache={}):
     return False
 
 
-def face_masks_per_root(rs, prune_masks=None):
+def face_masks_per_root(rs):
     """``_face_masks`` branching three ways on every root, not on every
-    hyperplane: the sign vectors over the root list, each root pruned on
-    its own when it turns strictly positive."""
+    hyperplane: the sign vectors over the root list."""
     n = len(rs)
     rowvec = rs.table.fm_weights
-    immovable = [rs.neg[i] is not None for i in range(n)]
     base_fm = IncrementalFM(len(rs.basis))
     for row in rs.table.fm_constraints:
         base_fm.add(row)
     found = set()
 
-    def rec(i, fm, ge_mask, plus):
+    def rec(i, fm, ge_mask):
         if i == n:
             found.add(ge_mask)
             return
         vec = rowvec[i]
         fz = fm.clone()
         if fz.add(vec + (0,)) and fz.add(tuple(-c for c in vec) + (0,)):
-            rec(i + 1, fz, ge_mask | (1 << i), plus)
-        allow = not (prune_masks is not None and immovable[i]
-                     and prune_masks[i] & (plus | (1 << i)))
-        if allow:
-            fp = fm.clone()
-            if fp.add(vec + (-1,)):
-                rec(i + 1, fp, ge_mask | (1 << i),
-                    plus | (1 << i) if immovable[i] else plus)
+            rec(i + 1, fz, ge_mask | (1 << i))
+        fp = fm.clone()
+        if fp.add(vec + (-1,)):
+            rec(i + 1, fp, ge_mask | (1 << i))
         fn = fm.clone()
         if fn.add(tuple(-c for c in vec) + (-1,)):
-            rec(i + 1, fn, ge_mask, plus)
+            rec(i + 1, fn, ge_mask)
 
-    rec(0, base_fm, 0, 0)
+    rec(0, base_fm, 0)
     full = (1 << n) - 1
     return sorted(m for m in found if m != full)
 
@@ -396,11 +390,12 @@ def test_canonical_order_and_determinism():
 
 
 def test_principal_stream_equals_exhaustive_for_kac_moody():
+    # every parabolic subset of a regular Kac-Moody system is principal, so
+    # the face values are the lift stream's subsets
     for fam, par in [("sl", (2, 1)), ("osp", (3, 2)), ("osp", (2, 2))]:
         rs = rsys(fam, par)
         ex = [p.bits for p in enumerate_parabolics(rs, "exhaustive")]
-        pr = [p.bits for p in enumerate_parabolics(rs, "principal")]
-        assert ex == pr
+        assert ex == list(_face_masks(rs))
 
 
 def test_improper_status():
@@ -425,37 +420,32 @@ def test_principal_always_parabolic():
             assert dec.levi_bits | dec.nilradical_bits == P.bits
 
 
-@pytest.mark.parametrize("fam,par,unpruned", [
-    ("osp", (3, 2), True), ("osp", (1, 4), True), ("G3", (), True),
-    ("psl", (2,), True), ("p", (3,), True), ("W", (3,), True),
-    ("S", (3,), True), ("Sprime", (4,), False),
+@pytest.mark.parametrize("fam,par", [
+    ("osp", (3, 2)), ("osp", (1, 4)), ("G3", ()), ("psl", (2,)), ("p", (3,)),
+    ("W", (3,)), ("S", (3,)),
 ])
-def test_face_masks_match_per_root_reference(fam, par, unpruned):
-    """Collinear roots (osp, G(3)), a functional constraint (psl(2|2)),
-    hyperplanes that mix movable and immovable roots (p, W, S) and roots
-    forbidden with themselves (S'(4) off the ``literal`` reading): one
-    branch per hyperplane finds the faces the per-root search finds, with
-    the pair-rule prune in both readings, and without it on every system
-    but S'(4)."""
+def test_face_masks_match_per_root_reference(fam, par):
+    """Collinear roots (osp, G(3)), a functional constraint (psl(2|2)) and
+    hyperplanes that mix movable and immovable roots (p, W, S): one branch
+    per hyperplane finds the faces the per-root search finds."""
     rs = rsys(fam, par)
-    for prune in (None,) * unpruned + rs.table.forbidden:
-        assert list(_face_masks(rs, prune)) == face_masks_per_root(rs, prune)
+    assert list(_face_masks(rs)) == face_masks_per_root(rs)
 
 
 def test_face_masks_work_is_pinned(count_calls):
     """The Fourier-Motzkin clones and row insertions of one face search,
     counted exactly, so that a change in algorithmic work shows as a diff.
-    A hyperplane whose sign two earlier ones force costs neither (614/884
-    and 12,087/14,479 when every hyperplane branched on the engine)."""
+    A hyperplane whose sign two earlier ones force costs neither
+    (12,087/14,479 on osp(6|2) when every hyperplane branched on the
+    engine)."""
     calls = count_calls(IncrementalFM, "clone", "add")
     counts = {}
-    for fam, par, prune in [("F4", (), True), ("osp", (6, 2), False)]:
-        rs = rsys(fam, par)
+    for fam, par in [("F4", ()), ("osp", (6, 2))]:
         calls.update(clone=0, add=0)
-        _face_masks(rs, rs.table.forbidden[False] if prune else None)
-        counts[fam, prune] = dict(calls)
-    assert counts == {("F4", True): {"clone": 249, "add": 377},
-                      ("osp", False): {"clone": 2130, "add": 2758}}
+        _face_masks(rsys(fam, par))
+        counts[fam] = dict(calls)
+    assert counts == {"F4": {"clone": 5217, "add": 6729},
+                      "osp": {"clone": 2130, "add": 2758}}
 
 
 # the oracle instances of the benchmark's ``sweep`` workload, psl(2|2) with
@@ -615,24 +605,19 @@ def test_row_wrongly_marked_implied_fails_the_closing_check(monkeypatch):
 
 
 def test_face_masks_golden(check_golden):
-    """``_face_masks`` on the table instances, byte for byte: one line per
-    instance and mode, with the count and the sorted masks in hex.  The
-    pair-rule pruned run covers all 26 instances; the unpruned run those
-    with at most 30 roots (F(4) unpruned has its own sweep test, and S(4)
-    and S'(4) unpruned are pinned by hash in
-    ``test_face_masks_unpruned_s4_hash``)."""
+    """``_face_masks`` on the table instances with at most 30 roots, byte
+    for byte: one line per instance, with the count and the sorted masks
+    in hex (F(4) has its own sweep test, and S(4) and S'(4) are pinned by
+    hash in ``test_face_masks_unpruned_s4_hash``)."""
     lines = []
     for fam, par, _ in EXPECTED_ORBITS:
         rs = rsys(fam, par)
-        name = f"{fam}({','.join(map(str, par))})"
-        runs = [("pruned", rs.table.forbidden[False])]
         if len(rs) <= 30:
-            runs.append(("unpruned", None))
-        for mode, prune in runs:
-            masks = _face_masks(rs, prune)
-            lines.append(" ".join([name, mode, str(len(masks))]
+            masks = _face_masks(rs)
+            lines.append(" ".join([f"{fam}({','.join(map(str, par))})",
+                                   "unpruned", str(len(masks))]
                                   + [f"{m:#x}" for m in masks]))
-    assert len(lines) == 49
+    assert len(lines) == 23
     check_golden("face_masks.txt", "\n".join(lines) + "\n")
 
 
@@ -645,7 +630,7 @@ def test_face_masks_unpruned_s4_hash(fam):
     (about 35 s each, against about 1.5 s with forced signs)."""
     from hashlib import sha256
 
-    masks = _face_masks(rsys(fam, (4,)), None)
+    masks = _face_masks(rsys(fam, (4,)))
     assert len(masks) == 4530
     text = " ".join(f"{m:#x}" for m in masks)
     assert sha256(text.encode()).hexdigest() == (

@@ -7,7 +7,7 @@ test loads the tracer file as it is and installs it."""
 import importlib.util
 from pathlib import Path
 
-from supercomin import classify, parabolic, verify
+from supercomin import classify, cli, parabolic, verify
 from supercomin.parabolic import RootSubset
 from supercomin.rootsys import build_root_system
 
@@ -67,3 +67,18 @@ def test_oracle_certifies_faces_without_witnesses():
     assert counts["principal"] == counts["parabolic"] == 152
     assert tr.counts["parabolic.face_subsets"] == 152
     assert tr.counts["parabolic.witness_calls"] == 0
+
+
+def test_classify_runs_no_face_search(capsys):
+    """``classify`` reads one pruned lift stream and no face search, as the
+    benchmark's counters see it: S(4), past the 26 roots at which its
+    report's method field turns "principal", makes one kernel search."""
+    tr = load_tracer().Tracer()
+    try:
+        tr.install()
+        code = cli.main(["classify", "--family", "S", "--n", "4"])
+    finally:
+        tr.uninstall()
+    assert code == 0 and '"method": "principal"' in capsys.readouterr().out
+    assert tr.counts["parabolic.face_subsets"] == 0
+    assert tr.counts["kernel.calls"] == 1
