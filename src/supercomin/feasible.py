@@ -5,9 +5,10 @@ Constraints are rows ``(c_0, ..., c_{d-1}, k)`` of integers meaning
 ``>= 1`` / ``<= -1`` by the caller (valid by homogeneity of the systems this
 package produces).  One engine, ``IncrementalFM``, eliminates exactly, and
 ``IncrementalFM.point`` recovers a rational point from its per-variable
-levels by back substitution.  Face enumeration drives the engine row by
-row and takes one point at each leaf; ``feasible_witness`` builds one
-engine per system and checks its point against every row.  The point is
+levels by back substitution.  Face enumeration, the second engine of
+``verify``'s agreement checks, drives the engine row by row and reads only
+whether it stays alive; ``feasible_witness`` builds one engine per system
+and checks its point against every row.  The point is
 integer numerators X over one positive common denominator D, in lowest
 terms, returned as ``(X, D)``: back substitution and the closing check of
 every row are integer-exact, and no ``Fraction`` is built.

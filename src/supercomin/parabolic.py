@@ -77,7 +77,6 @@ class LeviDecomposition:
     subset: RootSubset
     levi_bits: int
     nilradical_bits: int
-    functional: tuple | None = None
 
     @property
     def levi(self) -> RootSubset:
@@ -189,7 +188,7 @@ def principal_parabolic(rs: RootSystem, lam):
     if bits == (1 << len(rs)) - 1:
         raise ImproperSubsetError("functional induces P = Delta")
     subset = RootSubset(rs, bits)
-    return subset, LeviDecomposition(subset, levi, nil, functional=tuple(lam))
+    return subset, LeviDecomposition(subset, levi, nil)
 
 
 def principality_witness(subset: RootSubset):
@@ -247,25 +246,17 @@ def _exhaustive_masks(rs: RootSystem, prune_masks=None):
 
 
 def _face_masks(rs: RootSystem):
-    """{P(lam): (X, D)} over all faces of the root hyperplane arrangement,
-    ascending in P, Delta itself left out.
-
-    X / D is a point lam of a face with value P, integer numerators over a
-    positive denominator: ``IncrementalFM.point`` of the first leaf that
-    reaches P, taken there, so only the integers are kept.  The engine
-    state at a leaf holds the rows of every hyperplane whose sign was not
-    forced, scaled, and ``fm_constraints``; a forced sign holds at the point
-    strictly, as it follows from the signs of two earlier hyperplanes
-    there.  So P(X) == P, and ``verify.oracle_counts`` checks it.
+    """The values P(lam) over all faces of the root hyperplane arrangement,
+    ascending, Delta itself left out.
 
     Sign vectors over the distinct root hyperplanes (``RootTable.hyperplanes``)
     are extended one hyperplane at a time with Fourier-Motzkin pruning: lam
     is zero on it, positive or negative.  A root, its negative and its
     collinear multiples (delta and 2 delta in osp) share one hyperplane, so
     one choice fixes the sign of all of them.  The search is unpruned: it
-    is the second engine that ``verify.oracle_counts`` and the
-    exhaustive==principal checks of ``verify.run_paper_suite`` hold the
-    lift search against, and no classification reads it.
+    is the second engine that the exhaustive==principal checks of
+    ``verify.run_paper_suite`` and the reference tests hold the lift search
+    against.  Neither ``classify`` nor ``verify.oracle_counts`` reads it.
 
     A hyperplane whose sign two earlier ones force takes that one branch,
     and no Fourier-Motzkin clone or row: every other branch is empty.  The
@@ -287,7 +278,7 @@ def _face_masks(rs: RootSystem):
     for row in table.fm_constraints:
         base_fm.add(row)
     full = (1 << len(rs)) - 1
-    found = {}  # P: the point of the first leaf that reaches P
+    found = set()
     signs = [0] * len(planes)
 
     def forced(h):
@@ -308,8 +299,8 @@ def _face_masks(rs: RootSystem):
 
     def rec(h, fm, ge_mask):
         if h == len(planes):
-            if ge_mask != full and ge_mask not in found:
-                found[ge_mask] = fm.point()
+            if ge_mask != full:
+                found.add(ge_mask)
             return
         sign = forced(h)
         for s, side, rows in branches[h] if sign is None else (branches[h][sign],):
@@ -323,7 +314,7 @@ def _face_masks(rs: RootSystem):
 
     rec(0, base_fm, 0)
     del rec  # rec's closure refers to rec: drop the cycle, not leave it to gc
-    return dict(sorted(found.items()))
+    return sorted(found)
 
 
 def enumerate_parabolics(rs: RootSystem, method="exhaustive", prune_masks=None):
@@ -343,8 +334,9 @@ def enumerate_parabolics(rs: RootSystem, method="exhaustive", prune_masks=None):
     ``kernel.NODE_CAP``.  That budget, not |Delta|, is what bounds the
     stream: it runs on any system that ``rootsys.ROOT_CAP`` lets be built,
     and either finishes or stops at the budget.  The face search
-    ``_face_masks`` is the independent second engine that ``verify``
-    checks this stream against.
+    ``_face_masks`` is the independent second engine that the
+    exhaustive==principal checks of ``verify`` hold this stream against;
+    ``verify.oracle_counts`` reads this stream alone.
     """
     if method != "exhaustive":
         raise ValueError(f"unknown method {method!r}")

@@ -458,6 +458,26 @@ def test_pruned_generators_agree_past_the_subset_cap(fam, par):
     assert ex and ex == face_cominuscule(rs)
 
 
+@pytest.mark.parametrize("fam,par", [(f, p) for f, p, _ in EXPECTED_ORBITS],
+                         ids=[f"{f}{p}" for f, p, _ in EXPECTED_ORBITS])
+def test_levi_count_is_constant_on_orbits(fam, par):
+    """The group maps lifts to lifts, so every member of an orbit has as
+    many Levi decompositions as its representative, the count the orbit
+    report reads: on the pruned stream of every table instance, and on
+    the unpruned stream of those with at most 30 roots."""
+    rs = build_root_system(fam, par)
+    gens = weyl.generators(rs)
+    streams = [enumerate_parabolics(rs, "exhaustive",
+                                    prune_masks=rs.table.forbidden[False])]
+    if len(rs) <= 30:
+        streams.append(enumerate_parabolics(rs, "exhaustive"))
+    for stream in streams:
+        found = {s.bits: s for s in stream}
+        for members in weyl.orbit_partition(rs, list(found), gens).values():
+            counts = {len(levi_decompositions(found[b])) for b in members}
+            assert len(counts) == 1, (members, counts)
+
+
 def test_suite_classifies_each_instance_once(count_calls):
     # the representatives cross-check reads the subsets that classification
     # found: H(5) and H(6) each read one pruned lift stream

@@ -6,12 +6,12 @@ from math import gcd
 
 import pytest
 
-from supercomin import kernel, parabolic, weyl
+from supercomin import kernel, parabolic, verify, weyl
 from supercomin.classify import choose_method, enumerate_cominuscule_orbits
 from supercomin.cominuscule import is_cominuscule
 from supercomin.feasible import IncrementalFM, feasible_witness
 from supercomin.parabolic import (ImproperSubsetError, RootSubset, _face_masks,
-                                  enumerate_parabolics, evaluate, is_parabolic,
+                                  enumerate_parabolics, is_parabolic,
                                   levi_decompositions, parabolic_status,
                                   principal_parabolic, principality_witness)
 from supercomin.properties import weyl_invariance_holds
@@ -457,22 +457,46 @@ SWEEP_ORACLES = [("osp", (1, 2)), ("sl", (2, 1)), ("p", (2,)), ("psl", (2,)),
 
 @pytest.mark.parametrize("fam,par", SWEEP_ORACLES)
 def test_face_points_are_the_principal_subsets(fam, par):
-    """The face points against ``principality_witness``, which solves a
-    system of its own per subset: the masks with a point are exactly the
-    exhaustive parabolics with a witness, and each point X / D induces its
-    mask, over the rational weights, and satisfies the functional
-    constraints."""
+    """The face values against ``principality_witness``, which solves a
+    system of its own per subset: the values of the face search are
+    exactly the exhaustive parabolics with a witness."""
     rs = rsys(fam, par)
-    faces = _face_masks(rs)
-    principal = {P.bits for P in enumerate_parabolics(rs, "exhaustive")
-                 if principality_witness(P) is not None}
-    assert set(faces) == principal
-    for bits, (X, D) in faces.items():
-        lam = [F(x, D) for x in X]
-        assert D > 0
-        assert bits == sum(1 << i for i, r in enumerate(rs.roots)
-                           if evaluate(lam, r.weight) >= 0)
-        assert all(evaluate(lam, v) == 0 for v in rs.functional_constraints())
+    principal = [P.bits for P in enumerate_parabolics(rs, "exhaustive")
+                 if principality_witness(P) is not None]
+    assert _face_masks(rs) == principal
+
+
+@pytest.mark.parametrize("fam,par", SWEEP_ORACLES)
+def test_oracle_principal_count_per_orbit(fam, par, count_calls):
+    """``oracle_counts`` reads principality once per orbit, with no face
+    search: its count is the number of exhaustive subsets with a
+    ``principality_witness`` of their own."""
+    faces = count_calls(verify, "_face_masks")
+    rs = rsys(fam, par)
+    principal = sum(principality_witness(P) is not None
+                    for P in enumerate_parabolics(rs, "exhaustive"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        counts = oracle_counts(fam, par)
+    assert counts["principal"] == principal
+    assert faces == {"_face_masks": 0}
+
+
+def test_oracle_counts_a_non_principal_orbit_whole(monkeypatch):
+    """Every reachable instance is fully principal, so one orbit of W(3),
+    the largest, is made non-principal by a witness search that finds
+    nothing on its representative: every member of it is counted so."""
+    rs = rsys("W", (3,))
+    bits = [P.bits for P in enumerate_parabolics(rs, "exhaustive")]
+    partition = weyl.orbit_partition(rs, bits, weyl.generators(rs))
+    can, members = max(partition.items(), key=lambda item: len(item[1]))
+    assert len(members) > 1
+    real = verify.principality_witness
+    monkeypatch.setattr(verify, "principality_witness",
+                        lambda P: None if P.bits == can else real(P))
+    counts = oracle_counts("W", (3,))
+    assert counts["non_principal"] == len(members)
+    assert counts["principal"] == counts["parabolic"] - len(members)
 
 
 def test_searches_leave_no_cycles():

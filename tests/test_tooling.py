@@ -54,19 +54,22 @@ def test_benchmark_tracer_counts_witness_layers():
     assert tr.counts["feasible.fm_add_calls"] > 0
 
 
-def test_oracle_certifies_faces_without_witnesses():
-    """``oracle_counts`` on W(3) certifies its 152 principal subsets with
-    the points of one face search: no subset needs a
-    ``principality_witness`` of its own."""
+def test_oracle_reads_principality_per_orbit():
+    """``oracle_counts`` on W(3) reads one lift stream and no face search,
+    and asks for one ``principality_witness`` per orbit: 34 for its 152
+    principal subsets."""
+    original = verify.principality_witness
     tr = load_tracer().Tracer()
     try:
         tr.install()
         counts = verify.oracle_counts("W", (3,))
     finally:
         tr.uninstall()
+    assert verify.principality_witness is original
     assert counts["principal"] == counts["parabolic"] == 152
-    assert tr.counts["parabolic.face_subsets"] == 152
-    assert tr.counts["parabolic.witness_calls"] == 0
+    assert tr.counts["parabolic.face_subsets"] == 0
+    assert tr.counts["parabolic.witness_calls"] == 34
+    assert tr.counts["kernel.calls"] == 1
 
 
 def test_classify_runs_no_face_search(capsys):
