@@ -467,18 +467,26 @@ def choose_method(family, params) -> str:
     return "principal" if family in PRINCIPAL_COMPLETE else "exhaustive"
 
 
-def cominuscule_subsets(rs: RootSystem):
-    """All cominuscule parabolic subsets, in canonical bitmask order.
+def judged_subsets(rs: RootSystem):
+    """(subset, verdict) for each cominuscule parabolic subset, in
+    canonical bitmask order.
 
-    They are read from the exhaustive lift stream pruned by the forbidden
-    nilradical pairs (``enumerate_parabolics``), so only subsets that can
-    still be cominuscule get a verdict, each from the Levi bits the stream
-    seeds it with.  The one lift search is refused past the node budget
-    ``kernel.NODE_CAP``.
+    The subsets are read from the exhaustive lift stream pruned by the
+    forbidden nilradical pairs (``enumerate_parabolics``), so only subsets
+    that can still be cominuscule get a verdict, each from the Levi bits the
+    stream seeds it with.  The one lift search is refused past the node
+    budget ``kernel.NODE_CAP``.
     """
-    return [s for s in enumerate_parabolics(rs, "exhaustive",
-                                            prune_masks=rs.table.forbidden[False])
-            if is_cominuscule(s).is_cominuscule]
+    stream = enumerate_parabolics(rs, "exhaustive",
+                                  prune_masks=rs.table.forbidden[False])
+    judged = ((s, is_cominuscule(s)) for s in stream)
+    return [(s, v) for s, v in judged if v.is_cominuscule]
+
+
+def cominuscule_subsets(rs: RootSystem):
+    """All cominuscule parabolic subsets, in canonical bitmask order, from
+    ``judged_subsets``."""
+    return [s for s, _ in judged_subsets(rs)]
 
 
 def module_verdict(rs, entry: ExpectedEntry):
@@ -500,8 +508,8 @@ def enumerate_cominuscule_orbits(family, params) -> ClassificationReport:
     is reported in ``all_principal``."""
     rs = build_root_system(family, params)
     gens = weyl.generators(rs)
-    found = cominuscule_subsets(rs)
-    partition = weyl.orbit_partition(rs, [s.bits for s in found], gens)
+    judged = judged_subsets(rs)
+    partition = weyl.orbit_partition(rs, [s.bits for s, _ in judged], gens)
 
     entries = expected_entries(rs)
     expected_by_canonical = {}
@@ -509,15 +517,15 @@ def enumerate_cominuscule_orbits(family, params) -> ClassificationReport:
         can = weyl.canonical_rep(rs, e.bits, gens)
         expected_by_canonical[can] = e
 
-    found_by_bits = {s.bits: s for s in found}
+    # each representative keeps the verdict the stream's pass gave it
+    judged_by_bits = {s.bits: (s, v) for s, v in judged}
     orbit_results = []
     all_principal = True
     all_unique = True
     for can in sorted(partition):
         entry = expected_by_canonical.get(can)
-        rep = found_by_bits[can]
+        rep, verdict = judged_by_bits[can]
         wit = principality_witness(rep)
-        verdict = is_cominuscule(rep)
         if wit is None:
             all_principal = False
         # the group maps lifts to lifts, so every member of the orbit has
@@ -559,7 +567,7 @@ def enumerate_cominuscule_orbits(family, params) -> ClassificationReport:
         all_principal=all_principal,
         all_unique_levi=all_unique,
         entry_checks=entry_checks,
-        subsets=found,
+        subsets=[s for s, _ in judged],
     )
 
 

@@ -9,6 +9,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -152,7 +153,10 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="supercomin",
         description="Root systems and the abelian-nilradical classification "

@@ -15,7 +15,9 @@ the family:
   against the stated rule.
 
 The rules are tabulated once per root system as per-root bitmasks,
-``RootSystem.table.forbidden[literal]``.
+``RootSystem.table.forbidden[literal]``, so a nilradical mask is tested
+against one row per root of it.  The pairwise scan ``_abelian_scan`` serves
+the realized-bracket verdicts.
 """
 
 from __future__ import annotations
@@ -48,18 +50,31 @@ def _abelian_scan(subset: RootSubset, nonzero):
                          for b in idx[x:])
 
 
+def _abelian(forb, nil: int) -> bool:
+    """No forbidden pair in the nilradical mask: forb[a] & nil == 0 for each
+    root a of it, which covers the pairs a <= b since forb is symmetric."""
+    rest = nil
+    while rest:
+        low = rest & -rest
+        if forb[low.bit_length() - 1] & nil:
+            return False
+        rest ^= low
+    return True
+
+
 def is_cominuscule(subset: RootSubset) -> CominusculeVerdict:
     """First Levi decomposition with an abelian nilradical, if any.
 
     Decompositions are scanned in order of their Levi bits; all of them and
     their individual verdicts are retained, since the defining property is
-    existential over decompositions.
+    existential over decompositions.  Each nilradical is tested as a mask
+    against the forbidden-pair rows (``_abelian``).
     """
     forb = subset.rs.table.forbidden[False]
-    scan = tuple(_abelian_scan(subset, lambda a, b: (forb[a] >> b) & 1))
-    witness = next((d for d, ok in scan if ok), None)
-    return CominusculeVerdict(witness is not None, witness,
-                              tuple(d for d, _ in scan), tuple(ok for _, ok in scan))
+    decs = tuple(levi_decompositions(subset))
+    flags = tuple(_abelian(forb, d.nilradical_bits) for d in decs)
+    witness = next((d for d, ok in zip(decs, flags) if ok), None)
+    return CominusculeVerdict(witness is not None, witness, decs, flags)
 
 
 def bracket_cominuscule(subset: RootSubset, rz) -> bool:

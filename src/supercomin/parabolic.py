@@ -30,7 +30,7 @@ from math import gcd
 
 from . import kernel
 from .feasible import IncrementalFM, feasible_witness
-from .rootsys import RootSystem
+from .rootsys import RootSystem, RootTable
 
 
 class ImproperSubsetError(ValueError):
@@ -124,10 +124,11 @@ def is_parabolic(subset: RootSubset) -> bool:
 
 def _levi_groups(rs: RootSystem, inside=0, outside=0, prune_masks=None):
     """{P: sorted Levi bits} over the lifts that one kernel search finds,
-    ascending in P: L = {i in P : -i in the lift}.  ``inside`` and
-    ``outside`` fix roots as ``kernel.enumerate_closed`` does.  A symmetric
-    system's only possible lift is P, and its closure rows keep the psl
-    lift-pair closure.
+    ascending in P: L = {i in P : -i in the lift}, read as P n neg(lift)
+    through the image tables of the negation (``RootTable.neg_images``).
+    ``inside`` and ``outside`` fix roots as ``kernel.enumerate_closed``
+    does.  A symmetric system's only possible lift is P, and its closure
+    rows keep the psl lift-pair closure.
 
     ``prune_masks`` (optional; bit b of entry a set when roots a, b are a
     forbidden nilradical pair) drops every P with a forbidden pair among
@@ -144,13 +145,12 @@ def _levi_groups(rs: RootSystem, inside=0, outside=0, prune_masks=None):
         immovable = sum(1 << i for i, j in enumerate(rs.neg) if j is not None)
         prune = [prune_masks[i] & immovable if (immovable >> i) & 1 else None
                  for i in range(len(neg))]
+    permute, neg_images = RootTable.permute, rs.table.neg_images
     groups = {}
     for lift in kernel.enumerate_closed(neg, rows, inside=inside,
                                         outside=outside, prune=prune):
         bits = lift & full
-        groups.setdefault(bits, set()).add(
-            sum(1 << i for i in range(len(rs))
-                if (bits >> i) & 1 and (lift >> neg[i]) & 1))
+        groups.setdefault(bits, set()).add(bits & permute(neg_images, lift))
     return {bits: tuple(sorted(groups[bits])) for bits in sorted(groups)}
 
 

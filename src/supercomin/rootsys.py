@@ -70,6 +70,13 @@ FAMILIES = ("sl", "psl", "osp", "D21a", "F4", "G3", "psq", "p", "W", "S", "Sprim
 _OSP_ALIASES = ("osp_odd", "osp1", "osp_even", "osp2")
 
 
+# bits per chunk of the image tables that apply a root permutation to a
+# mask (``RootTable.image_tables``), 16 entries per chunk; 8-bit chunks
+# were slower on the table instances (at most 42 roots), whose tables
+# they build 8 times as many entries for
+NIBBLE = 4
+NIBBLE_MASK = (1 << NIBBLE) - 1
+
 # the most roots a system may have; the table's pair pass is quadratic in
 # |Delta| (W(8), 1278 roots: 7 s and 128 MB for the build and table)
 ROOT_CAP = 1024
@@ -372,8 +379,16 @@ class RootTable:
       the primitive integer direction of ``fm_weights`` with its first
       nonzero entry positive; ``plus`` and ``minus`` mask the roots that
       are positive and negative multiples of it;
-    * ``perms``: root permutations of group elements, filled by
-      ``weyl.root_permutation``;
+    * ``class_index``: each integer lift weight to its root index, every
+      gl lift for psl (the integer ``RootSystem.class_of``);
+    * ``perms``: per group element m, its root permutation (built by
+      ``weyl.root_permutation`` from ``weights`` and ``class_index``) and
+      that permutation's ``image_tables``, filled on first use by
+      ``weyl.act`` and ``weyl.orbit``; ``permute`` applies the tables to
+      a mask;
+    * ``neg_images``: the ``image_tables`` of the negation of Delta u
+      (-Delta), built on first use, from which the lift search reads
+      each lift's Levi bits;
     * ``sym_rows``, ``implied_rows`` and ``plane_relations``, built on
       first use: the symmetrized pair sums above, which only the lift
       search of a nonsymmetric system reads, the witness rows that root
@@ -393,10 +408,12 @@ class RootTable:
             return tuple(int(c * denom) for c in w)
 
         self.weights = tuple(scale(r.weight) for r in rs.roots)
-        ambient = {scale(w): i for i, ls in enumerate(rs.lifts) for w in ls}
+        self.class_index = {scale(w): i for i, ls in enumerate(rs.lifts)
+                            for w in ls}
         extra = {scale(w) for w in rs.ambient_extra}
         self.closure_rows, forbidden = _pair_rows(
-            [[scale(w) for w in ls] for ls in rs.lifts], ambient, extra)
+            [[scale(w) for w in ls] for ls in rs.lifts], self.class_index,
+            extra)
         literal = list(forbidden)
         if rs.family == "Sprime":
             minus_eps = 0
@@ -410,8 +427,9 @@ class RootTable:
         self.forbidden = (tuple(forbidden), tuple(literal))
 
         # the extra weights of Delta u (-Delta), for ``sym_rows``
-        self._extra_weights = tuple(scale(w)
-                                    for w in rs.symmetrized().weights[n:])
+        sym = rs.symmetrized()
+        self._extra_weights = tuple(scale(w) for w in sym.weights[n:])
+        self._sym_neg = sym.neg
 
         fm_weights = []
         for r in rs.roots:
@@ -438,6 +456,39 @@ class RootTable:
             constraints.append(tuple(-c for c in ints) + (0,))
         self.fm_constraints = tuple(constraints)
         self.perms = {}
+
+    @staticmethod
+    def image_tables(perm):
+        """The nibble image tables of a permutation of bit positions:
+        entry c, v of ``NIBBLE`` bits holds the image mask of the bits v
+        of chunk c, each bit k to bit perm[k].  A last, shorter chunk gets
+        the entries of its own bits only."""
+        tables = []
+        for start in range(0, len(perm), NIBBLE):
+            table = [0]
+            for j in perm[start:start + NIBBLE]:
+                table += [t | 1 << j for t in table]
+            tables.append(tuple(table))
+        return tuple(tables)
+
+    @staticmethod
+    def permute(tables, bits):
+        """The image of a mask under the permutation whose ``image_tables``
+        are given, read a nibble at a time."""
+        out = 0
+        for table in tables:
+            if not bits:
+                break
+            out |= table[bits & NIBBLE_MASK]
+            bits >>= NIBBLE
+        return out
+
+    @cached_property
+    def neg_images(self):
+        """``image_tables`` of the negation of Delta u (-Delta), an
+        involution of its weights: a lift's image is the set of negations
+        of its members, so P n neg(lift) are the Levi bits."""
+        return self.image_tables(self._sym_neg)
 
     @cached_property
     def sym_rows(self):

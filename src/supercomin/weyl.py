@@ -3,14 +3,18 @@
 A group element is stored as an exact integer matrix acting on weight
 coordinates.  Signed permutations cover every family except G(3), whose
 eliminated-basis reflections need genuine matrices; everything is handled
-uniformly.  Orbits are computed by BFS on subsets (not by expanding the
-group), so big groups with small orbits stay cheap; the canonical
-representative of an orbit is its minimal bitmask.
+uniformly.  Each element's root permutation is built once per system from
+the integer weights of ``RootTable`` (``root_permutation``) and kept in
+``RootTable.perms`` with its nibble image tables, through which ``act``
+and ``orbit`` move a root mask 4 bits at a time.  Orbits are computed by
+BFS on subsets (not by expanding the group), so big groups with small
+orbits stay cheap; the canonical representative of an orbit is its
+minimal bitmask.
 """
 
 from __future__ import annotations
 
-from .rootsys import CapExceeded, RootSystem
+from .rootsys import CapExceeded, RootSystem, RootTable
 
 
 class RootEscapeError(RuntimeError):
@@ -36,11 +40,6 @@ def _flip(d, slot):
     signs = [1] * d
     signs[slot] = -1
     return _diag(d, signs)
-
-
-def apply_matrix(m, w):
-    d = len(m)
-    return tuple(sum(m[i][j] * w[j] for j in range(d)) for i in range(d))
 
 
 def _slots(rs: RootSystem, kind):
@@ -125,46 +124,49 @@ def classification_group(rs: RootSystem) -> str:
     return "even_weyl"
 
 
-def act_root(rs: RootSystem, m, i: int) -> int:
-    j = rs.class_of(apply_matrix(m, rs.roots[i].weight))
-    if j is None:
-        raise RootEscapeError(f"image of root {rs.root_str(i)} is not a root")
-    return j
-
-
 def root_permutation(rs: RootSystem, m):
-    """perm[i] = index of the image of root i; computed once per (rs, m)."""
+    """perm[i] = index of the image of root i under the integer matrix m:
+    m applied to the integer weight ``RootTable.weights[i]`` and looked up
+    in ``RootTable.class_index``, which holds every gl lift for psl."""
+    table = rs.table
+    index = table.class_index
+    perm = []
+    for i, w in enumerate(table.weights):
+        j = index.get(tuple(sum(c * x for c, x in zip(row, w)) for row in m))
+        if j is None:
+            raise RootEscapeError(f"image of root {rs.root_str(i)} is not a root")
+        perm.append(j)
+    return tuple(perm)
+
+
+def _images(rs: RootSystem, m):
+    """The nibble image tables of m, from its root permutation, built once
+    per (system, m) and kept with it in ``RootTable.perms``."""
     perms = rs.table.perms
-    perm = perms.get(m)
-    if perm is None:
-        perm = perms[m] = tuple(act_root(rs, m, i) for i in range(len(rs)))
-    return perm
+    entry = perms.get(m)
+    if entry is None:
+        perm = root_permutation(rs, m)
+        entry = perms[m] = (perm, RootTable.image_tables(perm))
+    return entry[1]
 
 
 def act(rs: RootSystem, m, bits: int) -> int:
-    perm = root_permutation(rs, m)
-    out = 0
-    for i in range(len(rs)):
-        if (bits >> i) & 1:
-            out |= 1 << perm[i]
-    return out
+    return RootTable.permute(_images(rs, m), bits)
 
 
 def orbit(rs: RootSystem, bits: int, gens):
     """BFS closure of a subset under root permutations of the generators;
     raises ``CapExceeded`` once it would hold more than ``ORBIT_CAP``
     subsets."""
-    perms = [root_permutation(rs, m) for m in gens]
+    images = [_images(rs, m) for m in gens]
+    permute = RootTable.permute
     seen = {bits}
     frontier = [bits]
     while frontier:
         nxt = []
         for b in frontier:
-            for perm in perms:
-                img = 0
-                for i in range(len(rs)):
-                    if (b >> i) & 1:
-                        img |= 1 << perm[i]
+            for tables in images:
+                img = permute(tables, b)
                 if img not in seen:
                     if len(seen) >= ORBIT_CAP:
                         raise CapExceeded(f"orbit exceeds cap {ORBIT_CAP}")

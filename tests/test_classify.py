@@ -481,9 +481,9 @@ def test_levi_count_is_constant_on_orbits(fam, par):
 def test_suite_classifies_each_instance_once(count_calls):
     # the representatives cross-check reads the subsets that classification
     # found: H(5) and H(6) each read one pruned lift stream
-    calls = count_calls(classify, "cominuscule_subsets", "enumerate_parabolics")
+    calls = count_calls(classify, "judged_subsets", "enumerate_parabolics")
     run_paper_suite(only={"H"})
-    assert calls == {"cominuscule_subsets": 2, "enumerate_parabolics": 2}
+    assert calls == {"judged_subsets": 2, "enumerate_parabolics": 2}
 
 
 def test_orbit_loop_searches_no_lifts_again(count_calls):

@@ -3,11 +3,15 @@ import warnings
 import pytest
 
 from supercomin import kernel
-from supercomin.cominuscule import (bracket_cominuscule, crosscheck_bracket,
-                                    is_cominuscule, pair_forbidden)
+from supercomin.cominuscule import (_abelian_scan, bracket_cominuscule,
+                                    crosscheck_bracket, is_cominuscule,
+                                    pair_forbidden)
 from supercomin.parabolic import RootSubset, enumerate_parabolics
 from supercomin.realize import realize_for
 from supercomin.rootsys import build_root_system
+from supercomin.verify import EXPECTED_ORBITS
+
+TABLE = [(f, p) for f, p, _ in EXPECTED_ORBITS]
 
 
 def rsys(fam, par):
@@ -150,3 +154,32 @@ def test_witness_nilradical_commutes_in_realization():
             for x, a in enumerate(idx):
                 for b in idx[x:]:
                     assert not rz.bracket_nonzero(a, b)
+
+
+@pytest.mark.parametrize("fam,par", TABLE, ids=str)
+def test_forbidden_masks_are_symmetric(fam, par):
+    """Bit b of forbidden[literal][a] equals bit a of forbidden[literal][b]
+    on every table instance: the mask verdict reads each pair from one
+    side only."""
+    rs = rsys(fam, par)
+    for forb in rs.table.forbidden:
+        for a in range(len(rs)):
+            for b in range(len(rs)):
+                assert (forb[a] >> b) & 1 == (forb[b] >> a) & 1, (a, b)
+
+
+@pytest.mark.parametrize("fam,par", [(f, p) for f, p in TABLE
+                                     if len(rsys(f, p)) <= 30], ids=str)
+def test_mask_verdict_matches_pairwise_scan(fam, par):
+    """The mask verdict of ``is_cominuscule`` equals the pairwise scan of
+    every nilradical (verdict, witness and ``abelian_flags``) on every
+    parabolic subset of the table instances with at most 30 roots."""
+    rs = rsys(fam, par)
+    forb = rs.table.forbidden[False]
+    for P in enumerate_parabolics(rs, "exhaustive"):
+        scan = list(_abelian_scan(P, lambda a, b: (forb[a] >> b) & 1))
+        v = is_cominuscule(P)
+        assert v.abelian_flags == tuple(ok for _, ok in scan)
+        assert v.decompositions == tuple(d for d, _ in scan)
+        assert v.witness == next((d for d, ok in scan if ok), None)
+        assert v.is_cominuscule == any(ok for _, ok in scan)

@@ -72,6 +72,22 @@ def test_oracle_reads_principality_per_orbit():
     assert tr.counts["kernel.calls"] == 1
 
 
+def test_oracle_orbits_build_each_permutation_once():
+    """The W(3) oracle forms 34 orbits of 152 subsets in all, and builds the
+    root permutation of each of its two generators at most once, however
+    many orbits read it: the orbits read the cached image tables, and
+    only a table not yet built calls ``weyl.root_permutation``."""
+    tr = load_tracer().Tracer()
+    try:
+        tr.install()
+        verify.oracle_counts("W", (3,))
+    finally:
+        tr.uninstall()
+    assert tr.counts["weyl.orbit_calls"] == 34
+    assert tr.counts["weyl.orbit_elements"] == 152
+    assert tr.counts["weyl.root_permutation_calls"] <= 2
+
+
 def test_classify_runs_no_face_search(capsys):
     """``classify`` reads one pruned lift stream and no face search, as the
     benchmark's counters see it: S(4), past the 26 roots at which its

@@ -1,10 +1,17 @@
+import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
 from supercomin import weyl
 from supercomin.parabolic import enumerate_parabolics
-from supercomin.rootsys import CapExceeded, build_root_system
+from supercomin.rootsys import CapExceeded, RootTable, build_root_system
+from supercomin.verify import EXPECTED_ORBITS
+
+# the 26 table instances and three past the table
+INSTANCES = [(f, p) for f, p, _ in EXPECTED_ORBITS] + [
+    ("W", (4,)), ("H", (7,)), ("psl", (4,))]
 
 
 def rsys(fam, par):
@@ -123,3 +130,63 @@ def test_orbit_cap(monkeypatch):
     monkeypatch.setattr(weyl, "ORBIT_CAP", 1)
     with pytest.raises(CapExceeded, match="^orbit exceeds cap 1$"):
         weyl.orbit(rs, some, gens)
+
+
+def fraction_permutation(rs, m):
+    """Reference: m applied to each root's Fraction weight, with the image
+    found by ``class_of``."""
+    return tuple(rs.class_of(tuple(sum(Fraction(c) * x
+                                       for c, x in zip(row, r.weight))
+                                   for row in m))
+                 for r in rs.roots)
+
+
+def naive_act(perm, bits):
+    return sum(1 << perm[i] for i in range(len(perm)) if (bits >> i) & 1)
+
+
+@pytest.mark.parametrize("fam,par", INSTANCES, ids=str)
+def test_integer_permutations_and_image_tables(fam, par):
+    """The integer root permutation equals the Fraction-matrix reference,
+    and ``weyl.act`` through its nibble image tables equals the bit-by-bit
+    image on every single-root mask and on 50 seeded random masks."""
+    rs = rsys(fam, par)
+    rng = random.Random(len(rs))
+    masks = [1 << i for i in range(len(rs))]
+    masks += [rng.getrandbits(len(rs)) for _ in range(50)]
+    for m in weyl.generators(rs):
+        perm = weyl.root_permutation(rs, m)
+        assert perm == fraction_permutation(rs, m)
+        for bits in masks:
+            assert weyl.act(rs, m, bits) == naive_act(perm, bits)
+        assert rs.table.perms[m][0] == perm
+
+
+@pytest.mark.parametrize("fam,par", INSTANCES, ids=str)
+def test_negation_tables_give_the_levi_bits(fam, par):
+    """P n neg(lift) through ``RootTable.neg_images`` gives the Levi bits
+    the per-root loop {i in P : -i in the lift} gives, on the single-weight
+    masks and 50 seeded random masks of Delta u (-Delta)."""
+    rs = rsys(fam, par)
+    neg = rs.symmetrized().neg
+    full = (1 << len(rs)) - 1
+    rng = random.Random(len(neg))
+    lifts = [1 << i for i in range(len(neg))]
+    lifts += [rng.getrandbits(len(neg)) for _ in range(50)]
+    for lift in lifts:
+        bits = lift & full
+        loop = sum(1 << i for i in range(len(rs))
+                   if (bits >> i) & 1 and (lift >> neg[i]) & 1)
+        assert bits & RootTable.permute(rs.table.neg_images, lift) == loop
+
+
+def test_non_group_matrix_escapes():
+    """A matrix that maps a root off the root set (2 times the identity)
+    raises ``RootEscapeError``, for the permutation and the action alike."""
+    rs = rsys("sl", (2, 1))
+    double = tuple(tuple(2 if i == j else 0 for j in range(len(rs.basis)))
+                   for i in range(len(rs.basis)))
+    with pytest.raises(weyl.RootEscapeError, match="is not a root"):
+        weyl.root_permutation(rs, double)
+    with pytest.raises(weyl.RootEscapeError):
+        weyl.act(rs, double, 1)
