@@ -1,23 +1,22 @@
 """Expected classification tables, orbit enumeration and comparison reports.
 
-Every classification statement is transcribed once as a rank-generic
-predicate on root coordinates, producing explicit (L, N+) bit pairs; the
-enumerator then checks that the orbits it finds match those tables
-bijectively after canonicalization, that each representative is principal
-with a unique Levi decomposition, and that the nilradical's weight multiset
-equals the stated module expression.
+Every classification statement is transcribed once, rank-generically, as
+a grading functional and a module table, producing explicit (L, N+) bit
+pairs; the enumerator then checks that the orbits it finds match those
+tables bijectively after canonicalization, that each representative is
+principal with a unique Levi decomposition, and that the nilradical's
+weight multiset equals the stated module expression.
 
 The transcription has one vocabulary.  A module table is
 ``{weight: [even_dim, odd_dim]}``, summed per weight by ``_table`` from
 (weight, even_dim, odd_dim) triples or by ``_agg`` from (weight, parity)
 pairs.  ``tensor_weights`` (V (x) W) and ``_super_square`` (S^2 V or
 Lambda^2 V) build the stated modules, ``flip_parities`` is the parity shift
-and ``shift_weights`` the shift by a weight.  Root sets come from two rules:
-``_gl_split``, the parabolic of gl that puts one side of a coordinate split
-first (sl(m|n), psl(n|n), psq(n), the gl Levi factors of p(n) and
-osp(2m|2n)), and ``_grading``, the Levi and nilradical of a grading by a sum
-of coordinates (the e_1-gradings of osp and H(n), P(n) of p(n), and the
-W(n)/S(n) tables).
+and ``shift_weights`` the shift by a weight.  Root sets come from one
+rule: each entry is stated as a grading functional lam on the root
+coordinates, and its Levi part and nilradical are those of P(lam)
+(``principal_parabolic``), the roots where lam is zero and where it is
+positive.
 """
 
 from __future__ import annotations
@@ -30,10 +29,10 @@ from .cominuscule import is_cominuscule
 # levi_decompositions is unused here; perfbench/test_perfbench.py checks
 # that the benchmark's tracer rebinds this module's copy
 from .parabolic import (RootSubset, enumerate_parabolics, levi_decompositions,
-                        principality_witness)
+                        principal_parabolic, principality_witness)
 from .properties import even_factor_index_sets
 from .rootsys import (RootSystem, _unit, build_root_system, normalize_family,
-                      root_count, wadd, wneg)
+                      root_count, wadd)
 
 HALF = Fraction(1, 2)
 
@@ -51,16 +50,6 @@ class ExpectedEntry:
     @property
     def bits(self):
         return self.levi_bits | self.nil_bits
-
-
-def _bits_of(rs, weights, tag=""):
-    bits = 0
-    for w in weights:
-        i = rs.class_of(w)
-        if i is None:
-            raise ValueError(f"transcribed weight {w} is not a root ({tag})")
-        bits |= 1 << i
-    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -119,26 +108,17 @@ def nilradical_multiset(rs: RootSystem, nil_bits: int):
 # root sets
 
 
-def _gl_split(d, coords, side):
-    """(Levi, nilradical) weights of the parabolic of gl on the unit weights
-    u_a, a in ``coords``, of a d-dimensional space that puts ``side`` first:
-    u_a - u_b lies in the Levi when a and b are on one side, and in the
-    nilradical when a is in ``side`` and b is not."""
-    levi, nil = [], []
-    for a in coords:
-        for b in coords:
-            if a != b and (a in side or b not in side):
-                w = wadd(_unit(d, a), _unit(d, b, -1))
-                (levi if (a in side) == (b in side) else nil).append(w)
-    return levi, nil
+def _lam(d, coords, sign=1):
+    """sign * (the sum of the coordinates ``coords``), a functional on d
+    coordinates."""
+    return tuple(sign if k in coords else 0 for k in range(d))
 
 
-def _grading(rs, coords, sign=1):
-    """(Levi, nilradical) weights of the grading by sign * (the sum of the
-    coordinates ``coords``): the roots where it is zero, and where positive."""
-    value = lambda r: sign * sum(r.weight[k] for k in coords)
-    return ([r.weight for r in rs.roots if value(r) == 0],
-            [r.weight for r in rs.roots if value(r) > 0])
+def _graded(rs, lam):
+    """(Levi, nilradical) bits of the grading P(lam): the roots where lam is
+    zero, and where it is positive."""
+    dec = principal_parabolic(rs, lam)[1]
+    return dec.levi_bits, dec.nilradical_bits
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +139,6 @@ def _expected_sl(rs, m, n, proj=None):
             if (m0, n0) not in ((0, 0), (m, n))
         ]
     for m0, n0 in allowed:
-        levi, nil = _gl_split(d, range(d), {*range(m0), *range(m, m + n0)})
         v1 = [(unit(i), 0) for i in range(m0)] + [(unit(m + k), 1) for k in range(n0)]
         v2 = [(unit(j, -1), 0) for j in range(m0, m)] + [
             (unit(m + l, -1), 1) for l in range(n0, n)]
@@ -169,7 +148,7 @@ def _expected_sl(rs, m, n, proj=None):
         center = "" if rs.family == "psl" else " + C"
         entries.append(ExpectedEntry(
             f"P({m0}|{n0})",
-            _bits_of(rs, levi), _bits_of(rs, nil),
+            *_graded(rs, _lam(d, {*range(m0), *range(m, m + n0)})),
             f"sl({m0}|{n0}) + sl({m - m0}|{n - n0}){center}",
             f"V^({m0}|{n0}) (x) V^({m - m0}|{n - n0})*",
             table, "multiset"))
@@ -193,13 +172,13 @@ def _expected_osp(rs):
     if M == 1:
         return []
 
-    def entry(name, levi, nil, levi_desc, claim, table, bar=False):
+    def entry(name, lam, levi_desc, claim, table, bar=False):
         if bar:  # the image under e_m -> -e_m
             refl = lambda w: w[:m - 1] + (-w[m - 1],) + w[m:]
-            levi, nil = map(refl, levi), map(refl, nil)
+            lam = refl(lam)
             table = {refl(w): dims for w, dims in table.items()}
-        return ExpectedEntry(name, _bits_of(rs, levi), _bits_of(rs, nil),
-                             levi_desc, claim, table, "multiset")
+        return ExpectedEntry(name, *_graded(rs, lam), levi_desc, claim, table,
+                             "multiset")
 
     # the e_1-grading: Levi osp(M-2|N) + C, nilradical e_1 + the standard
     # module of osp(M-2|N); odd M adds the short roots, so e_1 and the zero
@@ -207,23 +186,21 @@ def _expected_osp(rs):
     std = [(u(a, s), 0) for a in range(1, m) for s in (1, -1)]
     std += [(u(a, s), 1) for a in range(m, d) for s in (1, -1)]
     std += [(tuple([Fraction(0)] * d), 0)] * (M % 2)
-    e1_levi, e1_nil = _grading(rs, [0])
     e1_module = shift_weights(_agg(std), u(0))
-    p1 = (e1_levi, e1_nil, f"osp({M - 2}|{N}) + C", f"V^({M - 2}|{N})", e1_module)
+    p1 = (_lam(d, [0]), f"osp({M - 2}|{N}) + C", f"V^({M - 2}|{N})", e1_module)
     if M % 2:
         return [entry("P", *p1)]
-    # Levi gl(m|n), nilradical Lambda^2 V^(m|n): u_a + u_b for a < b, 2 d_k.
-    # For m = 1 this is also S^2 of V^(1|n) with the parities swapped.
-    gl_levi = _gl_split(d, range(d), ())[0]
-    gl_nil = [wadd(u(a), u(b)) for a in range(d) for b in range(a + 1, d)]
-    gl_nil += [u(a, 2) for a in range(m, d)]
+    # the grading by the sum of all coordinates: Levi gl(m|n), nilradical
+    # Lambda^2 V^(m|n), u_a + u_b for a < b and 2 d_k.  For m = 1 this is
+    # also S^2 of V^(1|n) with the parities swapped.
+    total = _lam(d, range(d))
     wedge = _super_square([(u(a), int(a >= m)) for a in range(d)], 1)
     if M == 2:  # e_m is e_1: -P(0) and bar-P(n) are images under e_1 -> -e_1
-        p0 = (e1_levi, e1_nil, f"sp({N}) + C", f"V^({N})", e1_module)
-        pn = (gl_levi, gl_nil, f"sl(1|{n})", f"S^2 V^(1|{n})", wedge)
+        p0 = (_lam(d, [0]), f"sp({N}) + C", f"V^({N})", e1_module)
+        pn = (total, f"sl(1|{n})", f"S^2 V^(1|{n})", wedge)
         return [entry("P(0)", *p0), entry("-P(0)", *p0, bar=True),
                 entry("P(n)", *pn), entry("bar-P(n)", *pn, bar=True)]
-    pm = (gl_levi, gl_nil, f"gl({m}|{n})", f"Wedge^2 V^({m}|{n})", wedge)
+    pm = (total, f"gl({m}|{n})", f"Wedge^2 V^({m}|{n})", wedge)
     return [entry(f"P({m})", *pm), entry("P(1)", *p1),
             entry(f"bar-P({m})", *pm, bar=True)]
 
@@ -231,62 +208,51 @@ def _expected_osp(rs):
 def _expected_D21a(rs):
     g = lambda i, s=1: _unit(3, i - 1, s)
     half = lambda w: tuple(HALF * c for c in w)
-    levi = [g(3), g(3, -1)] + [half(wadd(wadd(g(1, s1), g(2, -s1)), g(3, s3)))
-                               for s1 in (1, -1) for s3 in (1, -1)]
-    nil = [g(1), g(2)] + [half(wadd(wadd(g(1), g(2)), g(3, s3))) for s3 in (1, -1)]
     v = [(half(wadd(g(2), g(3))), 0), (half(wadd(g(2), g(3, -1))), 0), (half(g(1)), 1)]
+    # the grading by g_1 + g_2
     return [ExpectedEntry(
-        "P", _bits_of(rs, levi), _bits_of(rs, nil),
+        "P", *_graded(rs, _lam(3, [0, 1])),
         "gl(2|1)", "Wedge^2 V^(2|1)", _super_square(v, 1), "multiset")]
 
 
 def _expected_psq(rs, n):
+    e = lambda i, s=1: _unit(n, i, s)
     entries = []
     for n0 in range(1, n):
-        levi, nil = _gl_split(n, range(n), range(n0))
+        v1 = [(e(a), p) for a in range(n0) for p in (0, 1)]
+        v2 = [(e(b, -1), p) for b in range(n0, n) for p in (0, 1)]
         entries.append(ExpectedEntry(
-            f"P({n0})", _bits_of(rs, levi), _bits_of(rs, nil),
+            f"P({n0})", *_graded(rs, _lam(n, range(n0))),
             f"psq({n0},{n - n0})",
             f"V^({n0}|{n0}) (x) V^({n - n0}|{n - n0})*",
-            {w: [2, 2] for w in nil}, "support"))
+            tensor_weights(v1, v2), "support"))
     return entries
 
 
 def _expected_p(rs, n):
     e = lambda i, s=1: _unit(n, i, s)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    delta0 = _gl_split(n, range(n), ())[0]
-    plus = [wadd(e(i), e(j)) for i, j in pairs]
     entries = [
         ExpectedEntry(
-            "P(0)", _bits_of(rs, delta0),
-            _bits_of(rs, plus + [e(i, 2) for i in range(n)]),
+            "P(0)", *_graded(rs, _lam(n, range(n))),
             f"sl({n})", f"S^2 V^{n} (odd)",
             flip_parities(_super_square([(e(i), 0) for i in range(n)], 0)),
             "multiset"),
         ExpectedEntry(
-            "-P(0)", _bits_of(rs, delta0), _bits_of(rs, map(wneg, plus)),
+            "-P(0)", *_graded(rs, _lam(n, range(n), -1)),
             f"sl({n})", f"Wedge^2 (V^{n})* (odd)",
             flip_parities(_super_square([(e(i, -1), 0) for i in range(n)], 1)),
             "multiset")]
     for n0 in range(1, n):
-        levi, nil = _gl_split(n, range(n), range(n0))
-        for i, j in pairs:
-            w = wadd(e(i), e(j))
-            if i < n0 <= j:
-                levi += [w, wneg(w)]
-            else:
-                nil.append(w if j < n0 else wneg(w))
-        nil += [e(i, 2) for i in range(n0)]
+        # the grading by e_1 + ... + e_n0 - e_(n0+1) - ... - e_n
+        lam = tuple(1 if k < n0 else -1 for k in range(n))
         v = [(e(i), 0) for i in range(n0)] + [(e(j, -1), 1) for j in range(n0, n)]
         entries.append(ExpectedEntry(
-            f"P({n0})", _bits_of(rs, levi), _bits_of(rs, nil),
+            f"P({n0})", *_graded(rs, lam),
             f"sl({n0}|{n - n0})", f"S^2 V^({n0}|{n - n0}) (odd)",
             flip_parities(_super_square(v, 0)), "multiset"))
-    levi, nil = _grading(rs, [n - 1], -1)
     v = [(e(j), 0) for j in range(n - 1)] + [(e(j, -1), 1) for j in range(n - 1)]
     entries.append(ExpectedEntry(
-        f"P({n})", _bits_of(rs, levi), _bits_of(rs, nil),
+        f"P({n})", *_graded(rs, _lam(n, [n - 1], -1)),
         f"p({n - 1}) + C", f"V^({n - 1}|{n - 1})",
         shift_weights(_agg(v), e(n - 1, -1)), "multiset"))
     return entries
@@ -328,21 +294,19 @@ def _expected_cartan_WS(rs, n):
         return []
     entries = []
     for n0 in range(n):
-        # P(n0): the grading by minus the sum of e_{n0+1}..e_n
-        levi, nplus = _grading(rs, range(n0, n), -1)
+        # P(n0): the grading by minus the sum of e_{n0+1}..e_n, nilradical
         # Lambda(x_1..x_n0) (x) (V^{n-n0})* with the dual factor odd
         isets = [[k for k in range(n0) if mask >> k & 1] for mask in range(1 << n0)]
         mod = [(_w_weight(n, iset, j), len(iset) % 2, 1 - len(iset) % 2)
                for iset in isets for j in range(n0, n)]
         entries.append(ExpectedEntry(
-            f"P({n0})", _bits_of(rs, levi), _bits_of(rs, nplus),
+            f"P({n0})", *_graded(rs, _lam(n, range(n0, n), -1)),
             f"{name}({n0}) |x (Lambda({n0}) (x) gl[{n0 + 1},{n}])",
             f"Lambda(x_1..x_{n0}) (x) (V^{n - n0})*",
             _table(mod), "multiset"))
-    levi, nminus = _grading(rs, [n - 1])
     full = _table(_cartan_weights(n - 1, n, int(name == "S")))
     entries.append(ExpectedEntry(
-        f"-P({n - 1})", _bits_of(rs, levi), _bits_of(rs, nminus),
+        f"-P({n - 1})", *_graded(rs, _lam(n, [n - 1])),
         f"{name}({n - 1}) |x (Lambda({n - 1}) (x) gl[{n},{n}])",
         f"{name}({n - 1}) (x) V",
         shift_weights(flip_parities(full), _unit(n, n - 1)), "multiset"))
@@ -375,11 +339,10 @@ def _htilde_full_weights(nn, d):
 
 def _expected_H(rs, n):
     l = n // 2
-    levi, nil = _grading(rs, [0])
     mod = _htilde_full_weights(n - 2, l)
     mod.append((tuple([Fraction(0)] * l), 1, 0))  # the extra central line
     return [ExpectedEntry(
-        "P", _bits_of(rs, levi), _bits_of(rs, nil),
+        "P", *_graded(rs, _lam(l, [0])),
         f"H({n - 2}) (x) Lambda(1) + C^2", f"Htilde({n - 2}) + C",
         shift_weights(flip_parities(_table(mod)), _unit(l, 0)), "multiset")]
 
@@ -587,18 +550,20 @@ def _s_subsystem_indices(rs_w: RootSystem):
     return out
 
 
-def _sl1n_sets(rs_w, n, m0, n0):
-    """P_{sl(1|n)}(m0|n0) inside the W(n) coordinates: sl(1|n) on e_1..e_n
-    and one more coordinate for its epsilon_1, which then maps to 0."""
-    side = set(range(n0)) | ({n} if m0 else set())
-    levi, nil = _gl_split(n + 1, range(n + 1), side)
-    return _bits_of(rs_w, [w[:n] for w in levi + nil])
+def _sl1n_sets(rs_w, s_mask, m0, n0):
+    """P_{sl(1|n)}(m0|n0) inside the W(n) coordinates, on the sl(1|n)
+    subsystem ``s_mask``: its epsilon_1 maps to 0, so the grading by
+    e_1 + ... + e_n0 - m0 (e_1 + ... + e_n)."""
+    n = len(rs_w.basis)
+    lam = tuple(int(k < n0) - m0 for k in range(n))
+    return principal_parabolic(rs_w, lam)[0].bits & s_mask
 
 
-def _gl_sets(rs_w, n, n0):
-    """P_{sl(n)}(n0) inside the even gl-part of W(n)."""
-    levi, nil = _gl_split(n, range(n), range(n0))
-    return _bits_of(rs_w, levi + nil)
+def _gl_sets(rs_w, gl_mask, n0):
+    """P_{sl(n)}(n0) inside the even gl-part ``gl_mask`` of W(n): the
+    grading by e_1 + ... + e_n0."""
+    lam = _lam(len(rs_w.basis), range(n0))
+    return principal_parabolic(rs_w, lam)[0].bits & gl_mask
 
 
 def restriction_extension_check(n):
@@ -634,14 +599,14 @@ def restriction_extension_check(n):
 
     # P_{sl(1|n)}(1|n0) extends uniquely to P_W(n0)
     for n0 in range(n):
-        s_bits = _sl1n_sets(rs, n, 1, n0)
+        s_bits = _sl1n_sets(rs, s_mask, 1, n0)
         exts = by_restriction.get(s_bits, set())
         target = entries[f"P({n0})"]
         check(f"extension P_sl(1|{n})(1|{n0}) -> P_W({n0})",
               unique_ext_in_orbit(exts, target.bits),
               f"{len(exts)} extensions")
     # P_{sl(1|n)}(0|1) extends uniquely to (the orbit of) -P_W(n-1)
-    s_bits = _sl1n_sets(rs, n, 0, 1)
+    s_bits = _sl1n_sets(rs, s_mask, 0, 1)
     exts = by_restriction.get(s_bits, set())
     check(f"extension P_sl(1|{n})(0|1) -> -P_W({n - 1})",
           unique_ext_in_orbit(exts, entries[f"-P({n - 1})"].bits),
@@ -650,13 +615,13 @@ def restriction_extension_check(n):
     for n0 in range(2, n + 1):
         if (0, n0) == (0, n):
             continue
-        s_bits = _sl1n_sets(rs, n, 0, n0)
+        s_bits = _sl1n_sets(rs, s_mask, 0, n0)
         exts = by_restriction.get(s_bits, set())
         check(f"no extension of P_sl(1|{n})(0|{n0})", not exts,
               f"{len(exts)} extensions")
     # even part: P_{sl(n)}(n0) for n0 > 1 extends uniquely; n0 = 1 twice
     for n0 in range(1, n):
-        g_bits = _gl_sets(rs, n, n0)
+        g_bits = _gl_sets(rs, gl_mask, n0)
         exts = by_gl.get(g_bits, set())
         if n0 == 1:
             check(f"P_sl({n})(1) has two extensions", len(exts) == 2,

@@ -170,16 +170,21 @@ def levi_decompositions(subset: RootSubset):
 
 
 def evaluate(lam, weight) -> Fraction:
+    """lam(weight) in exact rationals, the reference for the signs that
+    ``principal_parabolic`` reads on integer weights."""
     return sum((Fraction(c) * Fraction(x) for c, x in zip(lam, weight)), Fraction(0))
 
 
 def principal_parabolic(rs: RootSystem, lam):
-    """P(lam) with the induced Levi decomposition; rejects P = Delta."""
+    """P(lam) with the induced Levi decomposition, L = {lam = 0} and
+    N+ = {lam > 0}; rejects P = Delta.  lam is read on the integer
+    ``RootTable.weights``, positive multiples of the root weights, so each
+    sign is that of ``evaluate``."""
     if len(lam) != len(rs.basis):
         raise ValueError("functional has wrong dimension")
     levi = nil = 0
-    for i, r in enumerate(rs.roots):
-        v = evaluate(lam, r.weight)
+    for i, w in enumerate(rs.table.weights):
+        v = sum(c * x for c, x in zip(lam, w))
         if v == 0:
             levi |= 1 << i
         elif v > 0:

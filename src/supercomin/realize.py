@@ -25,17 +25,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .matrixrep import MatrixSuperElement
-from .rootsys import RootSystem, _gl_roots, build_root_system
+from .rootsys import CapExceeded, RootSystem, _gl_roots, build_root_system
 from .superder import SuperDerivation, merge_sign, partial
 
-DEFAULT_DIM_CAP = 4096
+# the largest algebra dimension a realization may have, checked before it
+# is built; fixed, as ``rootsys.ROOT_CAP`` is
+DIM_CAP = 4096
 
 
 class UnsupportedFamilyError(ValueError):
-    pass
-
-
-class DimCapExceeded(RuntimeError):
     pass
 
 
@@ -368,30 +366,30 @@ _REALIZED = {
 }
 
 
-def _builder(family, params, dim_cap):
+def _builder(family, params):
     """The builder of ``family``, once the dimension at ``params`` is within
-    the cap."""
+    ``DIM_CAP``; past it, ``CapExceeded``."""
     if family not in _REALIZED:
         raise UnsupportedFamilyError(
             f"{family} is not realized (root-level rules are authoritative there)")
     dim, build = _REALIZED[family]
-    if dim(*params) > dim_cap:
-        raise DimCapExceeded(f"algebra dimension {dim(*params)} exceeds cap {dim_cap}")
+    if dim(*params) > DIM_CAP:
+        raise CapExceeded(f"algebra dimension {dim(*params)} exceeds cap {DIM_CAP}")
     return build
 
 
-def realize(family, params, dim_cap=DEFAULT_DIM_CAP) -> Realization:
+def realize(family, params) -> Realization:
     """Realize one of the families of ``_REALIZED`` at the given rank; every
     family but gl is bound to its root system, as by ``realize_for``."""
-    build = _builder(family, params, dim_cap)
+    build = _builder(family, params)
     if family == "gl":
         return build(*params)
-    return realize_for(build_root_system(family, params), dim_cap=dim_cap)
+    return realize_for(build_root_system(family, params))
 
 
-def realize_for(rs: RootSystem, dim_cap=DEFAULT_DIM_CAP) -> Realization:
+def realize_for(rs: RootSystem) -> Realization:
     """Realization bound to a root system's indices."""
-    return _builder(rs.family, rs.params, dim_cap)(rs)
+    return _builder(rs.family, rs.params)(rs)
 
 
 def jacobi_defect(x, y, z):

@@ -27,6 +27,7 @@ subalgebra, which splits the (0|2) root spaces, is a non-principal
 parabolic subalgebra.
 """
 
+import hashlib
 import warnings
 from itertools import product
 
@@ -34,12 +35,13 @@ import pytest
 
 from supercomin import classify, kernel, parabolic, weyl
 from supercomin.classify import (cominuscule_subsets, enumerate_cominuscule_orbits,
-                                 expected_entries, nilradical_multiset,
-                                 restriction_extension_check)
+                                 expected_entries, module_verdict,
+                                 nilradical_multiset, restriction_extension_check)
 from supercomin.cominuscule import bracket_cominuscule, is_cominuscule
 from supercomin.parabolic import (RootSubset, _face_masks, enumerate_parabolics,
                                   evaluate, levi_decompositions,
                                   parabolic_status, principal_parabolic)
+from supercomin.properties import even_factor_index_sets
 from supercomin.realize import realize_for
 from supercomin.rootsys import build_root_system
 from supercomin.verify import EXPECTED_ORBITS, run_paper_suite
@@ -348,6 +350,56 @@ def test_expected_counts_formulae():
     assert len(expected_entries(build_root_system("osp", (1, 4)))) == 0
 
 
+# every family and rank the transcription covers, well past the paper's
+# table: sl(m|n) for m + n <= 8, psl(n|n) n = 2..5, osp(M|N) for M + N <= 10,
+# the exceptional three, psq(3..7), p(2..7), W(2..6), S(3..6), S'(4), S'(6)
+# and H(5..9)
+TABLE_GRID = ([("sl", (m, n)) for m in range(1, 8) for n in range(1, 9 - m) if m != n]
+              + [("psl", (n,)) for n in range(2, 6)]
+              + [("osp", (M, N)) for N in (2, 4, 6, 8) for M in range(1, 11 - N)]
+              + [("D21a", ()), ("F4", ()), ("G3", ())]
+              + [("psq", (n,)) for n in range(3, 8)]
+              + [("p", (n,)) for n in range(2, 8)]
+              + [("W", (n,)) for n in range(2, 7)]
+              + [("S", (n,)) for n in range(3, 7)]
+              + [("Sprime", (n,)) for n in (4, 6)]
+              + [("H", (n,)) for n in range(5, 10)])
+
+
+def sha256(rows):
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_transcribed_tables_are_pinned():
+    """Every entry's (name, Levi bits, nilradical bits) over ``TABLE_GRID``
+    hashes to the digest of the root-by-root transcription: a change to any
+    functional moves it."""
+    rows = [(fam, par, [(e.name, e.levi_bits, e.nil_bits)
+                        for e in expected_entries(build_root_system(fam, par))])
+            for fam, par in TABLE_GRID]
+    assert (len(rows), sum(len(r[2]) for r in rows)) == (78, 528)
+    assert sha256(rows) == (
+        "5ada3554549f9df2d446bbf0016bc7bb49ddf79753141d5125065ed85685b77e")
+
+
+def test_restriction_sets_are_pinned():
+    """The sl(1|n) sets P(m0|n0), (m0, n0) neither (0|0) nor (1|n), and the
+    gl sets P(n0), 0 < n0 < n, that the W(3)..W(6) restriction checks read,
+    hashed as ``test_transcribed_tables_are_pinned`` hashes the tables."""
+    rows = []
+    for n in range(3, 7):
+        rs = build_root_system("W", (n,))
+        s_mask = sum(1 << i for i in classify._s_subsystem_indices(rs))
+        gl_mask = sum(1 << i for i in even_factor_index_sets(rs)["gl"])
+        rows += [(n, m0, n0, classify._sl1n_sets(rs, s_mask, m0, n0))
+                 for m0 in (0, 1) for n0 in range(n + 1)
+                 if (m0, n0) not in ((0, 0), (1, n))]
+        rows += [(n, n0, classify._gl_sets(rs, gl_mask, n0)) for n0 in range(1, n)]
+    assert len(rows) == 50
+    assert sha256(rows) == (
+        "5154b455dfce30efa1326294ae5ae5c12f10f8ae616ebee087f46a6a980fe6ce")
+
+
 def test_module_weights_match():
     for fam, par in [("sl", (2, 1)), ("sl", (3, 2)), ("osp", (4, 2)),
                      ("osp", (2, 2)), ("p", (2,)), ("p", (3,)), ("W", (3,)),
@@ -366,6 +418,18 @@ def test_psq_support_note():
     rep = enumerate_cominuscule_orbits("psq", (3,))
     assert all(c["module_verdict"] == "support_match_multiplicity_note"
                for c in rep.entry_checks)
+
+
+def test_psq_support_claim_is_independent(monkeypatch):
+    """psq's support claim is stated from the module V^(n0|n0) (x)
+    V^(n-n0|n-n0)*, not read off the entry's bits: each grading stated on
+    the reversed coordinates gives a parabolic of the same shape, and the
+    claim rejects it."""
+    real = classify._graded
+    monkeypatch.setattr(classify, "_graded", lambda rs, lam: real(rs, lam[::-1]))
+    rs = build_root_system("psq", (5,))
+    assert [module_verdict(rs, e) for e in expected_entries(rs)] == [
+        "support_mismatch"] * 4
 
 
 def test_group_choice():

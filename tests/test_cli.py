@@ -279,6 +279,20 @@ def test_largest_orbit_size(monkeypatch, capsys):
     assert capsys.readouterr() == ("", "cap exceeded: orbit exceeds cap 5\n")
 
 
+def test_realization_cap_exits_2(monkeypatch, capsys):
+    """A realization past ``realize.DIM_CAP`` is refused as every cap is:
+    ``verify`` exits 2 with the cap message and nothing on stdout."""
+    import importlib
+
+    realize = importlib.import_module("supercomin.realize")
+    monkeypatch.setattr(realize, "DIM_CAP", 10)
+    assert main(["verify", "--only", "W"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("cap exceeded: algebra dimension ")
+    assert err.endswith(" exceeds cap 10\n")
+
+
 def test_classify_s5_within_default_budget(capsys):
     """S(5), past the paper's table, classifies at the default options and
     matches its table."""

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import warnings
 from fractions import Fraction
 from math import gcd
@@ -12,8 +13,9 @@ from supercomin.cominuscule import is_cominuscule
 from supercomin.feasible import IncrementalFM, feasible_witness
 from supercomin.parabolic import (ImproperSubsetError, RootSubset, _face_masks,
                                   enumerate_parabolics, is_parabolic,
-                                  levi_decompositions, parabolic_status,
-                                  principal_parabolic, principality_witness)
+                                  evaluate, levi_decompositions,
+                                  parabolic_status, principal_parabolic,
+                                  principality_witness)
 from supercomin.properties import weyl_invariance_holds
 from supercomin.rootsys import CapExceeded, build_root_system, wadd, wneg
 from supercomin.verify import EXPECTED_ORBITS, oracle_counts
@@ -208,6 +210,38 @@ def test_principal_parabolic_examples():
     rs = rsys("sl", (2, 1))
     with pytest.raises(ImproperSubsetError):
         principal_parabolic(rs, (F(0), F(0), F(0)))
+
+
+@pytest.mark.parametrize("fam,par", [("F4", ()), ("G3", ()), ("D21a", ()),
+                                     ("psl", (2,))])
+def test_principal_parabolic_matches_rational_evaluation(fam, par):
+    """P(lam) read on the integer table weights is P(lam) of the ``Fraction``
+    reference ``evaluate`` on the root weights: on every functional with
+    entries in {-1, 0, 1}, which vanish on many roots, and on 100 seeded
+    rational ones.  F(4), G(3) and D(2,1;a) have half-integral weights, and
+    psl(2|2) classes of several lifts."""
+    rs = rsys(fam, par)
+    dim = len(rs.basis)
+    rng = random.Random(f"{fam}{par}")
+    lams = list(itertools.product((-1, 0, 1), repeat=dim))
+    lams += [tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim))
+             for _ in range(100)]
+    improper = 0
+    for lam in lams:
+        values = [evaluate(lam, r.weight) for r in rs.roots]
+        levi = sum(1 << i for i, v in enumerate(values) if v == 0)
+        nil = sum(1 << i for i, v in enumerate(values) if v > 0)
+        if levi | nil == (1 << len(rs)) - 1:
+            improper += 1
+            with pytest.raises(ImproperSubsetError):
+                principal_parabolic(rs, lam)
+            continue
+        P, dec = principal_parabolic(rs, lam)
+        assert (P.bits, dec.levi_bits, dec.nilradical_bits) == (
+            levi | nil, levi, nil), lam
+    assert improper >= 1  # lam = 0 at least
+    with pytest.raises(ValueError, match="wrong dimension"):
+        principal_parabolic(rs, (1,) * (dim + 1))
 
 
 def test_witness_examples():

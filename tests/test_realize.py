@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 import warnings
@@ -5,13 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from supercomin.realize import (DEFAULT_DIM_CAP, DimCapExceeded, Realization,
-                                UnsupportedFamilyError, divergence, jacobi_defect,
-                                realize, realize_for)
+from supercomin.realize import (Realization, UnsupportedFamilyError, divergence,
+                                jacobi_defect, realize, realize_for)
 from supercomin.matrixrep import MatrixSuperElement
-from supercomin.rootsys import build_root_system, wadd
+from supercomin.rootsys import CapExceeded, build_root_system, wadd
 from supercomin.superder import SuperDerivation, partial
 from supercomin.verify import REALIZED_AUDITS
+
+# the module, which the package's ``realize`` function shadows as an attribute
+realize_module = importlib.import_module("supercomin.realize")
 
 F = Fraction
 
@@ -62,27 +65,34 @@ def test_dimensions():
     assert realize("gl", (2, 2)).dim == 16
 
 
-def test_unsupported_and_cap():
+def test_unsupported_and_cap(monkeypatch):
     with pytest.raises(UnsupportedFamilyError):
         realize_for(rsys("osp", (3, 2)))
     with pytest.raises(UnsupportedFamilyError):
         realize("F4", ())
-    with pytest.raises(DimCapExceeded):
-        realize("W", (9,), dim_cap=100)
+    # W(9) has dimension 4608, past the fixed cap of 4096: the dimension is
+    # checked before its 2814 roots meet the root cap
+    with pytest.raises(CapExceeded, match="dimension 4608 exceeds cap 4096"):
+        realize("W", (9,))
+    monkeypatch.setattr(realize_module, "DIM_CAP", 100)
+    with pytest.raises(CapExceeded, match="dimension 384 exceeds cap 100"):
+        realize("W", (6,))
 
 
 @pytest.mark.parametrize("fam,par", [("gl", (2, 1))] + ALL_REALIZED)
-def test_cap_is_the_reported_dimension(fam, par):
+def test_cap_is_the_reported_dimension(fam, par, monkeypatch):
     """The cap is checked against the dimension the realization reports."""
     if fam == "gl":
-        build = lambda cap: realize("gl", par, dim_cap=cap)
+        build = lambda: realize("gl", par)
     else:
-        build = lambda cap: realize_for(rsys(fam, par), dim_cap=cap)
-    rz = build(DEFAULT_DIM_CAP)
-    assert build(rz.dim).dim == rz.dim
-    with pytest.raises(DimCapExceeded,
+        build = lambda: realize_for(rsys(fam, par))
+    rz = build()
+    monkeypatch.setattr(realize_module, "DIM_CAP", rz.dim)
+    assert build().dim == rz.dim
+    monkeypatch.setattr(realize_module, "DIM_CAP", rz.dim - 1)
+    with pytest.raises(CapExceeded,
                        match=f"dimension {rz.dim} exceeds cap {rz.dim - 1}"):
-        build(rz.dim - 1)
+        build()
 
 
 def test_corrupted_realization_fails_naming_root():

@@ -2,16 +2,23 @@
 
 ``perfbench/tracer.py`` looks up about 40 package functions and methods
 by name, so a rename in ``src/`` breaks the traced benchmark run; this
-test loads the tracer file as it is and installs it."""
+test loads the tracer file as it is and installs it.  The last tests guard
+the caps: each is a module constant that README names, and none is a
+parameter."""
 
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from supercomin import classify, cli, parabolic, verify
 from supercomin.parabolic import RootSubset
 from supercomin.rootsys import build_root_system
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -101,3 +108,27 @@ def test_classify_runs_no_face_search(capsys):
     assert code == 0 and '"method": "principal"' in capsys.readouterr().out
     assert tr.counts["parabolic.face_subsets"] == 0
     assert tr.counts["kernel.calls"] == 1
+
+
+def test_no_function_takes_a_cap():
+    """Every cap is a fixed module constant: no function, method or lambda
+    of the package has a parameter whose name contains ``cap``."""
+    found = []
+    for path in sorted((ROOT / "src" / "supercomin").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
+                         + [a.vararg, a.kwarg] if x is not None]
+                found += [f"{path.name}:{node.lineno} {name}"
+                          for name in names if "cap" in name.lower()]
+    assert found == []
+
+
+@pytest.mark.parametrize("module,name", [
+    ("rootsys", "ROOT_CAP"), ("kernel", "NODE_CAP"), ("weyl", "ORBIT_CAP"),
+    ("realize", "DIM_CAP")])
+def test_readme_names_each_cap(module, name):
+    """Each cap constant exists and README's list of caps names it."""
+    assert isinstance(getattr(importlib.import_module(f"supercomin.{module}"), name), int)
+    assert f"`{module}.{name}`" in (ROOT / "README.md").read_text()
