@@ -459,8 +459,7 @@ def module_verdict(rs, entry: ExpectedEntry):
         if set(actual) == set(expected):
             return "support_match_multiplicity_note"
         return "support_mismatch"
-    norm = lambda t: {w: tuple(d) for w, d in t.items()}
-    return "match" if norm(actual) == norm(expected) else "mismatch"
+    return "match" if actual == expected else "mismatch"
 
 
 def enumerate_cominuscule_orbits(family, params) -> ClassificationReport:
@@ -475,6 +474,7 @@ def enumerate_cominuscule_orbits(family, params) -> ClassificationReport:
     partition = weyl.orbit_partition(rs, [s.bits for s, _ in judged], gens)
 
     entries = expected_entries(rs)
+    verdicts = {e.name: module_verdict(rs, e) for e in entries}
     expected_by_canonical = {}
     for e in entries:
         can = weyl.canonical_rep(rs, e.bits, gens)
@@ -504,7 +504,7 @@ def enumerate_cominuscule_orbits(family, params) -> ClassificationReport:
             nil_bits=verdict.witness.nilradical_bits if verdict.witness else 0,
             decomposition_count=ndec,
             matched_entry=entry.name if entry else None,
-            module_verdict=module_verdict(rs, entry) if entry else "no_entry",
+            module_verdict=verdicts[entry.name] if entry else "no_entry",
         ))
     unmatched_found = [r.canonical_bits for r in orbit_results if r.matched_entry is None]
     unmatched_expected = [
@@ -512,7 +512,7 @@ def enumerate_cominuscule_orbits(family, params) -> ClassificationReport:
         if can not in partition
     ]
     entry_checks = [
-        {"entry": e.name, "module_verdict": module_verdict(rs, e),
+        {"entry": e.name, "module_verdict": verdicts[e.name],
          "module_claim": e.module_claim, "levi": e.levi_descriptor}
         for e in entries
     ]

@@ -178,12 +178,12 @@ def evaluate(lam, weight) -> Fraction:
 def principal_parabolic(rs: RootSystem, lam):
     """P(lam) with the induced Levi decomposition, L = {lam = 0} and
     N+ = {lam > 0}; rejects P = Delta.  lam is read on the integer
-    ``RootTable.weights``, positive multiples of the root weights, so each
-    sign is that of ``evaluate``."""
+    ``RootSystem.weights``, positive multiples of the root weights, so each
+    sign is that of ``evaluate``, and no ``RootTable`` is built."""
     if len(lam) != len(rs.basis):
         raise ValueError("functional has wrong dimension")
     levi = nil = 0
-    for i, w in enumerate(rs.table.weights):
+    for i, w in enumerate(rs.weights):
         v = sum(c * x for c, x in zip(lam, w))
         if v == 0:
             levi |= 1 << i

@@ -46,9 +46,9 @@ choice of signs), and the Cartan series W(n), S(n), S'(n) by one rule,
 
 The searches read root sums from ``RootSystem.table``, a ``RootTable`` of
 sparse closure rows and forbidden-pair masks, built on first use in one
-pass over the root pairs; the point queries ``ambient_sum``,
-``pair_targets`` and ``SymmetrizedSystem.sum_target`` answer from the
-weights and those rows.  ``build_root_system`` returns one shared system
+pass over the pairs of the system's integer weights; the point queries
+``ambient_sum``, ``pair_targets`` and ``SymmetrizedSystem.sum_target``
+answer from the weights and those rows.  ``build_root_system`` returns one shared system
 per normalized (family, params), so the table is built once per system
 and process.
 """
@@ -143,7 +143,14 @@ class SumOutcome:
 
 
 class RootSystem:
-    """Immutable indexed root set with family metadata and ambient sums."""
+    """Immutable indexed root set with family metadata and ambient sums.
+
+    The system owns its integer weights, each built on first read: the
+    common denominator ``denom``, the root weights times it (``weights``)
+    and one lift index ``class_index`` (every gl lift for psl), which
+    ``neg``, ``symmetric`` and ``class_of`` read; so a P(lam) or a root
+    permutation builds no ``RootTable``.
+    """
 
     def __init__(self, family, params, basis, roots,
                  lifts=None, ambient_extra=None, gl_shift=None):
@@ -162,19 +169,6 @@ class RootSystem:
         # weights that are ambient roots but not roots of Delta (S/S' only)
         self.ambient_extra = frozenset(ambient_extra or ())
         self.gl_shift = gl_shift  # psl only: sum(eps) - sum(delta) in gl coords
-        self._ambient_class = None
-        if gl_shift is not None:
-            amb = {}
-            for i, ls in enumerate(self.lifts):
-                for w in ls:
-                    amb[w] = i
-            self._ambient_class = amb
-        if self._ambient_class is not None:
-            # class-aware negation: -class(w) = class(-w)
-            self.neg = tuple(self._ambient_class.get(wneg(r.weight)) for r in self.roots)
-        else:
-            self.neg = tuple(self._index.get(wneg(r.weight)) for r in self.roots)
-        self.symmetric = all(j is not None for j in self.neg)
         self._sym = None
         self._table = None
 
@@ -185,15 +179,50 @@ class RootSystem:
     def index_of(self, weight):
         return self._index.get(tuple(weight))
 
+    # -- integer weights --------------------------------------------------
+    @cached_property
+    def denom(self) -> int:
+        """The common denominator of every lift and ambient-only weight: 2
+        for the half-integral F(4), G(3) and D(2,1;a) weights, 1 elsewhere."""
+        return lcm(*(Fraction(c).denominator for ws in (*self.lifts, self.ambient_extra)
+                     for w in ws for c in w))
+
+    def scaled(self, weight):
+        """``weight`` times ``denom``, in integers."""
+        d = self.denom
+        return tuple(int(c * d) for c in weight)
+
+    @cached_property
+    def weights(self) -> tuple:
+        """Each root weight times ``denom``, in root order."""
+        return tuple(self.scaled(r.weight) for r in self.roots)
+
+    @cached_property
+    def class_index(self) -> dict:
+        """Each integer lift weight to its root index: every gl lift for psl,
+        so its classes are the fibers of the quotient map."""
+        return {self.scaled(w): i for i, ls in enumerate(self.lifts) for w in ls}
+
+    @cached_property
+    def neg(self) -> tuple:
+        """The root class of the negation of each root, or None."""
+        index = self.class_index
+        return tuple(index.get(tuple(-c for c in w)) for w in self.weights)
+
+    @cached_property
+    def symmetric(self) -> bool:
+        return None not in self.neg
+
     def class_of(self, weight):
         """Index of the root whose class contains ``weight``, or None.
 
         For psl the classes are the fibers of the quotient map, so every gl
         lift of a root finds it; elsewhere this is ``index_of``.
         """
-        if self._ambient_class is not None:
-            return self._ambient_class.get(tuple(weight))
-        return self._index.get(tuple(weight))
+        w = [c * self.denom for c in weight]
+        if any(c.denominator != 1 for c in w):
+            return None
+        return self.class_index.get(tuple(map(int, w)))
 
     @property
     def table(self) -> "RootTable":
@@ -251,10 +280,8 @@ class RootSystem:
         if self.family != "psl":
             raise ValueError("projected_sum_in_delta is defined for psl only")
         w = wadd(self.roots[a].weight, self.roots[b].weight)
-        for cand in (w, wadd(w, self.gl_shift), wsub(w, self.gl_shift)):
-            if cand in self._ambient_class:
-                return True
-        return False
+        return any(self.class_of(cand) is not None
+                   for cand in (w, wadd(w, self.gl_shift), wsub(w, self.gl_shift)))
 
     # -- symmetrization ---------------------------------------------------
     def symmetrized(self) -> "SymmetrizedSystem":
@@ -292,20 +319,12 @@ class SymmetrizedSystem:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        weights = [r.weight for r in rs.roots]
-        if rs.symmetric:
-            extra = []
-        else:
-            extra = sorted(
-                {wneg(r.weight) for r in rs.roots if rs.index_of(wneg(r.weight)) is None}
-            )
-        weights.extend(extra)
-        self.weights = tuple(weights)
+        extra = sorted({wneg(rs.roots[i].weight)
+                        for i, j in enumerate(rs.neg) if j is None})
+        self.weights = tuple(r.weight for r in rs.roots) + tuple(extra)
         self._index = {w: k for k, w in enumerate(self.weights)}
-        if rs.symmetric:
-            self.neg = rs.neg
-        else:
-            self.neg = tuple(self._index[wneg(w)] for w in self.weights)
+        self.neg = (tuple(self._index[wneg(w)] for w in self.weights)
+                    if extra else rs.neg)
 
     def __len__(self):
         return len(self.weights)
@@ -351,11 +370,10 @@ def _pair_rows(lifts, index, extra=()):
 class RootTable:
     """Integer sum tables of one root system, built once on first use.
 
-    Weights are scaled to integers by one common denominator ``denom`` (2
-    for the half-integral F(4), G(3) and D(2,1;a) weights, 1 elsewhere), so
-    every sum below is formed once, in integers, in one pass over the pairs
-    a <= b.  Only the pairs whose sum is a root are stored, per root; a mask
-    has bit t set for root index t.
+    The sums are formed on the system's integer weights (``RootSystem``
+    ``weights`` and ``class_index``, scaled by its ``denom``), once each, in
+    one pass over the pairs a <= b.  Only the pairs whose sum is a root are
+    stored, per root; a mask has bit t set for root index t.
 
     * ``closure_rows[a]``: the pairs (b, mask), b ascending, where mask
       holds the roots forced by closure when a and b lie in a subset: for
@@ -379,10 +397,8 @@ class RootTable:
       the primitive integer direction of ``fm_weights`` with its first
       nonzero entry positive; ``plus`` and ``minus`` mask the roots that
       are positive and negative multiples of it;
-    * ``class_index``: each integer lift weight to its root index, every
-      gl lift for psl (the integer ``RootSystem.class_of``);
     * ``perms``: per group element m, its root permutation (built by
-      ``weyl.root_permutation`` from ``weights`` and ``class_index``) and
+      ``weyl.root_permutation`` from the system's integer weights) and
       that permutation's ``image_tables``, filled on first use by
       ``weyl.act`` and ``weyl.orbit``; ``permute`` applies the tables to
       a mask;
@@ -392,44 +408,27 @@ class RootTable:
     * ``sym_rows``, ``implied_rows`` and ``plane_relations``, built on
       first use: the symmetrized pair sums above, which only the lift
       search of a nonsymmetric system reads, the witness rows that root
-      sums imply, and the hyperplanes whose sign two earlier ones can force
-      (see their docstrings).
+      sums imply, and the hyperplanes whose sign two earlier ones can
+      force, read from sums and differences of two plane directions (see
+      their docstrings).
     """
 
     def __init__(self, rs: RootSystem):
-        n = len(rs.roots)
-        denom = 1
-        for w in [w for ls in rs.lifts for w in ls] + list(rs.ambient_extra):
-            for c in w:
-                denom = lcm(denom, Fraction(c).denominator)
-        self.denom = denom
-
-        def scale(w):
-            return tuple(int(c * denom) for c in w)
-
-        self.weights = tuple(scale(r.weight) for r in rs.roots)
-        self.class_index = {scale(w): i for i, ls in enumerate(rs.lifts)
-                            for w in ls}
-        extra = {scale(w) for w in rs.ambient_extra}
+        self._rs = rs
         self.closure_rows, forbidden = _pair_rows(
-            [[scale(w) for w in ls] for ls in rs.lifts], self.class_index,
-            extra)
+            [[rs.scaled(w) for w in ls] for ls in rs.lifts], rs.class_index,
+            {rs.scaled(w) for w in rs.ambient_extra})
         literal = list(forbidden)
         if rs.family == "Sprime":
             minus_eps = 0
-            for i, w in enumerate(self.weights):
-                if sum(w) == -denom and all(c in (0, -denom) for c in w):
+            for i, w in enumerate(rs.weights):
+                if sum(w) == -rs.denom and all(c in (0, -rs.denom) for c in w):
                     minus_eps |= 1 << i
-            for i in range(n):
+            for i in range(len(rs)):
                 if (minus_eps >> i) & 1:
                     forbidden[i] |= minus_eps
                     literal[i] |= minus_eps & ~(1 << i)
         self.forbidden = (tuple(forbidden), tuple(literal))
-
-        # the extra weights of Delta u (-Delta), for ``sym_rows``
-        sym = rs.symmetrized()
-        self._extra_weights = tuple(scale(w) for w in sym.weights[n:])
-        self._sym_neg = sym.neg
 
         fm_weights = []
         for r in rs.roots:
@@ -442,11 +441,8 @@ class RootTable:
                                   for w in fm_weights)
         planes = {}
         for i, w in enumerate(fm_weights):
-            g = gcd(*w)
-            if next(c for c in w if c) < 0:
-                g = -g
-            sides = planes.setdefault(tuple(c // g for c in w), [0, 0])
-            sides[g < 0] |= 1 << i
+            rep, g = _primitive(w)
+            planes.setdefault(rep, [0, 0])[g < 0] |= 1 << i
         self.hyperplanes = tuple((rep, plus, minus)
                                  for rep, (plus, minus) in planes.items())
         constraints = []
@@ -488,12 +484,13 @@ class RootTable:
         """``image_tables`` of the negation of Delta u (-Delta), an
         involution of its weights: a lift's image is the set of negations
         of its members, so P n neg(lift) are the Levi bits."""
-        return self.image_tables(self._sym_neg)
+        return self.image_tables(self._rs.symmetrized().neg)
 
     @cached_property
     def sym_rows(self):
         """The symmetrized pair sums (see the class docstring)."""
-        sw = self.weights + self._extra_weights
+        rs = self._rs
+        sw = rs.weights + tuple(map(rs.scaled, rs.symmetrized().weights[len(rs):]))
         rows, _ = _pair_rows([[w] for w in sw], {w: k for k, w in enumerate(sw)})
         return rows
 
@@ -513,7 +510,7 @@ class RootTable:
         an integral one (F(4), D(2,1;a)), whose row asks for more.
         Roots that are no pair sum are left out.
         """
-        w, fm = self.weights, self.fm_weights
+        w, fm = self._rs.weights, self.fm_weights
         index = {v: i for i, v in enumerate(w)}
         # 1/s_j, read off the first nonzero coordinate
         inv = [next(Fraction(c, f) for c, f in zip(wv, fv) if c)
@@ -531,40 +528,45 @@ class RootTable:
 
     @cached_property
     def plane_relations(self):
-        """Per hyperplane h, the tuple of (i, j, sa, sb) with i < j < h and
-        rep_h = a rep_i + b rep_j for a, b != 0 of signs sa, sb (``rep`` of
-        ``hyperplanes``).  Once lam has signs s_i, s_j on planes i and j,
-        lam.rep_h is a sum of two terms of signs sa s_i and sb s_j; when
-        neither is positive or neither is negative, that fixes its sign.
+        """Per hyperplane h, the tuple of (i, j, sa, sb), ordered by j then
+        i, with i < j < h and rep_h = a rep_i + b rep_j for a, b != 0 of
+        signs sa, sb (``rep`` of ``hyperplanes``).  Once lam has signs s_i,
+        s_j on planes i and j, lam.rep_h is a sum of two terms of signs
+        sa s_i and sb s_j; when neither is positive or neither is negative,
+        that fixes its sign.
 
-        Any two reps are independent (distinct primitive directions, first
-        entry positive), so some 2x2 minor det of rep_i, rep_j is nonzero,
-        and with A, B the minors that put rep_h in place of rep_i, rep_j,
-        rep_h lies in their span iff A rep_i + B rep_j == det rep_h on every
-        coordinate, all in integers: a = A/det, b = B/det.
+        For i < j and s = +-1, rep_i + s rep_j is looked up as a multiple
+        g rep_k of a plane k, and solved for the last of i, j, k.  That
+        finds each relation in which two of |a|, |b|, 1 agree; the face
+        search branches on the planes of the others (six on G(3)).
         """
         reps = [rep for rep, _, _ in self.hyperplanes]
-        dim = len(reps[0]) if reps else 0
-        coords = [(p, q) for p in range(dim) for q in range(p + 1, dim)]
-        out = []
-        for h, z in enumerate(reps):
-            rels = []
-            for j in range(h):
-                y = reps[j]
-                for i in range(j):
-                    x = reps[i]
-                    for p, q in coords:
-                        det = x[p] * y[q] - x[q] * y[p]
-                        if det:
-                            break
-                    A = z[p] * y[q] - z[q] * y[p]
-                    B = x[p] * z[q] - x[q] * z[p]
-                    if A and B and all(A * u + B * v == det * t
-                                       for u, v, t in zip(x, y, z)):
-                        rels.append((i, j, 1 if A * det > 0 else -1,
-                                     1 if B * det > 0 else -1))
-            out.append(tuple(rels))
-        return tuple(out)
+        index = {rep: k for k, rep in enumerate(reps)}
+        found = [set() for _ in reps]
+        for j, y in enumerate(reps):
+            for i, x in enumerate(reps[:j]):
+                for s in (1, -1):
+                    rep, g = _primitive(tuple(u + s * v for u, v in zip(x, y)))
+                    k = index.get(rep)
+                    if k is None:
+                        continue
+                    sg = 1 if g > 0 else -1
+                    if k > j:  # rep_k = rep_i / g + s rep_j / g
+                        found[k].add((i, j, sg, s * sg))
+                    else:  # rep_j = s g rep_k - s rep_i
+                        (a, sa), (b, sb) = sorted(((k, s * sg), (i, -s)))
+                        found[j].add((a, b, sa, sb))
+        return tuple(tuple(sorted(rels, key=lambda r: (r[1], r[0])))
+                     for rels in found)
+
+
+def _primitive(w):
+    """(rep, g) with w = g rep, rep primitive with its first nonzero entry
+    positive."""
+    g = gcd(*w)
+    if next(c for c in w if c) < 0:
+        g = -g
+    return tuple(c // g for c in w), g
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 A group element is stored as an exact integer matrix acting on weight
 coordinates.  Signed permutations cover every family except G(3), whose
 eliminated-basis reflections need genuine matrices; everything is handled
-uniformly.  Each element's root permutation is built once per system from
-the integer weights of ``RootTable`` (``root_permutation``) and kept in
-``RootTable.perms`` with its nibble image tables, through which ``act``
-and ``orbit`` move a root mask 4 bits at a time.  Orbits are computed by
+uniformly.  Each element's root permutation is read on the system's own
+integer weights and lift index, ``RootSystem.weights`` and
+``RootSystem.class_index`` (``root_permutation``, which builds no
+``RootTable``); ``act`` and ``orbit`` keep it once per system in
+``RootTable.perms`` with its nibble image tables, through which they move
+a root mask 4 bits at a time.  Orbits are computed by
 BFS on subsets (not by expanding the group), so big groups with small
 orbits stay cheap; the canonical representative of an orbit is its
 minimal bitmask.
@@ -67,23 +69,18 @@ def _type_d_gens(d, slots):
 
 
 def generators(rs: RootSystem, kind="auto"):
-    """Generators of the requested group acting on the root system.
-
-    ``even_weyl`` is the Weyl group of the even part (classical families),
-    ``levi_weyl`` the Weyl group of the distinguished Levi of the even part
-    (Cartan-type families, where the even part is not reductive), and
-    ``extended`` adds the gamma-permuting S3 for D(2,1;a) and nothing
-    elsewhere.  ``auto`` picks the group the classification statements use.
+    """Generators of the group the classification statements use
+    (``classification_group``): the Weyl group of the even part for the
+    classical families, with the gamma-permuting S3 added for D(2,1;a),
+    and the Weyl group of the distinguished Levi of the even part for the
+    Cartan-type families, whose even part is not reductive.  ``kind``
+    names that group, the only one; any other value raises ``ValueError``.
     """
-    if kind == "auto":
-        kind = classification_group(rs)
+    if kind != "auto":
+        raise ValueError(f"unknown group kind {kind!r}")
     fam = rs.family
     d = len(rs.basis)
     e, dl, g = _slots(rs, "e"), _slots(rs, "d"), _slots(rs, "g")
-    if fam in ("W", "S", "Sprime") and kind == "even_weyl":
-        raise ValueError(f"{fam}(n) has no reductive even part; use levi_weyl")
-    if kind not in ("even_weyl", "levi_weyl", "extended"):
-        raise ValueError(f"unknown group kind {kind!r}")
 
     if fam == "sl" or fam == "psl":
         gens = _sym_gens(d, e) + _sym_gens(d, dl)
@@ -92,9 +89,7 @@ def generators(rs: RootSystem, kind="auto"):
         gens = (_type_b_gens(d, e) if M % 2 else _type_d_gens(d, e))
         gens += _type_b_gens(d, dl)  # sp(2n) Weyl: signed permutations
     elif fam == "D21a":
-        gens = [_flip(d, s) for s in g]
-        if kind == "extended":
-            gens += _sym_gens(d, g)
+        gens = [_flip(d, s) for s in g] + _sym_gens(d, g)
     elif fam == "F4":
         gens = _type_b_gens(d, e) + [_flip(d, g[0])]
     elif fam == "G3":
@@ -117,6 +112,7 @@ def generators(rs: RootSystem, kind="auto"):
 
 
 def classification_group(rs: RootSystem) -> str:
+    """The name of the group ``generators`` builds, as reports give it."""
     if rs.family == "D21a":
         return "extended"
     if rs.family in ("W", "S", "Sprime", "H"):
@@ -126,12 +122,11 @@ def classification_group(rs: RootSystem) -> str:
 
 def root_permutation(rs: RootSystem, m):
     """perm[i] = index of the image of root i under the integer matrix m:
-    m applied to the integer weight ``RootTable.weights[i]`` and looked up
-    in ``RootTable.class_index``, which holds every gl lift for psl."""
-    table = rs.table
-    index = table.class_index
+    m applied to the integer weight ``RootSystem.weights[i]`` and looked up
+    in ``RootSystem.class_index``, which holds every gl lift for psl."""
+    index = rs.class_index
     perm = []
-    for i, w in enumerate(table.weights):
+    for i, w in enumerate(rs.weights):
         j = index.get(tuple(sum(c * x for c, x in zip(row, w)) for row in m))
         if j is None:
             raise RootEscapeError(f"image of root {rs.root_str(i)} is not a root")

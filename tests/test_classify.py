@@ -432,14 +432,29 @@ def test_psq_support_claim_is_independent(monkeypatch):
         "support_mismatch"] * 4
 
 
+def test_module_verdict_once_per_entry(count_calls):
+    """``enumerate_cominuscule_orbits`` judges each transcribed entry's
+    module once and shares the verdict between its orbit and
+    ``entry_checks``: 14 calls for the 14 entries of psl(3|3)."""
+    calls = count_calls(classify, "module_verdict")
+    rep = enumerate_cominuscule_orbits("psl", (3,))
+    assert len(rep.entry_checks) == 14
+    assert calls["module_verdict"] == 14
+    by_entry = {c["entry"]: c["module_verdict"] for c in rep.entry_checks}
+    assert all(o.module_verdict == by_entry[o.matched_entry]
+               for o in rep.orbits if o.matched_entry)
+
+
 def test_group_choice():
     rep = enumerate_cominuscule_orbits("D21a", ())
     assert rep.group == "extended"
     rep = enumerate_cominuscule_orbits("W", (3,))
     assert rep.group == "levi_weyl"
-    # under the plain even Weyl group D(2,1;a) splits into more orbits
+    # under the plain even Weyl group, the three sign flips of the gammas,
+    # D(2,1;a) splits into more orbits
     rs = build_root_system("D21a", ())
-    gens = weyl.generators(rs, "even_weyl")
+    gens = [tuple(tuple(-1 if i == j == k else int(i == j) for j in range(3))
+                  for i in range(3)) for k in range(3)]
     found = cominuscule_subsets(rs)
     assert len(weyl.orbit_partition(rs, [s.bits for s in found], gens)) > 1
 

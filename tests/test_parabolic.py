@@ -215,7 +215,7 @@ def test_principal_parabolic_examples():
 @pytest.mark.parametrize("fam,par", [("F4", ()), ("G3", ()), ("D21a", ()),
                                      ("psl", (2,))])
 def test_principal_parabolic_matches_rational_evaluation(fam, par):
-    """P(lam) read on the integer table weights is P(lam) of the ``Fraction``
+    """P(lam) read on the integer root weights is P(lam) of the ``Fraction``
     reference ``evaluate`` on the root weights: on every functional with
     entries in {-1, 0, 1}, which vanish on many roots, and on 100 seeded
     rational ones.  F(4), G(3) and D(2,1;a) have half-integral weights, and
@@ -471,15 +471,17 @@ def test_face_masks_work_is_pinned(count_calls):
     counted exactly, so that a change in algorithmic work shows as a diff.
     A hyperplane whose sign two earlier ones force costs neither
     (12,087/14,479 on osp(6|2) when every hyperplane branched on the
-    engine)."""
+    engine).  G(3) keeps the work it had when its six relations whose
+    three coefficient sizes all differ were still listed."""
     calls = count_calls(IncrementalFM, "clone", "add")
     counts = {}
-    for fam, par in [("F4", ()), ("osp", (6, 2))]:
+    for fam, par in [("F4", ()), ("osp", (6, 2)), ("G3", ())]:
         calls.update(clone=0, add=0)
         _face_masks(rsys(fam, par))
         counts[fam] = dict(calls)
     assert counts == {"F4": {"clone": 5217, "add": 6729},
-                      "osp": {"clone": 2130, "add": 2758}}
+                      "osp": {"clone": 2130, "add": 2758},
+                      "G3": {"clone": 555, "add": 720}}
 
 
 # the oracle instances of the benchmark's ``sweep`` workload, psl(2|2) with

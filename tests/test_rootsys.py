@@ -254,10 +254,10 @@ def test_table_matches_fraction_weights(fam, par):
     rs = rsys(fam, par)
     t = rs.table
     n = len(rs)
-    assert t.denom == (2 if fam in ("D21a", "F4", "G3") else 1)
-    for r, iw in zip(rs.roots, t.weights):
+    assert rs.denom == (2 if fam in ("D21a", "F4", "G3") else 1)
+    for r, iw in zip(rs.roots, rs.weights):
         assert all(isinstance(c, int) for c in iw)
-        assert tuple(F(c, t.denom) for c in iw) == r.weight
+        assert tuple(F(c, rs.denom) for c in iw) == r.weight
 
     def add(u, v):
         return tuple(x + y for x, y in zip(u, v))
@@ -340,16 +340,21 @@ def _span_coefficients(x, y, z):
 
 
 @pytest.mark.parametrize("fam,par", [("G3", ()), ("osp", (3, 2)), ("psl", (2,)),
-                                     ("S", (3,)), ("p", (3,))])
+                                     ("S", (3,)), ("p", (3,)), ("F4", ()),
+                                     ("H", (6,)), ("S", (4,)), ("W", (4,))])
 def test_plane_relations_match_brute_force(fam, par):
     """``plane_relations`` lists, with the signs of a and b, exactly the
-    triples i < j < h of hyperplanes with rep_h = a rep_i + b rep_j, found
-    here by row reduction over Fractions: collinear roots (G(3), and osp's
-    delta, 2 delta) on one hyperplane, a functional constraint (psl(2|2)),
-    and W-type (S(3)) and periplectic (p(3)) arrangements."""
+    triples i < j < h of hyperplanes with rep_h = a rep_i + b rep_j in
+    which two of the sizes |a|, |b|, 1 agree, found here by row reduction
+    over Fractions: then one plane is a multiple of the sum or difference
+    of the other two.  The cases: collinear roots (G(3), and osp's delta,
+    2 delta) on one hyperplane, a functional constraint (psl(2|2)), and
+    exceptional (F(4)), Hamiltonian (H(6)), W-type (S(3), S(4), W(4)) and
+    periplectic (p(3)) arrangements.  Only G(3) has relations whose three
+    sizes all differ, six of them, and those are the ones left out."""
     t = rsys(fam, par).table
     reps = [rep for rep, _, _ in t.hyperplanes]
-    want = []
+    want, left_out = [], 0
     for h, z in enumerate(reps):
         rels = []
         for j in range(h):
@@ -360,10 +365,46 @@ def test_plane_relations_match_brute_force(fam, par):
                     assert a and b
                     assert all(a * u + b * v == w
                                for u, v, w in zip(reps[i], reps[j], z))
+                    if len({abs(a), abs(b), 1}) == 3:
+                        left_out += 1
+                        continue
                     rels.append((i, j, 1 if a > 0 else -1, 1 if b > 0 else -1))
         want.append(tuple(rels))
     assert t.plane_relations == tuple(want)
     assert any(want)
+    assert left_out == (6 if fam == "G3" else 0)
+
+
+def test_negation_matches_fraction_lift_classes():
+    """``neg`` and ``symmetric``, read on the integer lift index, against a
+    Fraction reference on every system of ``GOLDEN_GRID``: the negation of
+    each root weight looked up among the system's own Fraction lift
+    classes, so psl(2|2) negates its classes of two gl roots."""
+    for fam, par in GOLDEN_GRID:
+        rs = rsys(fam, par)
+        classes = {w: i for i, ls in enumerate(rs.lifts) for w in ls}
+        want = tuple(classes.get(wneg(r.weight)) for r in rs.roots)
+        assert rs.neg == want, (fam, par)
+        assert rs.symmetric == (None not in want), (fam, par)
+    psl22 = rsys("psl", (2,))
+    assert any(len(ls) == 2 for ls in psl22.lifts) and psl22.symmetric
+
+
+def test_weights_are_built_without_the_table(monkeypatch):
+    """A P(lam), a root permutation and a parsed root read the system's own
+    integer weights and lift index, and build no ``RootTable``."""
+    from supercomin import rootsys, weyl
+    from supercomin.parabolic import principal_parabolic
+
+    monkeypatch.setattr(rootsys, "_SYSTEMS", {})
+    for fam, par in [("W", (4,)), ("psl", (2,)), ("G3", ())]:
+        rs = rsys(fam, par)
+        assert rs._table is None
+        principal_parabolic(rs, (1,) + (0,) * (len(rs.basis) - 1))
+        for m in weyl.generators(rs):
+            weyl.root_permutation(rs, m)
+        assert all(rs.parse_root(rs.root_str(i)) == i for i in range(len(rs)))
+        assert rs._table is None, (fam, par)
 
 
 def test_g3_elimination():

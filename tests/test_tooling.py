@@ -110,6 +110,19 @@ def test_classify_runs_no_face_search(capsys):
     assert tr.counts["kernel.calls"] == 1
 
 
+def test_build_leaves_integer_weights_and_table_unbuilt(monkeypatch):
+    """``build_root_system``, which the benchmark's ``setup_s`` times,
+    builds no integer weights, lift index, negation or ``RootTable``: each
+    is built on its first read."""
+    from supercomin import rootsys
+
+    monkeypatch.setattr(rootsys, "_SYSTEMS", {})
+    for fam, par in [("W", (4,)), ("psl", (2,)), ("F4", ())]:
+        rs = build_root_system(fam, par)
+        assert not {"weights", "class_index", "neg"} & set(vars(rs))
+        assert rs._table is None
+
+
 def test_no_function_takes_a_cap():
     """Every cap is a fixed module constant: no function, method or lambda
     of the package has a parameter whose name contains ``cap``."""

@@ -51,14 +51,14 @@ def group_order(gens) -> int:
     return len(els)
 
 
-@pytest.mark.parametrize("fam,par,kind,order", [
+@pytest.mark.parametrize("fam,par,group,order", [
     ("sl", (3, 2), "even_weyl", 12),
     ("psl", (3,), "even_weyl", 36),
     ("osp", (5, 2), "even_weyl", 16),     # B2 x C1
     ("osp", (4, 2), "even_weyl", 8),      # D2 x C1
     ("osp", (2, 4), "even_weyl", 8),      # C2
-    ("D21a", (), "even_weyl", 8),
-    ("D21a", (), "extended", 48),
+    ("psl", (2,), "even_weyl", 4),        # S2 x S2 on the quotient
+    ("D21a", (), "extended", 48),         # (Z2)^3 with the S3 on gammas
     ("F4", (), "even_weyl", 96),
     ("G3", (), "even_weyl", 24),
     ("psq", (4,), "even_weyl", 24),
@@ -68,9 +68,12 @@ def group_order(gens) -> int:
     ("H", (5,), "levi_weyl", 8),          # B2
     ("H", (6,), "levi_weyl", 24),         # D3
 ])
-def test_group_orders(fam, par, kind, order):
-    gens = weyl.generators(rsys(fam, par), kind)
-    assert group_order(gens) == order
+def test_group_orders(fam, par, group, order):
+    """The order of the group ``generators`` builds, and the name
+    ``classification_group`` gives it in reports."""
+    rs = rsys(fam, par)
+    assert weyl.classification_group(rs) == group
+    assert group_order(weyl.generators(rs)) == order
 
 
 def test_generators_permute_roots():
@@ -83,8 +86,13 @@ def test_generators_permute_roots():
 
 
 def test_cartan_even_weyl_rejected():
-    with pytest.raises(ValueError):
-        weyl.generators(rsys("W", (3,)), "even_weyl")
+    """``generators`` builds the classification group alone: every kind
+    but ``auto`` is refused, on a Cartan-type and a classical system."""
+    for fam, par in [("W", (3,)), ("D21a", ())]:
+        rs = rsys(fam, par)
+        for kind in ("even_weyl", "levi_weyl", "extended", "bogus"):
+            with pytest.raises(ValueError, match=f"unknown group kind '{kind}'"):
+                weyl.generators(rs, kind)
 
 
 def test_canonical_rep_invariance_and_idempotence():
@@ -134,8 +142,10 @@ def test_orbit_cap(monkeypatch):
 
 def fraction_permutation(rs, m):
     """Reference: m applied to each root's Fraction weight, with the image
-    found by ``class_of``."""
-    return tuple(rs.class_of(tuple(sum(Fraction(c) * x
+    looked up in an index of every Fraction lift weight built here, apart
+    from the integer ``class_index`` that ``root_permutation`` reads."""
+    classes = {w: i for i, ls in enumerate(rs.lifts) for w in ls}
+    return tuple(classes.get(tuple(sum(Fraction(c) * x
                                        for c, x in zip(row, r.weight))
                                    for row in m))
                  for r in rs.roots)
