@@ -16,8 +16,9 @@ the family:
 
 The rules are tabulated once per root system as per-root bitmasks,
 ``RootSystem.table.forbidden[literal]``, so a nilradical mask is tested
-against one row per root of it.  The pairwise scan ``_abelian_scan`` serves
-the realized-bracket verdicts.
+against one row per root of it (``_abelian``).  The realized-bracket
+verdict makes the same test on the realization's rows
+``Realization.bracket_masks``.
 """
 
 from __future__ import annotations
@@ -39,15 +40,6 @@ class CominusculeVerdict:
     witness: LeviDecomposition | None
     decompositions: tuple = ()
     abelian_flags: tuple = ()
-
-
-def _abelian_scan(subset: RootSubset, nonzero):
-    """Each Levi decomposition of P, in order of its Levi bits, with whether
-    its nilradical is abelian: no roots a <= b in it with nonzero(a, b)."""
-    for d in levi_decompositions(subset):
-        idx = d.nilradical.indices()
-        yield d, not any(nonzero(a, b) for x, a in enumerate(idx)
-                         for b in idx[x:])
 
 
 def _abelian(forb, nil: int) -> bool:
@@ -78,8 +70,10 @@ def is_cominuscule(subset: RootSubset) -> CominusculeVerdict:
 
 
 def bracket_cominuscule(subset: RootSubset, rz) -> bool:
-    """The same existential verdict, decided by the realized superbracket."""
-    return any(ok for _, ok in _abelian_scan(subset, rz.bracket_nonzero))
+    """The same existential verdict, decided by the realized superbracket:
+    the mask test of ``is_cominuscule`` on the rows ``rz.bracket_masks``."""
+    return any(_abelian(rz.bracket_masks, d.nilradical_bits)
+               for d in levi_decompositions(subset))
 
 
 def crosscheck_bracket(subset: RootSubset, rz) -> bool:

@@ -17,19 +17,22 @@ x^I d/dx_j (``superder``), and each brackets term by term.
 
 A realization answers two questions exactly: is every stored root vector an
 eigenvector of the torus with the right eigenvalue, and is the bracket map
-g^a x g^b -> g nonzero.
+g^a x g^b -> g nonzero, tabulated once as the symmetric rows
+``bracket_masks``, which the bracket verdicts read as the root rule reads
+``RootTable.forbidden``.  There is one realization per root system or gl(m|n).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .matrixrep import MatrixSuperElement
 from .rootsys import CapExceeded, RootSystem, _gl_roots, build_root_system
 from .superder import SuperDerivation, merge_sign, partial
 
 # the largest algebra dimension a realization may have, checked before it
-# is built; fixed, as ``rootsys.ROOT_CAP`` is
+# is built or looked up; fixed, as ``rootsys.ROOT_CAP`` is
 DIM_CAP = 4096
 
 
@@ -63,22 +66,29 @@ class Realization:
         return len(ev), len(od)
 
     # -- brackets ------------------------------------------------------
-    def is_effectively_zero(self, x) -> bool:
-        if x.is_zero():
-            return True
-        if self.center_projection and isinstance(x, MatrixSuperElement):
-            return x.is_multiple_of_identity()
-        return False
-
     def bracket_nonzero(self, a: int, b: int) -> bool:
         """Whether [g^a, g^b] is not identically zero (mod center if any)."""
         ea, oa = self.spaces[a]
         eb, ob = self.spaces[b]
         for x in ea + oa:
             for y in eb + ob:
-                if not self.is_effectively_zero(x.bracket(y)):
+                z = x.bracket(y)
+                if not (z.is_multiple_of_identity() if self.center_projection
+                        else z.is_zero()):
                     return True
         return False
+
+    @cached_property
+    def bracket_masks(self):
+        """Per slot a, the mask of the slots b with [g^a, g^b] nonzero (mod
+        center if any): ``bracket_nonzero`` once per pair a <= b, mirrored."""
+        masks = [0] * len(self.spaces)
+        for a in range(len(masks)):
+            for b in range(a, len(masks)):
+                if self.bracket_nonzero(a, b):
+                    masks[a] |= 1 << b
+                    masks[b] |= 1 << a
+        return tuple(masks)
 
     # -- verification ---------------------------------------------------
     def verify_root_decomposition(self):
@@ -378,18 +388,24 @@ def _builder(family, params):
     return build
 
 
+_REALIZATIONS = {}  # RootSystem, or ("gl", (m, n)) -> its one Realization
+
+
 def realize(family, params) -> Realization:
-    """Realize one of the families of ``_REALIZED`` at the given rank; every
-    family but gl is bound to its root system, as by ``realize_for``."""
+    """Realize one of the families of ``_REALIZED`` at the given rank, once;
+    every family but gl is bound to its root system by ``realize_for``."""
     build = _builder(family, params)
-    if family == "gl":
-        return build(*params)
-    return realize_for(build_root_system(family, params))
+    if family != "gl":
+        return realize_for(build_root_system(family, params))
+    key = ("gl", tuple(params))
+    return _REALIZATIONS.get(key) or _REALIZATIONS.setdefault(key, build(*params))
 
 
 def realize_for(rs: RootSystem) -> Realization:
-    """Realization bound to a root system's indices."""
-    return _builder(rs.family, rs.params)(rs)
+    """The one realization bound to a root system's indices; ``DIM_CAP`` is
+    checked on every call, before a realization is built or looked up."""
+    build = _builder(rs.family, rs.params)
+    return _REALIZATIONS.get(rs) or _REALIZATIONS.setdefault(rs, build(rs))
 
 
 def jacobi_defect(x, y, z):

@@ -499,28 +499,30 @@ class RootTable:
         """Triples (i, inside, outside) in the order the principality
         witness drops rows: descending L1 norm of ``weights[i]``, then i.
 
-        ``inside`` masks each pair {a, b} (a == b allowed) with
-        weights[a] + weights[b] == weights[i]; ``outside`` the pairs among
-        them for which 1/s_a + 1/s_b >= 1/s_i, where fm_weights[j] =
-        s_j * weights[j].  The witness rows are fm_weights[j].lam >= 0 for
-        j in P and fm_weights[j].lam <= -1 off P, so a pair inside P
-        implies row i when i lies in P, and an ``outside`` pair off P
-        implies it when i lies off P: then weights[i].lam <= -1/s_a - 1/s_b
-        <= -1/s_i.  That fails only where two half-integral weights sum to
-        an integral one (F(4), D(2,1;a)), whose row asks for more.
-        Roots that are no pair sum are left out.
+        ``inside`` masks each pair {a, b} (a == b allowed) whose
+        ``closure_rows`` entry holds i: weights[a] + weights[b] ==
+        weights[i], or, on psl(2|2) alone, a lift-pair sum in the class of
+        i, valid as the functional constraints are kept.  ``outside`` masks
+        the pairs among them for which 1/s_a + 1/s_b >= 1/s_i, where
+        fm_weights[j] = s_j * weights[j].  The witness rows are
+        fm_weights[j].lam >= 0 for j in P and fm_weights[j].lam <= -1 off
+        P, so a pair inside P implies row i when i lies in P, and an
+        ``outside`` pair off P implies it when i lies off P: then
+        weights[i].lam <= -1/s_a - 1/s_b <= -1/s_i.  That fails only where
+        two half-integral weights sum to an integral one (F(4), D(2,1;a)),
+        whose row asks for more.  Roots that are no pair sum are left out.
         """
         w, fm = self._rs.weights, self.fm_weights
-        index = {v: i for i, v in enumerate(w)}
         # 1/s_j, read off the first nonzero coordinate
         inv = [next(Fraction(c, f) for c, f in zip(wv, fv) if c)
                for wv, fv in zip(w, fm)]
         pairs = [[] for _ in w]
-        for a in range(len(w)):
-            for b in range(a, len(w)):
-                i = index.get(tuple(x + y for x, y in zip(w[a], w[b])))
-                if i is not None:
+        for a, row in enumerate(self.closure_rows):
+            for b, mask in row:
+                while b >= a and mask:
+                    i = (mask & -mask).bit_length() - 1
                     pairs[i].append((1 << a | 1 << b, inv[a] + inv[b] >= inv[i]))
+                    mask &= mask - 1
         order = sorted(range(len(w)), key=lambda i: (-sum(map(abs, w[i])), i))
         return tuple((i, tuple(m for m, _ in pairs[i]),
                       tuple(m for m, ok in pairs[i] if ok))
@@ -819,12 +821,10 @@ def normalize_family(family, params):
 
 
 _BUILDERS = {
-    "sl": _build_sl, "psl": _build_psl, "osp": _build_osp,
-    "D21a": lambda *_: _build_D21a(), "F4": lambda *_: _build_F4(),
-    "G3": lambda *_: _build_G3(), "psq": _build_psq, "p": _build_p,
+    "sl": _build_sl, "psl": _build_psl, "osp": _build_osp, "D21a": _build_D21a,
+    "F4": _build_F4, "G3": _build_G3, "psq": _build_psq, "p": _build_p,
     "W": lambda n: _build_cartan("W", n), "S": lambda n: _build_cartan("S", n),
-    "Sprime": lambda n: _build_cartan("Sprime", n),
-    "H": _build_H,
+    "Sprime": lambda n: _build_cartan("Sprime", n), "H": _build_H,
 }
 
 
@@ -866,7 +866,7 @@ def _count_W(n):
     return n * 2 ** (n - 1) + 2 ** n - 2
 
 
-def _count_S(n, prime=False):
+def _count_S(n, prime):
     if prime:
         _require(n >= 4 and n % 2 == 0, "S'(n) needs even n >= 4")
     else:
@@ -880,10 +880,10 @@ def _count_H(n):
 
 
 _COUNTS = {
-    "sl": _count_sl, "psl": _count_psl, "osp": _count_osp,
-    "D21a": lambda *_: 14, "F4": lambda *_: 36, "G3": lambda *_: 28,
-    "psq": _count_psq, "p": _count_p, "W": _count_W, "S": _count_S,
-    "Sprime": lambda n: _count_S(n, prime=True), "H": _count_H,
+    "sl": _count_sl, "psl": _count_psl, "osp": _count_osp, "D21a": lambda: 14,
+    "F4": lambda: 36, "G3": lambda: 28, "psq": _count_psq, "p": _count_p,
+    "W": _count_W, "S": lambda n: _count_S(n, False),
+    "Sprime": lambda n: _count_S(n, True), "H": _count_H,
 }
 
 

@@ -32,7 +32,7 @@ import warnings
 from . import weyl
 from .classify import (enumerate_cominuscule_orbits, expected_entries,
                        restriction_extension_check)
-from .cominuscule import crosscheck_bracket, is_cominuscule, pair_forbidden
+from .cominuscule import crosscheck_bracket, is_cominuscule
 from .parabolic import (LeviDecomposition, RootSubset, _face_masks,
                         enumerate_parabolics, levi_decompositions,
                         principality_witness)
@@ -99,17 +99,16 @@ def _tag(family, params):
 def bracket_rule_disagreements(rs, rz):
     """Pairs where the stated root-sum rule and the superbracket differ.
 
-    Pairs a, b with b = -a (class level) are outside the rules' scope and
-    are skipped.
+    The literal rule rows ``rs.table.forbidden[True]`` against the bracket
+    rows ``rz.bracket_masks``, pairs a <= b in order.  Pairs a, b with
+    b = -a (class level) are outside the rules' scope and are skipped.
     """
+    rule, masks = rs.table.forbidden[True], rz.bracket_masks
     bad = []
     for a in range(len(rs)):
-        for b in range(a, len(rs)):
-            if rs.neg[a] == b:
-                continue
-            rule = pair_forbidden(rs, a, b, literal=True)
-            if rule != rz.bracket_nonzero(a, b):
-                bad.append((rs.root_str(a), rs.root_str(b)))
+        diff = rule[a] ^ masks[a]
+        bad += [(rs.root_str(a), rs.root_str(b)) for b in range(a, len(rs))
+                if diff >> b & 1 and b != rs.neg[a]]
     return bad
 
 
@@ -172,13 +171,14 @@ def run_paper_suite(only=None):
         t = _tag(family, params)
         if family == "gl":
             rz = realize("gl", params)
+            masks = rz.bracket_masks
             bad = []
             for a in range(len(rz.weights)):
                 for b in range(a, len(rz.weights)):
                     s = wadd(rz.weights[a], rz.weights[b])
                     if is_zero_weight(s):
                         continue
-                    if (rz.index_of(s) is not None) != rz.bracket_nonzero(a, b):
+                    if (rz.index_of(s) is not None) != bool(masks[a] >> b & 1):
                         bad.append((a, b))
         else:
             rs = build_root_system(family, params)
@@ -192,7 +192,7 @@ def run_paper_suite(only=None):
         a = rs.parse_root("e1-d1")
         b = rs.parse_root("e2-d2")
         chk("psl(3|3) pinned pair: bracket zero, projected sum a root",
-            (not rz.bracket_nonzero(a, b)) and rs.projected_sum_in_delta(a, b)
+            not rz.bracket_masks[a] >> b & 1 and rs.projected_sum_in_delta(a, b)
             and rs.ambient_sum(a, b).kind == "not_root")
         bad = bracket_rule_disagreements(rs, rz)
         chk("bracket-rule-equivalence psl(3,3)", not bad, f"{len(bad)} pairs")

@@ -3,13 +3,14 @@ import warnings
 import pytest
 
 from supercomin import kernel
-from supercomin.cominuscule import (_abelian_scan, bracket_cominuscule,
-                                    crosscheck_bracket, is_cominuscule,
-                                    pair_forbidden)
-from supercomin.parabolic import RootSubset, enumerate_parabolics
+from supercomin.cominuscule import (bracket_cominuscule, crosscheck_bracket,
+                                    is_cominuscule, pair_forbidden)
+from supercomin.parabolic import (RootSubset, enumerate_parabolics,
+                                  levi_decompositions)
 from supercomin.realize import realize_for
 from supercomin.rootsys import build_root_system
-from supercomin.verify import EXPECTED_ORBITS
+from supercomin.verify import (BRACKET_SWEEP, CROSSCHECK_INSTANCES,
+                               EXPECTED_ORBITS, bracket_rule_disagreements)
 
 TABLE = [(f, p) for f, p, _ in EXPECTED_ORBITS]
 
@@ -18,6 +19,16 @@ def rsys(fam, par):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return build_root_system(fam, par)
+
+
+def _abelian_scan(subset, nonzero):
+    """Each Levi decomposition of P, in order of its Levi bits, with whether
+    its nilradical is abelian: no roots a <= b in it with nonzero(a, b).
+    The pairwise reference for both mask verdicts."""
+    for d in levi_decompositions(subset):
+        idx = d.nilradical.indices()
+        yield d, not any(nonzero(a, b) for x, a in enumerate(idx)
+                         for b in idx[x:])
 
 
 def bits_of(rs, names):
@@ -183,3 +194,44 @@ def test_mask_verdict_matches_pairwise_scan(fam, par):
         assert v.decompositions == tuple(d for d, _ in scan)
         assert v.witness == next((d for d, ok in scan if ok), None)
         assert v.is_cominuscule == any(ok for _, ok in scan)
+
+
+@pytest.mark.parametrize("fam,par", CROSSCHECK_INSTANCES, ids=str)
+def test_bracket_verdict_matches_pairwise_scan(fam, par):
+    """``bracket_cominuscule`` (the mask test on ``bracket_masks``) equals
+    the pairwise scan of every nilradical by ``bracket_nonzero`` on every
+    parabolic subset of the crosscheck instances."""
+    rs = rsys(fam, par)
+    rz = realize_for(rs)
+    for P in enumerate_parabolics(rs, "exhaustive"):
+        scan = any(ok for _, ok in _abelian_scan(P, rz.bracket_nonzero))
+        assert bracket_cominuscule(P, rz) == scan, P
+
+
+def _per_pair_disagreements(rs, rz):
+    """The pairs a <= b, b != -a, where the literal pair rule and
+    ``bracket_nonzero`` differ, one pair at a time."""
+    bad = []
+    for a in range(len(rs)):
+        for b in range(a, len(rs)):
+            if rs.neg[a] == b:
+                continue
+            if pair_forbidden(rs, a, b, literal=True) != rz.bracket_nonzero(a, b):
+                bad.append((rs.root_str(a), rs.root_str(b)))
+    return bad
+
+
+DISAGREEING = {("S", (3,)): 6, ("S", (4,)): 28, ("Sprime", (4,)): 32}
+
+
+@pytest.mark.parametrize("fam,par", [i for i in BRACKET_SWEEP if i[0] != "gl"]
+                         + [("psl", (3,))], ids=str)
+def test_bracket_rule_disagreements_match_per_pair_loop(fam, par):
+    """The mask XOR of ``bracket_rule_disagreements`` gives the pairs of the
+    per-pair loop, in the same order: 6, 28 and 32 on S(3), S(4), S'(4)
+    (the removed-root sums and the S' clause), none elsewhere."""
+    rs = rsys(fam, par)
+    rz = realize_for(rs)
+    bad = bracket_rule_disagreements(rs, rz)
+    assert bad == _per_pair_disagreements(rs, rz)
+    assert len(bad) == DISAGREEING.get((fam, par), 0)

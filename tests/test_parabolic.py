@@ -649,6 +649,75 @@ def test_witness_rows_are_pinned(monkeypatch, count_calls):
     assert calls["add"] == 18259
 
 
+def fraction_implied_rows(rs):
+    """``RootTable.implied_rows`` recomputed from the Fraction root weights:
+    the pairs a <= b whose weights sum to a root weight."""
+    w = [r.weight for r in rs.roots]
+    index = {v: i for i, v in enumerate(w)}
+    inv = [next(F(c) / f for c, f in zip(wv, fv) if c)
+           for wv, fv in zip(w, rs.table.fm_weights)]
+    pairs = [[] for _ in w]
+    for a in range(len(w)):
+        for b in range(a, len(w)):
+            i = index.get(wadd(w[a], w[b]))
+            if i is not None:
+                pairs[i].append((1 << a | 1 << b, inv[a] + inv[b] >= inv[i]))
+    order = sorted(range(len(w)), key=lambda i: (-sum(map(abs, w[i])), i))
+    return tuple((i, tuple(m for m, _ in pairs[i]),
+                  tuple(m for m, ok in pairs[i] if ok))
+                 for i in order if pairs[i])
+
+
+IMPLIED_SYSTEMS = [(f, p) for f, p, _ in EXPECTED_ORBITS] + [
+    ("sl", (4, 1)), ("psl", (4,)), ("W", (4,)), ("S", (5,)), ("H", (7,))]
+
+
+@pytest.mark.parametrize("fam,par", IMPLIED_SYSTEMS, ids=str)
+def test_implied_rows_match_fraction_pairs(fam, par):
+    """``implied_rows``, read off ``closure_rows``, equals the Fraction
+    pair reference except on psl(2|2), where sums of lifts add pairs to
+    the reference's: each extra pair has lifts that sum to a lift of i."""
+    rs = rsys(fam, par)
+    got, want = rs.table.implied_rows, fraction_implied_rows(rs)
+    if (fam, par) != ("psl", (2,)):
+        assert got == want
+        return
+    want = {i: (set(inside), set(outside)) for i, inside, outside in want}
+    extra = 0
+    for i, inside, outside in got:
+        ref_in, ref_out = want.get(i, (set(), set()))
+        assert ref_in <= set(inside) and ref_out <= set(outside)
+        for m in set(inside) - ref_in:
+            extra += 1
+            a, b = m.bit_length() - 1, (m & -m).bit_length() - 1
+            assert any(wadd(x, y) in rs.lifts[i]
+                       for x in rs.lifts[a] for y in rs.lifts[b]), (i, a, b)
+    assert extra > 0
+
+
+def test_psl22_lift_pairs_keep_every_witness(monkeypatch):
+    """The rows that psl(2|2)'s lift-pair sums drop change no witness: on
+    each of its 255 proper subsets ``principality_witness`` equals
+    ``witness_from_every_row`` and the witness under the Fraction pair
+    reference, and fewer rows are eliminated than under the reference."""
+    rs = rsys("psl", (2,))
+    rows = 0
+
+    def counting(eliminated, dim, implied=()):
+        nonlocal rows
+        rows += len(eliminated)
+        return feasible_witness(eliminated, dim, implied)
+
+    monkeypatch.setattr(parabolic, "feasible_witness", counting)
+    subsets = [RootSubset(rs, bits) for bits in range((1 << len(rs)) - 1)]
+    got = [principality_witness(P) for P in subsets]
+    rows_got, rows = rows, 0
+    assert got == [witness_from_every_row(P) for P in subsets]
+    monkeypatch.setattr(rs.table, "implied_rows", fraction_implied_rows(rs))
+    assert got == [principality_witness(P) for P in subsets]
+    assert rows_got < rows
+
+
 def test_row_wrongly_marked_implied_fails_the_closing_check(monkeypatch):
     """A row that no root sum implies, marked implied, is not eliminated;
     the point found then violates it, and the closing check over every

@@ -245,16 +245,53 @@ BRACKET_TABLES = tuple(REALIZED_AUDITS) + (("W", (2,)), ("gl", (2, 2)), ("gl", (
 
 
 def test_bracket_tables_golden(check_golden):
-    """``bracket_nonzero`` over all ordered root pairs, byte for byte: one
-    bitmask row per root a, with bit b set when [g^a, g^b] is nonzero."""
+    """``bracket_masks`` byte for byte: one bitmask row per root a, with bit
+    b set when [g^a, g^b] is nonzero, equal to ``bracket_nonzero`` over
+    all ordered root pairs."""
     tables = {}
     for fam, par in BRACKET_TABLES:
         rz = realize(fam, par) if fam == "gl" else realize_for(rsys(fam, par))
         n = len(rz.weights)
-        tables[f"{fam}({','.join(map(str, par))})"] = [
+        assert rz.bracket_masks == tuple(
             sum(1 << b for b in range(n) if rz.bracket_nonzero(a, b))
-            for a in range(n)]
+            for a in range(n))
+        tables[f"{fam}({','.join(map(str, par))})"] = list(rz.bracket_masks)
     check_golden("bracket_tables.json", json.dumps(tables, indent=1) + "\n")
+
+
+def test_paper_suite_builds_each_realization_once(monkeypatch, count_calls):
+    """``run_paper_suite`` builds each of its 15 realizations (13 systems
+    and gl(2|2), gl(3|3)) once, and brackets each pair a <= b of every
+    realization it compares once: 3,690 ``bracket_nonzero`` calls, against
+    10,970 when each check made its own."""
+    from supercomin import verify
+
+    monkeypatch.setattr(realize_module, "_REALIZATIONS", {})
+    calls = count_calls(Realization, "__init__", "bracket_nonzero")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        verify.run_paper_suite()
+    cache = realize_module._REALIZATIONS
+    assert calls["__init__"] == len(cache) == 15
+    assert calls["bracket_nonzero"] == 3690 == sum(
+        len(rz.spaces) * (len(rz.spaces) + 1) // 2
+        for rz in cache.values() if "bracket_masks" in vars(rz))
+
+
+def test_cap_refuses_a_cached_realization(monkeypatch):
+    """One realization per root system and per gl(m|n), and ``DIM_CAP``
+    still refuses one that is cached."""
+    rs = rsys("W", (3,))
+    rz, gl = realize_for(rs), realize("gl", (2, 2))
+    assert realize_for(rs) is rz is realize("W", (3,))
+    assert realize("gl", [2, 2]) is gl
+    monkeypatch.setattr(realize_module, "DIM_CAP", rz.dim - 1)
+    for build in (lambda: realize_for(rs), lambda: realize("W", (3,))):
+        with pytest.raises(CapExceeded, match="dimension 24 exceeds cap 23"):
+            build()
+    monkeypatch.setattr(realize_module, "DIM_CAP", gl.dim - 1)
+    with pytest.raises(CapExceeded, match="dimension 16 exceeds cap 15"):
+        realize("gl", (2, 2))
 
 
 # every realization over a grid of instances: 31 algebras

@@ -213,6 +213,24 @@ def test_parameter_errors():
             root_count(fam, par)
 
 
+@pytest.mark.parametrize("fam,par", [
+    ("S", (4, 1)), ("S", (3, 1)), ("Sprime", (4, 1)), ("D21a", (5,)),
+    ("F4", (1, 2)), ("G3", (1,)), ("G3", (1, 2, 3)), ("W", ()), ("W", (3, 1)),
+    ("H", ()), ("psq", (3, 3)), ("p", ()), ("psl", (2, 2)), ("osp", (3,)),
+    ("sl", (2, 1, 1))], ids=str)
+def test_wrong_parameter_count_is_refused(fam, par):
+    """Every family takes exactly its own number of parameters: a wrong
+    count raises ``ParameterError`` by ``root_count`` and by
+    ``build_root_system``, and caches nothing."""
+    from supercomin import rootsys
+
+    before = set(rootsys._SYSTEMS)
+    for call in (root_count, build_root_system):
+        with pytest.raises(ParameterError, match="bad parameters"):
+            call(fam, par)
+    assert set(rootsys._SYSTEMS) == before
+
+
 def test_p2_warns():
     with pytest.warns(UserWarning):
         build_root_system("p", (2,))

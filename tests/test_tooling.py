@@ -110,6 +110,35 @@ def test_classify_runs_no_face_search(capsys):
     assert tr.counts["kernel.calls"] == 1
 
 
+def test_bracket_oracle_brackets_each_pair_once(monkeypatch):
+    """Over the W(3) stream, the bracket-rule sweep and then the bracket
+    verdicts read one table of bracket masks: the benchmark's
+    ``realize.bracket_calls`` reads 171 = 18 * 19 / 2, one per pair
+    a <= b of the 18 roots, and a second pass adds none."""
+    import importlib
+
+    from supercomin import cominuscule
+    from supercomin.parabolic import enumerate_parabolics
+
+    realize = importlib.import_module("supercomin.realize")
+    monkeypatch.setattr(realize, "_REALIZATIONS", {})
+    rs = build_root_system("W", (3,))
+    rz = realize.realize_for(rs)
+    stream = list(enumerate_parabolics(rs, "exhaustive"))
+    tr = load_tracer().Tracer()
+    try:
+        tr.install()
+        for _ in range(2):  # the second pass reads the cached masks
+            assert len(verify.bracket_rule_disagreements(rs, rz)) == 0
+            assert all(cominuscule.bracket_cominuscule(P, rz) ==
+                       cominuscule.is_cominuscule(P).is_cominuscule
+                       for P in stream)
+            assert tr.counts["realize.bracket_calls"] == 171
+    finally:
+        tr.uninstall()
+    assert tr.counts["cominuscule.bracket_verdict_calls"] == 2 * len(stream)
+
+
 def test_build_leaves_integer_weights_and_table_unbuilt(monkeypatch):
     """``build_root_system``, which the benchmark's ``setup_s`` times,
     builds no integer weights, lift index, negation or ``RootTable``: each
