@@ -21,10 +21,7 @@ systems of linear inequalities", 1965; see also J.-L. Imbert, "Fourier's
 elimination: which to choose?", 1993).  At the last variable only the
 tightest lower and upper bound are kept.  Neither changes the projection
 onto (x_k, ..., x_{d-1}) for any k, so back substitution sees the same
-interval for every variable as with plain elimination.  A combination made
-while eliminating x_{d-2} bounds x_{d-1} alone: only its two entries, the
-coefficient of x_{d-1} and the constant, are formed, and it is built as a
-row only when it becomes the kept bound.
+interval for every variable as with plain elimination.
 
 ``feasible_witness`` eliminates one row per direction.  Of rows whose
 coefficient parts are positive multiples of each other, such as
@@ -60,8 +57,8 @@ def _normalize(row):
 
 
 def _combine(p, q, k):
-    """Positive combination of p (c_k > 0) and q (c_k < 0) cancelling var k."""
-    a, b = -q[k], p[k]
+    """|q_k| p + |p_k| q, normalized: cancels var k if p_k, q_k differ in sign."""
+    a, b = abs(q[k]), abs(p[k])
     return _normalize([a * pc + b * qc for pc, qc in zip(p, q)])
 
 
@@ -105,14 +102,9 @@ class IncrementalFM:
     ``levels[k] = (pos, neg)`` holds the kept rows whose first nonzero
     coefficient is that of variable k, positive or negative, which is what
     back substitution in ``point`` reads.  The last level holds at most
-    one row of each sign, the tightest bound on x_{d-1}; a new bound there
-    only has to be checked against the one opposite bound.
-    ``_last_bound`` makes that comparison for every bound that reaches the
-    last level, a row that lands there and a combination made while
-    eliminating x_{d-2} alike.  Such a combination is two entries, the
-    coefficient of x_{d-1} and the constant; it is built as a row only
-    when it becomes the kept bound, and it is formed once per opposite row
-    with some history small enough, as the last level keeps none.
+    one row of each sign, the tightest bound on x_{d-1}.  Every row that
+    reaches it, or becomes a constant, goes through ``_last_bound``, which
+    checks it against the one opposite bound only.
 
     ``seen`` maps every kept row above the last level to its histories:
     bitmasks over the original rows in the order they were added (``count``
@@ -216,7 +208,7 @@ class IncrementalFM:
                 k += 1
             if k >= last:
                 # a bound on x_{d-1} alone, or a constant when k == dim
-                if not self._last_bound(r[k] if k == last else 0, r[dim], r):
+                if not self._last_bound(r, r[k] if k == last else 0):
                     return False
                 continue
             pos, neg = levels[k]
@@ -230,49 +222,29 @@ class IncrementalFM:
                 seen[r] = (h,)
             # eliminating x_k leaves rows with k + 1 variables eliminated
             bound = k + 2
-            if k == last - 1:
-                # each combination bounds x_{d-1} alone: form its two
-                # entries, |q_k| r + |r_k| q on x_{d-1} and the constant
-                b = abs(r[k])
-                for q in (neg if r[k] > 0 else pos):
-                    if any((g | h).bit_count() <= bound for g in seen[q]):
-                        a = abs(q[k])
-                        if not self._last_bound(a * r[last] + b * q[last],
-                                                a * r[dim] + b * q[dim]):
-                            return False
-            elif r[k] > 0:
-                for q in neg:
-                    c = None
-                    for g in seen[q]:
-                        g |= h
-                        if g.bit_count() <= bound:
-                            if c is None:
-                                c = _combine(r, q, k)
-                            stack.append((c, k + 1, g))
-            else:
-                for p in pos:
-                    c = None
-                    for g in seen[p]:
-                        g |= h
-                        if g.bit_count() <= bound:
-                            if c is None:
-                                c = _combine(p, r, k)
-                            stack.append((c, k + 1, g))
+            for q in (neg if r[k] > 0 else pos):
+                c = None
+                for g in seen[q]:
+                    g |= h
+                    if g.bit_count() <= bound:
+                        if c is None:
+                            c = _combine(r, q, k)
+                        stack.append((c, k + 1, g))
         return True
 
-    def _last_bound(self, coef, const, row=None) -> bool:
-        """Take ``coef x_{d-1} + const >= 0`` into the last level.
+    def _last_bound(self, row, coef) -> bool:
+        """Take ``row``, ``coef x_{d-1} + const >= 0``, into the last level.
 
-        It replaces the kept bound of its sign if it is tighter, and only
-        then is its row built (``row`` if given); False, with the system
-        dead, if it contradicts the opposite bound or is a negative
-        constant.
+        It replaces the kept bound of its sign if it is tighter, and is
+        dropped otherwise; False, with the system dead, if it contradicts
+        the opposite bound or is a negative constant.
         """
+        dim = self.dim
+        const = row[dim]
         if coef == 0:
             if const < 0:
                 self.alive = False
             return self.alive
-        dim = self.dim
         pos, neg = self.levels[-1]
         if coef > 0:
             if pos and pos[0][dim] * coef <= const * pos[0][dim - 1]:
@@ -280,16 +252,12 @@ class IncrementalFM:
             if neg and coef * neg[0][dim] < neg[0][dim - 1] * const:
                 self.alive = False
                 return False
-            side = pos
+            pos[:] = [row]
         else:
             if neg and neg[0][dim] * coef >= const * neg[0][dim - 1]:
                 return True
             if pos and pos[0][dim - 1] * const < coef * pos[0][dim]:
                 self.alive = False
                 return False
-            side = neg
-        if row is None:
-            g = gcd(coef, const)
-            row = (0,) * (dim - 1) + (coef // g, const // g)
-        side[:] = [row]
+            neg[:] = [row]
         return True

@@ -28,7 +28,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .matrixrep import MatrixSuperElement
-from .rootsys import CapExceeded, RootSystem, _gl_roots, build_root_system
+from .rootsys import (CapExceeded, RootSystem, _gl_roots, _require,
+                      build_root_system, root_count)
 from .superder import SuperDerivation, merge_sign, partial
 
 # the largest algebra dimension a realization may have, checked before it
@@ -393,7 +394,15 @@ _REALIZATIONS = {}  # RootSystem, or ("gl", (m, n)) -> its one Realization
 
 def realize(family, params) -> Realization:
     """Realize one of the families of ``_REALIZED`` at the given rank, once;
-    every family but gl is bound to its root system by ``realize_for``."""
+    every family but gl is bound to its root system by ``realize_for``.
+    Bad parameters raise ``ParameterError`` before the dimension is read:
+    gl's here, every other family's by ``root_count``, which builds nothing."""
+    if family == "gl":
+        _require(len(params) == 2 and all(isinstance(v, int) and v >= 1
+                                          for v in params),
+                 "gl(m|n) needs two integers m >= 1 and n >= 1")
+    elif family in _REALIZED:
+        root_count(family, params)
     build = _builder(family, params)
     if family != "gl":
         return realize_for(build_root_system(family, params))

@@ -606,6 +606,8 @@ def parse_weight(s: str, basis):
     m = re.fullmatch(r"1/(\d+)\((.*)\)", s)
     if m:
         denom = int(m.group(1))
+        if denom == 0:
+            raise ValueError(f"zero denominator in weight string {s!r}")
         s = m.group(2)
     pos = {lbl: k for k, lbl in enumerate(basis)}
     coords = [Fraction(0)] * len(basis)

@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from supercomin import kernel, parabolic, verify, weyl
+from supercomin import feasible, kernel, parabolic, verify, weyl
 from supercomin.classify import choose_method, enumerate_cominuscule_orbits
 from supercomin.cominuscule import is_cominuscule
 from supercomin.feasible import IncrementalFM, feasible_witness
@@ -647,6 +647,19 @@ def test_witness_rows_are_pinned(monkeypatch, count_calls):
             principality_witness(P)
     assert rows == 24451
     assert calls["add"] == 18259
+
+
+def test_witness_combinations_are_pinned(count_calls):
+    """The rows ``IncrementalFM`` combines for the witnesses of
+    ``WITNESS_GOLDEN_SYSTEMS``, counted exactly, so that a lost pruning
+    rule (Chernikov's, or one bound per sign at the last level) shows as
+    a diff and not only as a slowdown.  Each combination is built as a
+    row, those made while eliminating x_{d-2} too."""
+    calls = count_calls(feasible, "_combine")
+    for fam, par in WITNESS_GOLDEN_SYSTEMS:
+        for P in enumerate_parabolics(rsys(fam, par), "exhaustive"):
+            principality_witness(P)
+    assert calls["_combine"] == 14731
 
 
 def fraction_implied_rows(rs):

@@ -9,7 +9,8 @@ import pytest
 from supercomin.realize import (Realization, UnsupportedFamilyError, divergence,
                                 jacobi_defect, realize, realize_for)
 from supercomin.matrixrep import MatrixSuperElement
-from supercomin.rootsys import CapExceeded, build_root_system, wadd
+from supercomin.rootsys import (CapExceeded, ParameterError, build_root_system,
+                                wadd)
 from supercomin.superder import SuperDerivation, partial
 from supercomin.verify import REALIZED_AUDITS
 
@@ -77,6 +78,19 @@ def test_unsupported_and_cap(monkeypatch):
     monkeypatch.setattr(realize_module, "DIM_CAP", 100)
     with pytest.raises(CapExceeded, match="dimension 384 exceeds cap 100"):
         realize("W", (6,))
+
+
+@pytest.mark.parametrize("fam,par", [
+    ("gl", (2,)), ("gl", (2, 1, 1)), ("gl", (2, -1)), ("gl", (-1, 2)),
+    ("gl", (0, 0)), ("gl", (0, 2)), ("S", (4, 1)), ("psl", (2, 2)),
+    ("W", ())], ids=str)
+def test_bad_parameters_are_refused(fam, par):
+    """Bad parameters raise ``ParameterError`` before the dimension is
+    computed, and no realization is cached."""
+    before = set(realize_module._REALIZATIONS)
+    with pytest.raises(ParameterError):
+        realize(fam, par)
+    assert set(realize_module._REALIZATIONS) == before
 
 
 @pytest.mark.parametrize("fam,par", [("gl", (2, 1))] + ALL_REALIZED)

@@ -202,6 +202,14 @@ def test_serialization_roundtrip():
     assert weight_str(wneg(w), rs.basis) == "1/2(-e1-e2-e3+g1)"
 
 
+@pytest.mark.parametrize("text", ["1/0(e1)", "e7", "2x1", "1/2(e1", "e1+"])
+def test_malformed_weight_string_is_refused(text):
+    """A malformed weight string, a zero denominator among them, raises
+    ``ValueError``."""
+    with pytest.raises(ValueError):
+        parse_weight(text, rsys("F4", ()).basis)
+
+
 def test_parameter_errors():
     for fam, par in [("sl", (2, 2)), ("sl", (0, 1)), ("psq", (2,)),
                      ("H", (4,)), ("Sprime", (5,)), ("S", (2,)),
